@@ -363,6 +363,41 @@ class LimitQuotientResult:
         return self.verdict == "pass"
 
 
+def _band_offsets(f: GridFunction, seq: ConvergentSequence, budget: int) -> list:
+    """Check the offset sequence against its own claim and return its
+    first ``budget`` terms that fall in the probe band."""
+    if seq.declared_limit != 0:
+        raise DomainError("offset sequence must converge to 0")
+    if not seq.verify(budget):
+        raise DomainError("sequence does not meet its own convergence claim")
+    band_lo, band_hi = _band(f.spec, seq.context)
+    return [t for t in seq.terms(budget) if t != 0 and band_lo < abs(t) <= band_hi]
+
+
+def _probe_quotients(
+    f: GridFunction, x: GridPoint, offsets: list, tol: Fraction
+) -> LimitQuotientResult:
+    """Difference quotients from x to round(x + t) for each offset t,
+    read against the quotient at x with tolerance ``tol``."""
+    reference = f.quotient(x)
+    probes = []
+    max_gap = Fraction(0)
+    for t in offsets:
+        target = x.value + t
+        if not 0 <= target <= 1:
+            raise DomainError(f"probe point {target} leaves [0, 1]")
+        y = round_to_grid(target, f.spec)
+        step = y.value - x.value
+        if step == 0:
+            continue
+        q = (f(y) - f(x)) / step
+        gap = abs(q - reference)
+        probes.append(LimitProbe(t, q, gap))
+        max_gap = max(max_gap, gap)
+    verdict = "pass" if max_gap <= tol else "fail"
+    return LimitQuotientResult(reference, verdict, tuple(probes), max_gap, tol)
+
+
 def limit_quotient(
     fr,
     x: GridPoint,
@@ -379,34 +414,8 @@ def limit_quotient(
     land within 2/H of the difference quotient at x.
     """
     f = _as_grid_function(fr)
-    ctx = seq.context
-    if seq.declared_limit != 0:
-        raise DomainError("offset sequence must converge to 0")
-    if not seq.verify(budget):
-        raise DomainError("sequence does not meet its own convergence claim")
-    band_lo, band_hi = _band(f.spec, ctx)
-    reference = f.quotient(x)
-    tol = 2 * ctx.infinitesimal_scale
-
-    probes = []
-    max_gap = Fraction(0)
-    for i in range(budget):
-        t = Fraction(seq.rule(i))
-        if t == 0 or not band_lo < abs(t) <= band_hi:
-            continue
-        target = x.value + t
-        if not 0 <= target <= 1:
-            raise DomainError(f"probe point {target} leaves [0, 1]")
-        y = round_to_grid(target, f.spec)
-        step = y.value - x.value
-        if step == 0:
-            continue
-        q = (f(y) - f(x)) / step
-        gap = abs(q - reference)
-        probes.append(LimitProbe(t, q, gap))
-        max_gap = max(max_gap, gap)
-    verdict = "pass" if max_gap <= tol else "fail"
-    return LimitQuotientResult(reference, verdict, tuple(probes), max_gap, tol)
+    offsets = _band_offsets(f, seq, budget)
+    return _probe_quotients(f, x, offsets, 2 * seq.context.infinitesimal_scale)
 
 
 def limit_check(
@@ -416,18 +425,20 @@ def limit_check(
     budget: int = 64,
 ) -> CheckReport:
     """Run limit_quotient with the halving sequence t_i = 2**-i at each
-    given point; pass iff every probe at every point lands within 2/H."""
+    given point; pass iff every probe at every point lands within 2/H.
+    The sequence is verified, and its in-band offsets listed, once."""
     f = _as_grid_function(fr)
     seq = ConvergentSequence(lambda i: Fraction(1, 2**i), Fraction(0), ctx)
     max_gap = Fraction(0)
     witness = None
     count = 0
     tol = 2 * ctx.infinitesimal_scale
+    offsets = _band_offsets(f, seq, budget) if points else []
     for s in points:
         x = round_to_grid(Fraction(s), f.spec)
         if x.index >= f.spec.tau:
             x = f.spec.point(f.spec.tau - 1)
-        result = limit_quotient(f, x, seq, budget)
+        result = _probe_quotients(f, x, offsets, tol)
         count += len(result.probes)
         if result.max_gap > max_gap:
             max_gap = result.max_gap

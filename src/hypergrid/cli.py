@@ -118,8 +118,16 @@ def build_job(argv=None) -> JobConfig:
     if args.file is not None:
         if expr_text is not None:
             raise DomainError("give the expression either inline or via --file")
-        with open(args.file, "r", encoding="utf-8") as handle:
-            expr_text = handle.read().strip()
+        try:
+            with open(args.file, "r", encoding="utf-8") as handle:
+                expr_text = handle.read().strip()
+        except OSError as exc:
+            raise DomainError(f"cannot read {args.file}: {exc.strerror}") from None
+        except UnicodeDecodeError:
+            raise DomainError(f"cannot read {args.file}: not UTF-8 text") from None
+    samples = getattr(args, "samples", 1024)
+    if samples < 1:
+        raise DomainError(f"--samples must be at least 1, got {samples}")
     domain = None
     if args.domain is not None:
         a, b = (parse_rational(s) for s in args.domain)
@@ -136,7 +144,7 @@ def build_job(argv=None) -> JobConfig:
         at=getattr(args, "at", None),
         check=getattr(args, "kind", None),
         tau2=getattr(args, "tau2", None),
-        samples=getattr(args, "samples", 1024),
+        samples=samples,
         series=getattr(args, "series", None),
         sum_cap=getattr(args, "sum_cap", 2**16),
         exp_mode=args.exp_mode,
@@ -152,7 +160,10 @@ def _enforce_cap(job: JobConfig):
     cap = os.environ.get("HYPERGRID_MAX_TAU")
     if cap is None:
         return
-    limit = int(cap)
+    try:
+        limit = int(cap)
+    except ValueError:
+        raise DomainError(f"HYPERGRID_MAX_TAU must be an integer, got {cap!r}") from None
     for tau in (job.tau, job.tau2):
         if tau is not None and tau > limit:
             raise DomainError(f"tau={tau} exceeds HYPERGRID_MAX_TAU={limit}")

@@ -19,7 +19,14 @@ The logarithm inverts the truncated exponential over the lattice
 k/tau: it returns the largest lattice point whose exponential does not
 exceed the argument.  Arguments below 1 are routed through the
 reciprocal, which keeps the search on nonnegative lattice points where
-the truncated series is provably monotone.
+the truncated series is provably monotone.  For x >= 0 every term is
+positive, so 1 + x <= E(x) <= e^x under either policy: a rational lower
+bound on ln q, computed in fixed-point integers, gives an admissible
+lattice point without evaluating E at all, and a rational upper bound
+gives a candidate overshoot that one evaluation confirms.  Monotonicity
+makes the largest admissible point unique, so the answer does not
+depend on how the bracket was found; only the cost does (one to three
+evaluations of E, each compared with the argument in integers).
 
 ``countable_sum`` evaluates partial sums at doubling lengths and issues
 a verdict: a value once the partials settle, an infinity once they
@@ -67,6 +74,16 @@ class SeriesState:
     partial: Fraction
 
 
+def _require_grid(tau: int, policy: TruncationPolicy):
+    if tau < 2:
+        raise DomainError("tau must be at least 2")
+    if policy.mode == "full" and tau > FULL_TAU_LIMIT:
+        raise ResourceLimitError(
+            f"full truncation at tau={tau} exceeds the limit {FULL_TAU_LIMIT};"
+            " use a tail-bounded policy"
+        )
+
+
 def _exp_loop(q: Fraction, tau: int, policy: TruncationPolicy):
     """Shared core: returns (numerator, denominator, stop_index) with
     numerator/denominator equal to the partial sum through stop_index.
@@ -74,14 +91,8 @@ def _exp_loop(q: Fraction, tau: int, policy: TruncationPolicy):
     The recurrence keeps everything in integers over the running
     denominator b**i * i!: S_i = S_{i-1} * (b*i) + a**i.
     """
-    if tau < 2:
-        raise DomainError("tau must be at least 2")
+    _require_grid(tau, policy)
     a, b = q.numerator, q.denominator
-    if policy.mode == "full" and tau > FULL_TAU_LIMIT:
-        raise ResourceLimitError(
-            f"full truncation at tau={tau} exceeds the limit {FULL_TAU_LIMIT};"
-            " use a tail-bounded policy"
-        )
     check_tail = policy.mode == "tail-bounded"
     # tail bound is valid once the term ratio |q|/(i+1) is at most 1/2
     ratio_floor = 2 * (abs(a) // b + 1)
@@ -133,6 +144,42 @@ def series_states(
         yield SeriesState(i, term, partial)
 
 
+def _atanh_floor(c: int, d: int, bits: int):
+    """Fixed-point atanh(c/d) for 0 <= c/d <= 1/3, rounded down: returns
+    (S, n) with S <= atanh(c/d) * 2**bits <= S + 3n + 2, where n is the
+    number of series terms z**(2j+1)/(2j+1) summed.
+
+    Each power w_j = floor(z**(2j+1) * 2**bits) is at most 9/8 below the
+    true one (earlier floors shrink by z**2 <= 1/9 per step), so each
+    floored term loses less than 1 + 9/8; the sum stops at the first
+    w_j = 0, where the positive tail is below (9/8)**2.
+    """
+    c2, d2 = c * c, d * d
+    w = (c << bits) // d
+    total = 0
+    n = 0
+    while w:
+        total += w // (2 * n + 1)
+        w = w * c2 // d2
+        n += 1
+    return total, n
+
+
+def _ln_bounds(a: int, b: int, m: int, bits: int):
+    """Integers (lo, hi) with lo <= ln(a/b) * 2**bits <= hi, given
+    a/b = 2**m * r with 1 <= r < 2.  Uses ln r = 2 atanh((r-1)/(r+1))
+    and ln 2 = 2 atanh(1/3)."""
+    shifted = b << m
+    s_r, n_r = _atanh_floor(a - shifted, a + shifted, bits)
+    lo = 2 * s_r
+    hi = lo + 2 * (3 * n_r + 2)
+    if m:
+        s_2, n_2 = _atanh_floor(1, 3, bits)
+        lo += 2 * m * s_2
+        hi += 2 * m * (s_2 + 3 * n_2 + 2)
+    return lo, hi
+
+
 def log_approx(
     q: Fraction, tau: int, policy: TruncationPolicy = DEFAULT_POLICY
 ) -> Fraction:
@@ -142,34 +189,62 @@ def log_approx(
     Arguments in (0, 1) are evaluated as -log_approx(1/q), which stays
     on the nonnegative half of the lattice; the two readings differ by
     at most one lattice step.
+
+    The search is bracketed without evaluating E = exp_approx.  For
+    x >= 0 every series term is positive, so 1 + x <= E(x) <= e^x under
+    either policy.  Hence floor(tau * L) is admissible for any rational
+    L <= ln q, and e^(k/tau) > q at k = floor(tau * U) + 1 for any
+    rational U >= ln q.  L and U come from fixed-point integers with
+    directed rounding, a few lattice steps apart.  One evaluation
+    confirms the upper end, galloping upward in the rare case that E
+    still lags e^x there (the full policy at tiny tau, or an argument
+    that is itself a lattice value of E); bisection closes the gap.
+    E is strictly increasing in k >= 0 under either policy, so the
+    largest admissible k is unique and any valid bracket yields it.
+    Each evaluation compares E's integer numerator and denominator with
+    q's, so no Fraction is normalized per evaluation.
+
+    SearchRangeError is raised when the answer is at least the smallest
+    power of two above tau**2, where a doubling search from k = 1
+    leaves the lattice.
     """
     q = Fraction(q)
     if q <= 0:
         raise DomainError("log_approx needs a positive argument")
     if q < 1:
         return -log_approx(1 / q, tau, policy)
-    if tau < 2:
-        raise DomainError("tau must be at least 2")
+    _require_grid(tau, policy)
+    a, b = q.numerator, q.denominator
 
-    def probe(k: int) -> Fraction:
-        return exp_approx(Fraction(k, tau), tau, policy)
+    def overshoots(k: int) -> bool:
+        s, den, _ = _exp_loop(Fraction(k, tau), tau, policy)
+        return s * b > a * den
 
-    # bracket: double hi until the exponential overshoots q
-    lo, hi = 0, 1
     limit = tau * tau
-    while probe(hi) <= q:
-        lo, hi = hi, hi * 2
-        if lo > limit:
-            raise SearchRangeError(
-                f"log search left the lattice (|k| <= {limit}) for argument {q}"
-            )
-    # invariant: probe(lo) <= q < probe(hi)
+    # a doubling search from k = 1 gave up on reaching this power of two
+    ceiling = 1 << limit.bit_length()
+    m = a.bit_length() - b.bit_length()
+    if b << m > a:
+        m -= 1
+    bits = tau.bit_length() + m.bit_length() + 8
+    low, high = _ln_bounds(a, b, m, bits)
+    # invariant: E(lo/tau) <= q; once confirmed, q < E(hi/tau)
+    lo = (tau * low) >> bits
+    hi = min(((tau * high) >> bits) + 1, ceiling)
+    step = 1
+    while lo < ceiling and not overshoots(hi):
+        lo, hi = hi, min(hi + step, ceiling)
+        step *= 2
+    if lo >= ceiling:
+        raise SearchRangeError(
+            f"log search left the lattice (|k| <= {limit}) for argument {q}"
+        )
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if probe(mid) <= q:
-            lo = mid
-        else:
+        if overshoots(mid):
             hi = mid
+        else:
+            lo = mid
     return Fraction(lo, tau)
 
 

@@ -56,6 +56,30 @@ def test_inline_and_file_sources_conflict(tmp_path, capsys):
     assert "either inline or via --file" in err
 
 
+def test_unreadable_file_is_an_error_not_a_traceback(tmp_path, capsys):
+    missing = tmp_path / "missing.txt"
+    code, out, err = invoke(capsys, "eval", "--file", str(missing))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot read ")
+    assert str(missing) in err
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff\xfe x")
+    code, _, err = invoke(capsys, "eval", "--file", str(binary))
+    assert code == 1
+    assert err.endswith(": not UTF-8 text\n")
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_samples_below_one_are_rejected(capsys, samples):
+    code, out, err = invoke(
+        capsys, "check", "limit", "x^2", "--tau", "100", "--samples", samples
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --samples must be at least 1, got {samples}\n"
+
+
 def test_unknown_arguments_exit_with_usage_error(capsys):
     code, _, err = invoke(capsys, "eval", "x", "--frobnicate")
     assert code == 1
@@ -350,3 +374,11 @@ def test_tau_cap_applies_to_the_second_grid(capsys, monkeypatch):
     )
     assert code == 1
     assert "HYPERGRID_MAX_TAU" in err
+
+
+def test_non_integer_tau_cap_is_an_error(capsys, monkeypatch):
+    monkeypatch.setenv("HYPERGRID_MAX_TAU", "abc")
+    code, out, err = invoke(capsys, "eval", "x", "--tau", "10")
+    assert code == 1
+    assert out == ""
+    assert err == "error: HYPERGRID_MAX_TAU must be an integer, got 'abc'\n"

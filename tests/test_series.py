@@ -4,7 +4,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from hypergrid import series
 from hypergrid import (
     DomainError,
     ObservationContext,
@@ -141,6 +144,108 @@ def test_log_search_range_is_bounded():
     # huge argument pushes the bracket past the k <= tau**2 limit
     with pytest.raises(SearchRangeError):
         log_approx(Fraction(10**9), 2)
+    with pytest.raises(SearchRangeError):
+        log_approx(Fraction(1, 10**9), 2)
+
+
+def _doubling_log(q, tau, policy=DEFAULT_POLICY):
+    """The original lattice log: double until the exponential overshoots,
+    then bisect.  Kept here verbatim as the reference for the bracketed
+    search."""
+    q = Fraction(q)
+    if q <= 0:
+        raise DomainError("log_approx needs a positive argument")
+    if q < 1:
+        return -_doubling_log(1 / q, tau, policy)
+    if tau < 2:
+        raise DomainError("tau must be at least 2")
+
+    def probe(k: int) -> Fraction:
+        return exp_approx(Fraction(k, tau), tau, policy)
+
+    # bracket: double hi until the exponential overshoots q
+    lo, hi = 0, 1
+    limit = tau * tau
+    while probe(hi) <= q:
+        lo, hi = hi, hi * 2
+        if lo > limit:
+            raise SearchRangeError(
+                f"log search left the lattice (|k| <= {limit}) for argument {q}"
+            )
+    # invariant: probe(lo) <= q < probe(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if probe(mid) <= q:
+            lo = mid
+        else:
+            hi = mid
+    return Fraction(lo, tau)
+
+
+def _outcome(log, q, tau, policy):
+    try:
+        return log(q, tau, policy)
+    except (DomainError, SearchRangeError) as exc:
+        return type(exc), str(exc)
+
+
+POLICIES = st.sampled_from(
+    [FULL_POLICY] + [TruncationPolicy("tail-bounded", guard=g) for g in (1, 3, 64)]
+)
+TAUS = st.integers(min_value=2, max_value=4096)
+NUDGE = st.sampled_from([0, Fraction(1, 10**30), -Fraction(1, 10**30)])
+
+
+@st.composite
+def log_cases(draw):
+    """(q, tau, policy): one, arbitrary rationals on both sides of 1,
+    lattice values of the exponential nudged by 1e-30 either way (and
+    their reciprocals), and arguments far beyond the search range."""
+    policy = draw(POLICIES)
+    kind = draw(st.sampled_from(["one", "rational", "lattice", "huge"]))
+    if kind == "huge":
+        tau = draw(st.integers(min_value=2, max_value=12))
+        return Fraction(draw(st.integers(2, 10**40)), draw(st.integers(1, 1000))), tau, policy
+    tau = draw(TAUS)
+    if kind == "one":
+        return Fraction(1), tau, policy
+    if kind == "rational":
+        q = Fraction(draw(st.integers(1, 10**6)), draw(st.integers(1, 10**6)))
+        return q, tau, policy
+    k = draw(st.integers(min_value=0, max_value=4 * tau))
+    q = exp_approx(Fraction(k, tau), tau, policy) + draw(NUDGE)
+    return (1 / q if draw(st.booleans()) else q), tau, policy
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(log_cases())
+def test_bracketed_log_matches_the_doubling_search(case):
+    q, tau, policy = case
+    assert _outcome(log_approx, q, tau, policy) == _outcome(_doubling_log, q, tau, policy)
+
+
+def test_full_policy_limit_is_checked_before_the_search():
+    for q in (Fraction(1), Fraction(1, 3), Fraction(10**30)):
+        with pytest.raises(ResourceLimitError):
+            log_approx(q, FULL_TAU_LIMIT + 1, FULL_POLICY)
+
+
+def test_log_evaluates_the_exponential_a_few_times_per_call(monkeypatch):
+    tau = 2**17
+    calls = []
+    exp_loop = series._exp_loop
+
+    def counted(q, tau, policy):
+        calls.append(q)
+        return exp_loop(q, tau, policy)
+
+    monkeypatch.setattr(series, "_exp_loop", counted)
+    args = [1 + Fraction(k, 64) for k in range(65)]
+    args += [exp_approx(Fraction(k, tau), tau) for k in (1, 777, 90_000)]
+    for q in args:
+        calls.clear()
+        log_approx(q, tau)
+        assert 1 <= len(calls) <= 6
 
 
 def test_countable_sum_of_zeros_is_exactly_zero():
