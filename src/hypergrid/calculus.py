@@ -21,12 +21,14 @@ stable JSON shape for the command-line tools.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Optional, Sequence, Tuple
 
 from .context import ObservationContext
 from .errors import DomainError, NotDifferentiableError, ResourceLimitError
-from .grid import GridPoint, GridSpec, round_to_grid, successor
+from .grid import GridPoint, GridSpec, round_to_grid
 from .gridfun import (
+    MATERIALIZE_LIMIT,
     Certificate,
     ContinuityVerdict,
     GridFunction,
@@ -35,9 +37,8 @@ from .gridfun import (
     grid_maps,
     transport,
 )
+from .rational import format_rational
 from .sampling import SamplingPlan, sample_unit_fractions
-
-INTEGRAL_LIMIT = 2**24
 
 
 @dataclass(frozen=True)
@@ -71,8 +72,8 @@ class CheckReport:
             "grids": list(self.grids),
             "context": {"H": self.context.H, "K": self.context.K},
             "samples": self.samples,
-            "max_gap": str(self.max_gap),
-            "tolerance": str(self.tolerance),
+            "max_gap": format_rational(self.max_gap),
+            "tolerance": format_rational(self.tolerance),
             "verdict": self.verdict,
             "mode": self.mode,
         }
@@ -197,44 +198,46 @@ def secant_check(
     if hi_steps < lo_steps:
         raise DomainError("band is empty: grid too coarse for this context")
 
-    omega = f.quotient_certificate.modulus
     mode = plan.mode(spec.tau)
-    if mode == "exhaustive":
-        anchors = range(spec.tau)
-        offsets = lambda: range(lo_steps, hi_steps + 1)
-    else:
-        anchors = plan.indices(spec.tau)
-        ladder = []
-        k = lo_steps
-        while k <= hi_steps:
-            ladder.append(k)
-            k *= 2
-        ladder.append(hi_steps)
-        offsets = lambda: ladder
-
     values = None
     quotients = None
     if mode == "exhaustive":
-        values = [f(p) for p in spec.points()]
+        anchors = range(spec.tau)
+        offsets = range(lo_steps, hi_steps + 1)
+        values = f.materialize()
         quotients = [(values[n + 1] - values[n]) * spec.tau for n in range(spec.tau)]
+    else:
+        anchors = plan.indices(spec.tau)
+        offsets = []
+        k = lo_steps
+        while k <= hi_steps:
+            offsets.append(k)
+            k *= 2
+        offsets.append(hi_steps)
+
+    # the modulus depends on the gap alone and is pure: read it once per offset
+    omega = f.quotient_certificate.modulus
+    eps = spec.epsilon
+    steps = []
+    for k in offsets:
+        gap = k * eps
+        steps.append((k, gap, omega(gap)))
 
     worst = None
     witness = None
     pairs = 0
-    eps = spec.epsilon
     for n in anchors:
         if n >= spec.tau:
             continue
         qa = quotients[n] if quotients is not None else f.quotient(spec.point(n))
         fa = values[n] if values is not None else f(spec.point(n))
-        for k in offsets():
+        for k, gap, bound in steps:
             m = n + k
             if m > spec.tau:
                 continue
-            gap = k * eps
             fx = values[m] if values is not None else f(spec.point(m))
             deviation = (fx - fa) / gap - qa
-            excess = abs(deviation) - omega(gap)
+            excess = abs(deviation) - bound
             pairs += 1
             if worst is None or excess > worst:
                 worst = excess
@@ -455,43 +458,54 @@ def cumulative_values(f: GridFunction, workers: int = 1) -> list:
     partial sums are combined in chunk order; exact arithmetic makes the
     result bit-identical to the serial one.
     """
-    tau = f.spec.tau
-    if tau + 1 > INTEGRAL_LIMIT:
+    _require_table(f.spec)
+    return _prefix_sums(f, None, workers)
+
+
+def _require_table(spec: GridSpec):
+    if spec.tau + 1 > MATERIALIZE_LIMIT:
         raise ResourceLimitError(
-            f"cumulative sum over {tau + 1} points exceeds the limit {INTEGRAL_LIMIT};"
-            " use integral_stream"
+            f"cumulative sum over {spec.tau + 1} points exceeds the limit"
+            f" {MATERIALIZE_LIMIT}; use integral_stream"
         )
-    points = [f.spec.point(n) for n in range(tau + 1)]
+
+
+def _prefix_sums(f: GridFunction, values: Optional[list], workers: int) -> list:
+    """``cumulative_values`` of f.  ``values``, when given, is
+    f.materialize(), and becomes the prefix sums in place.  A polynomial
+    sums its integer numerators instead and divides each prefix once by
+    the shared denominator."""
+    if f.polynomial is not None:
+        numerators, den = f.polynomial.numerators(f.spec.tau)
+        return [Fraction(s, den) for s in _running_sums(numerators, workers)]
+    return _running_sums(f.materialize() if values is None else values, workers)
+
+
+def _running_sums(terms: list, workers: int) -> list:
+    """Turn ``terms`` into its inclusive running sums, in place, so that
+    each term is released as its sum replaces it.  With several workers
+    the chunks are summed in threads, then each chunk is offset by the
+    total before it."""
+    chunk = -(-len(terms) // max(1, workers))
+
+    def prefix(lo):
+        acc = terms[lo]
+        for i in range(lo + 1, min(lo + chunk, len(terms))):
+            acc = terms[i] = acc + terms[i]
+
     if workers <= 1:
-        out = []
-        acc = Fraction(0)
-        for p in points:
-            acc += f(p)
-            out.append(acc)
-        return out
+        prefix(0)
+        return terms
 
     from concurrent.futures import ThreadPoolExecutor
 
-    chunk = -(-(tau + 1) // workers)
-    ranges = [(i, min(i + chunk, tau + 1)) for i in range(0, tau + 1, chunk)]
-
-    def prefix(span):
-        lo, hi = span
-        acc = Fraction(0)
-        part = []
-        for n in range(lo, hi):
-            acc += f(points[n])
-            part.append(acc)
-        return part
-
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(prefix, ranges))
-    out = []
-    offset = Fraction(0)
-    for part in parts:
-        out.extend(offset + v for v in part)
-        offset = out[-1]
-    return out
+        list(pool.map(prefix, range(0, len(terms), chunk)))
+    for lo in range(chunk, len(terms), chunk):
+        offset = terms[lo - 1]
+        for i in range(lo, min(lo + chunk, len(terms))):
+            terms[i] = offset + terms[i]
+    return terms
 
 
 def integral_stream(f: GridFunction):
@@ -519,17 +533,31 @@ def integral(
     value certificate becomes the quotient certificate.
     """
     f = _as_grid_function(fr)
-    if ctx is not None:
-        if f.certificate is not None:
-            if f.certificate.bound > ctx.K:
-                raise DomainError("certified bound exceeds K: integral may overflow")
-        else:
-            step = max(1, f.spec.tau // 64)
-            for n in range(0, f.spec.tau + 1, step):
-                if abs(f(f.spec.point(n))) > ctx.K:
-                    raise DomainError(f"function exceeds K at {Fraction(n, f.spec.tau)}")
+    values = _integrand_values(f, ctx)
+    return _antiderivative(f, _prefix_sums(f, values, workers))
 
-    sums = cumulative_values(f, workers)
+
+def _integrand_values(f: GridFunction, ctx: Optional[ObservationContext]):
+    """f.materialize() for an integral, after f is found bounded by K at
+    ``ctx``; None for a certified polynomial, whose prefix sums need no
+    values."""
+    if ctx is not None and f.certificate is not None and f.certificate.bound > ctx.K:
+        raise DomainError("certified bound exceeds K: integral may overflow")
+    _require_table(f.spec)
+    if f.polynomial is not None and f.certificate is not None:
+        return None
+    values = f.materialize()
+    if ctx is not None and f.certificate is None:
+        step = max(1, f.spec.tau // 64)
+        for n in range(0, f.spec.tau + 1, step):
+            if abs(values[n]) > ctx.K:
+                raise DomainError(f"function exceeds K at {Fraction(n, f.spec.tau)}")
+    return values
+
+
+def _antiderivative(f: GridFunction, sums: list) -> RealFunctionRepr:
+    """The integral's representation from f's prefix sums; it inherits
+    f's certificates."""
     eps = f.spec.epsilon
     cert = None
     qcert = None
@@ -556,8 +584,11 @@ def ftc_check(
     f(u) at the context; max_gap reports that comparison against 1/H.
     """
     f = _as_grid_function(fr)
-    anti = integral(f, ctx, workers)
     spec = f.spec
+    values = _integrand_values(f, ctx)
+    if values is None:
+        values = f.materialize()
+    anti = _antiderivative(f, _prefix_sums(f, list(values), workers))
     tol = ctx.infinitesimal_scale
     exact_violations = 0
     witness = None
@@ -567,13 +598,12 @@ def ftc_check(
         if n >= spec.tau:
             continue
         u = spec.point(n)
-        up = successor(u)
         count += 1
-        if anti.f.quotient(u) != f(up):
+        if anti.f.quotient(u) != values[n + 1]:
             exact_violations += 1
             if witness is None:
                 witness = f"u={u.value}"
-        gap = abs(f(up) - f(u))
+        gap = abs(values[n + 1] - values[n])
         if gap > max_gap:
             max_gap = gap
     ok = exact_violations == 0 and max_gap <= tol

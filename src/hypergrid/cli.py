@@ -36,10 +36,10 @@ from .calculus import (
     secant_check,
 )
 from .context import DEFAULT_K, ObservationContext
-from .errors import DomainError, HypergridError
+from .errors import DomainError, HypergridError, ResourceLimitError
 from .grid import GridSpec, round_to_grid
 from .gridfun import continuity_check
-from .rational import parse_rational, render_decimal
+from .rational import format_rational, parse_rational, render_decimal
 from .sampling import SamplingPlan, sample_unit_fractions
 from .series import TruncationPolicy, countable_sum, is_unstable
 
@@ -233,13 +233,13 @@ def _value_record(job: JobConfig, command: str, value: Fraction, label: str):
             "command": command,
             "tau": job.tau,
             "context": {"H": job.H, "K": job.K},
-            label: str(value),
+            label: format_rational(value),
             "decimal": render_decimal(value, job.digits),
         }
         if job.at is not None:
             record["at"] = str(parse_rational(job.at))
         return json.dumps(record, sort_keys=True, separators=(",", ":"))
-    return f"{value}\n= {render_decimal(value, job.digits)}"
+    return f"{format_rational(value)}\n= {render_decimal(value, job.digits)}"
 
 
 def _report_text(job: JobConfig, report: CheckReport) -> str:
@@ -248,7 +248,8 @@ def _report_text(job: JobConfig, report: CheckReport) -> str:
     lines = [
         f"check {report.check}: {report.verdict}"
         f" (mode={report.mode}, samples={report.samples},"
-        f" max_gap={report.max_gap}, tolerance={report.tolerance})"
+        f" max_gap={format_rational(report.max_gap)},"
+        f" tolerance={format_rational(report.tolerance)})"
     ]
     if report.witness is not None:
         lines.append(f"witness: {report.witness}")
@@ -291,7 +292,7 @@ def _run_sum(job: JobConfig, ctx: ObservationContext):
             "cap": job.sum_cap,
             "context": {"H": job.H, "K": job.K},
             "verdict": verdict,
-            "value": None if value is None else str(value),
+            "value": None if value is None else format_rational(value),
         }
         if value is not None:
             record["decimal"] = render_decimal(value, job.digits)
@@ -299,7 +300,8 @@ def _run_sum(job: JobConfig, ctx: ObservationContext):
     if value is None:
         return 0, f"sum {job.series}: {verdict} (cap={job.sum_cap})"
     return 0, (
-        f"sum {job.series}: {value}\n= {render_decimal(value, job.digits)}"
+        f"sum {job.series}: {format_rational(value)}"
+        f"\n= {render_decimal(value, job.digits)}"
     )
 
 
@@ -351,6 +353,18 @@ def _run_check(job: JobConfig, ctx: ObservationContext):
 
 def run(job: JobConfig):
     """Execute a job; returns (exit_code, output_text)."""
+    try:
+        return _run(job)
+    except RecursionError:
+        # evaluation recurses once per algebra node, so nesting is bounded
+        # by the interpreter's stack rather than by a guard of its own
+        raise ResourceLimitError(
+            "expression nests too deeply to evaluate"
+            f" (Python recursion limit {sys.getrecursionlimit()})"
+        ) from None
+
+
+def _run(job: JobConfig):
     _enforce_cap(job)
     ctx = ObservationContext(job.H, job.K)
 

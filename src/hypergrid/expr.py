@@ -17,7 +17,8 @@ Syntax errors carry the offending position.
 
 Compilation turns a tree into a ``GridFunction`` by folding the grid
 function algebra over it, so continuity certificates compose along the
-way.  ``exp`` applied to a certified argument gets a certificate from
+way, and so do polynomial forms: a tree without exp, log or division by
+a non-constant compiles to an integer-lane polynomial.  ``exp`` applied to a certified argument gets a certificate from
 the bound 3**ceil(B) (an integer dominating e**B); ``log`` never gets
 one and is left to sampling.  Division certifies only when the divisor
 folds to a constant.
@@ -31,7 +32,7 @@ from typing import Optional, Tuple, Union
 from .errors import DomainError, EvaluationError, ParseError
 from .functions import constant, exp_fn, identity
 from .grid import GridSpec
-from .gridfun import Certificate, GridFunction
+from .gridfun import Certificate, GridFunction, map_values
 from .rational import parse_rational
 from .series import DEFAULT_POLICY, TruncationPolicy, exp_approx, log_approx
 
@@ -285,25 +286,21 @@ def _exp_of(g: GridFunction, spec: GridSpec, policy: TruncationPolicy) -> GridFu
         else Fraction(1, spec.tau << policy.guard)
     )
 
-    def rule(p):
-        return exp_approx(g(p), spec.tau, policy)
-
     cert = None
     if g.certificate is not None:
         lip = Fraction(3 ** max(1, _ceil_fraction(g.certificate.bound)))
         inner = g.certificate.modulus
         cert = Certificate(lip, lambda d: lip * inner(d) + 2 * theta)
-    return GridFunction(spec, rule, cert, memoize=True)
+    return map_values(g, lambda v, n: exp_approx(v, spec.tau, policy), cert)
 
 
 def _log_of(g: GridFunction, spec: GridSpec, policy: TruncationPolicy) -> GridFunction:
-    def rule(p):
-        v = g(p)
+    def op(v, n):
         if v <= 0:
-            raise EvaluationError(f"log of non-positive value {v}", point=p)
+            raise EvaluationError(f"log of non-positive value {v}", point=spec.point(n))
         return log_approx(v, spec.tau, policy)
 
-    return GridFunction(spec, rule, memoize=True)
+    return map_values(g, op)
 
 
 def compile(

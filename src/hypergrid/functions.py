@@ -13,21 +13,24 @@ carrying the tightest simple certificates that are actually provable:
 
 The logarithm and the step function carry no certificates: one is
 unbounded near 0, the other is there to be refuted.
+
+Constants and monomials also carry their polynomial form, which the
+grid-function algebra combines into the forms of compiled polynomials.
 """
 
 from fractions import Fraction
 
 from .errors import DomainError
 from .grid import GridSpec
-from .gridfun import Certificate, GridFunction
+from .gridfun import Certificate, GridFunction, Polynomial, map_values
 from .series import DEFAULT_POLICY, TruncationPolicy, exp_approx, log_approx
 
 
 def constant(spec: GridSpec, c) -> GridFunction:
     c = Fraction(c)
-    return GridFunction(
+    return GridFunction.from_polynomial(
         spec,
-        lambda p: c,
+        Polynomial({0: c}),
         certificate=Certificate(abs(c), lambda d: Fraction(0)),
         quotient_certificate=Certificate(Fraction(0), lambda d: Fraction(0)),
     )
@@ -39,9 +42,9 @@ def monomial(spec: GridSpec, k: int) -> GridFunction:
         raise DomainError("monomial exponent must be a nonnegative integer")
     if k == 0:
         return constant(spec, 1)
-    return GridFunction(
+    return GridFunction.from_polynomial(
         spec,
-        lambda p: p.value**k,
+        Polynomial({k: 1}),
         certificate=Certificate(Fraction(1), lambda d, k=k: k * d),
         quotient_certificate=Certificate(
             Fraction(k), lambda d, k=k: k * (k - 1) * d
@@ -73,14 +76,13 @@ def exp_fn(
     )
     wobble = 2 * theta
     quotient_wobble = 4 * theta * spec.tau
-    return GridFunction(
-        spec,
-        lambda p: exp_approx(p.value, spec.tau, policy),
+    return map_values(
+        identity(spec),
+        lambda v, n: exp_approx(v, spec.tau, policy),
         certificate=Certificate(Fraction(3), lambda d: 3 * d + wobble),
         quotient_certificate=Certificate(
             Fraction(3), lambda d: 3 * d + quotient_wobble
         ),
-        memoize=True,
     )
 
 

@@ -6,6 +6,17 @@ tables do not.  Rules must be pure; the optional memo cache is the only
 mutable state and behaves as a write-once-per-key map (duplicate
 computation is allowed, divergent results are not).
 
+Exhaustive consumers evaluate through one batch path, ``materialize()``,
+which returns a fresh list of all tau + 1 values (the caller owns it; no
+node keeps a table).  Nodes built by the algebra combine their operands'
+lists, memoized nodes fill and reuse their memo, and a plain rule is
+called once per index.  Polynomials carry their rational coefficients
+(``Polynomial``), and the algebra combines them alongside the
+certificates: on a grid of resolution tau a polynomial of degree d is
+P(n) / (D * tau**d) with integer P, so its values come from integer
+Horner evaluation and one Fraction per point, and prefix sums can stay
+in integers.  Every value equals the one the rule gives point by point.
+
 Continuity here is a three-valued, auditable claim.  A function may carry
 a certificate: an upper bound on |f| over the grid together with a modulus
 ``omega`` such that |x - y| <= d implies |f(x) - f(y)| <= omega(d).
@@ -22,10 +33,12 @@ the relation is treated as a symmetric distance throughout.)
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add, mul
 from typing import Callable, Optional
 
 from .context import ObservationContext
-from .errors import DomainError, GridMismatchError, ResourceLimitError
+from .errors import GridMismatchError, HypergridError, ResourceLimitError
 from .grid import GridPoint, GridSpec, round_to_grid, successor
 from .sampling import SamplingPlan
 
@@ -87,16 +100,89 @@ def _quotient_product_certificate(f_cert, f_qcert, g_cert, g_qcert):
     return Certificate(bound, modulus)
 
 
+class Polynomial:
+    """c_0 + c_1 x + ... + c_d x**d with rational coefficients, stored
+    sparsely as ``terms``: degree -> nonzero coefficient."""
+
+    __slots__ = ("terms", "_lane")
+
+    def __init__(self, terms: dict):
+        self.terms = {k: Fraction(c) for k, c in terms.items() if c != 0}
+        self._lane = None
+
+    def __add__(self, other) -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            other = Polynomial({0: other})
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
+            terms[k] = terms.get(k, 0) + c
+        return Polynomial(terms)
+
+    def __mul__(self, other) -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            c = Fraction(other)
+            return Polynomial({k: a * c for k, a in self.terms.items()})
+        terms = {}
+        for i, a in self.terms.items():
+            for j, b in other.terms.items():
+                terms[i + j] = terms.get(i + j, 0) + a * b
+        return Polynomial(terms)
+
+    def integer_form(self, tau: int):
+        """(steps, den) with value(n/tau) = P(n) / den for the integer
+        polynomial P = sum(c_k * D * tau**(d-k) * n**k), D the least common
+        denominator and den = D * tau**d; ``steps`` are P's (coefficient,
+        degree gap) pairs from the top, as ``_horner`` consumes them."""
+        lane = self._lane
+        if lane is None or lane[0] != tau:
+            degrees = sorted(self.terms, reverse=True)
+            top = degrees[0] if degrees else 0
+            common = lcm(*(c.denominator for c in self.terms.values()))
+            steps = []
+            for i, k in enumerate(degrees):
+                c = self.terms[k]
+                below = degrees[i + 1] if i + 1 < len(degrees) else 0
+                a = c.numerator * (common // c.denominator) * tau ** (top - k)
+                steps.append((a, k - below))
+            lane = self._lane = (tau, tuple(steps), common * tau**top)
+        return lane[1], lane[2]
+
+    def numerators(self, tau: int):
+        """([P(0), ..., P(tau)], den): every grid value's integer
+        numerator over the shared denominator."""
+        steps, den = self.integer_form(tau)
+        return [_horner(steps, n) for n in range(tau + 1)], den
+
+
+def _horner(steps, n: int) -> int:
+    """P(n) for the (coefficient, degree gap) pairs of ``integer_form``."""
+    acc = 0
+    for a, gap in steps:
+        acc += a
+        if gap:
+            acc *= n if gap == 1 else n**gap
+    return acc
+
+
 class GridFunction:
     """A deterministic rule from grid points to exact rationals.
 
     ``certificate`` (optional) certifies continuity of the values;
     ``quotient_certificate`` (optional) certifies continuity of the
     difference-quotient function, which is what differentiability at a
-    context ultimately needs.
+    context ultimately needs.  ``polynomial`` is the function's
+    polynomial form when the algebra knows one, else None.
     """
 
-    __slots__ = ("spec", "_rule", "certificate", "quotient_certificate", "_cache")
+    __slots__ = (
+        "spec",
+        "_rule",
+        "certificate",
+        "quotient_certificate",
+        "_cache",
+        "_batch",
+        "polynomial",
+    )
 
     def __init__(
         self,
@@ -111,6 +197,27 @@ class GridFunction:
         self.certificate = certificate
         self.quotient_certificate = quotient_certificate
         self._cache = {} if memoize else None
+        self._batch = None  # all values at once, for nodes that combine lists
+        self.polynomial = None
+
+    @classmethod
+    def from_polynomial(
+        cls,
+        spec: GridSpec,
+        polynomial: Polynomial,
+        certificate: Optional[Certificate] = None,
+        quotient_certificate: Optional[Certificate] = None,
+    ) -> "GridFunction":
+        """The polynomial on the grid, evaluated in integers by Horner."""
+        tau = spec.tau
+
+        def rule(p):
+            steps, den = polynomial.integer_form(tau)
+            return Fraction(_horner(steps, p.index), den)
+
+        f = cls(spec, rule, certificate, quotient_certificate)
+        f.polynomial = polynomial
+        return f
 
     @classmethod
     def pointwise(
@@ -152,25 +259,56 @@ class GridFunction:
         return self.difference(x) * self.spec.tau
 
     def materialize(self) -> list:
-        """All values as a list; guarded against astronomical grids."""
+        """All tau + 1 values as a new list owned by the caller, each
+        evaluated once; guarded against astronomical grids.  A failure is
+        the one point-by-point evaluation meets first, at the leftmost
+        failing point."""
         if self.spec.tau + 1 > MATERIALIZE_LIMIT:
             raise ResourceLimitError(
                 f"refusing to materialize {self.spec.tau + 1} points"
                 f" (limit {MATERIALIZE_LIMIT})"
             )
-        return [self(p) for p in self.spec.points()]
+        try:
+            return self._values()
+        except HypergridError:
+            for p in self.spec.points():
+                self(p)
+            raise
 
-    # Pointwise algebra; certificates propagate whenever both sides carry them.
+    def _values(self) -> list:
+        """The unguarded batch path behind ``materialize``."""
+        size = self.spec.tau + 1
+        if self.polynomial is not None:
+            numerators, den = self.polynomial.numerators(self.spec.tau)
+            return [Fraction(v, den) for v in numerators]
+        cache = self._cache
+        if cache is not None and len(cache) == size:
+            return [cache[n] for n in range(size)]
+        if self._batch is not None:
+            return self._batch()
+        # a plain rule, once per point; through the memo when it has one
+        return list(map(self._rule if cache is None else self, self.spec.points()))
+
+    # Pointwise algebra; certificates propagate whenever both sides carry
+    # them, and polynomial forms whenever both sides have one.
 
     def _combine_binary(self, other, value_op, cert, qcert):
         if other.spec != self.spec:
             raise GridMismatchError("cannot combine functions on different grids")
-        return GridFunction(
-            self.spec,
-            lambda p: value_op(self(p), other(p)),
-            cert,
-            qcert,
-        )
+        if self.polynomial is not None and other.polynomial is not None:
+            poly = value_op(self.polynomial, other.polynomial)
+            return GridFunction.from_polynomial(self.spec, poly, cert, qcert)
+        f = GridFunction(self.spec, lambda p: value_op(self(p), other(p)), cert, qcert)
+        f._batch = lambda: list(map(value_op, self._values(), other._values()))
+        return f
+
+    def _combine_scalar(self, value_op, c: Fraction, cert, qcert):
+        if self.polynomial is not None:
+            poly = value_op(self.polynomial, c)
+            return GridFunction.from_polynomial(self.spec, poly, cert, qcert)
+        f = GridFunction(self.spec, lambda p: value_op(self(p), c), cert, qcert)
+        f._batch = lambda: [value_op(v, c) for v in self._values()]
+        return f
 
     def __add__(self, other):
         if isinstance(other, GridFunction):
@@ -184,16 +322,14 @@ class GridFunction:
                 if self.quotient_certificate and other.quotient_certificate
                 else None
             )
-            return self._combine_binary(other, lambda a, b: a + b, cert, qcert)
+            return self._combine_binary(other, add, cert, qcert)
         shift = Fraction(other)
         cert = (
             Certificate(self.certificate.bound + abs(shift), self.certificate.modulus)
             if self.certificate
             else None
         )
-        return GridFunction(
-            self.spec, lambda p: self(p) + shift, cert, self.quotient_certificate
-        )
+        return self._combine_scalar(add, shift, cert, self.quotient_certificate)
 
     __radd__ = __add__
 
@@ -221,7 +357,7 @@ class GridFunction:
                 other.certificate,
                 other.quotient_certificate,
             )
-            return self._combine_binary(other, lambda a, b: a * b, cert, qcert)
+            return self._combine_binary(other, mul, cert, qcert)
         c = Fraction(other)
         cert = scale_certificate(c, self.certificate) if self.certificate else None
         qcert = (
@@ -229,9 +365,39 @@ class GridFunction:
             if self.quotient_certificate
             else None
         )
-        return GridFunction(self.spec, lambda p: self(p) * c, cert, qcert)
+        return self._combine_scalar(mul, c, cert, qcert)
 
     __rmul__ = __mul__
+
+
+def map_values(
+    g: GridFunction,
+    op: Callable[[Fraction, int], Fraction],
+    certificate: Optional[Certificate] = None,
+    quotient_certificate: Optional[Certificate] = None,
+) -> GridFunction:
+    """The memoized node x -> op(g(x), index of x).  Its batch path takes
+    g's values in one list and fills the memo at the indices it lacks."""
+    f = GridFunction(
+        g.spec,
+        lambda p: op(g(p), p.index),
+        certificate,
+        quotient_certificate,
+        memoize=True,
+    )
+    cache = f._cache
+
+    def batch():
+        out = g._values()
+        for n, v in enumerate(out):
+            got = cache.get(n)
+            if got is None:
+                got = cache[n] = op(v, n)
+            out[n] = got
+        return out
+
+    f._batch = batch
+    return f
 
 
 def evaluate(f: GridFunction, x: GridPoint) -> Fraction:

@@ -11,9 +11,10 @@ the one partial field operation.
 """
 
 import re
+import sys
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 
 Rational = Fraction
 
@@ -54,8 +55,17 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    """Canonical "p/q" text; integers render without the "/1"."""
-    return str(q)
+    """Canonical "p/q" text; integers render without the "/1".  A term
+    longer than Python's int-to-text digit limit raises
+    ResourceLimitError."""
+    try:
+        return str(q)
+    except ValueError:
+        bits = max(q.numerator.bit_length(), q.denominator.bit_length())
+        raise ResourceLimitError(
+            f"a {bits}-bit rational exceeds the {sys.get_int_max_str_digits()}-digit"
+            " limit for printing integers"
+        ) from None
 
 
 def render_decimal(q: Fraction, digits: int = 12) -> str:

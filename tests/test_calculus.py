@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hypergrid import (
+    Certificate,
     ConvergentSequence,
     DomainError,
     GridFunction,
@@ -428,3 +429,54 @@ def test_flatness_survives_transport_to_a_finer_grid():
     G = transport(F, to_b, from_b)
     b_center = spec_b.point(spec_b.tau // 2)
     assert order_n_flat(G, b_center, 1, ctx) <= ctx.infinitesimal_scale
+
+
+# --- evaluating each grid point once -------------------------------------------
+
+
+def _counting_square(spec, calls, certified=True):
+    sq = square(spec)
+
+    def rule(p):
+        calls.append(p.index)
+        return p.value**2
+
+    if not certified:
+        return GridFunction(spec, rule)
+    return GridFunction(spec, rule, sq.certificate, sq.quotient_certificate)
+
+
+def test_exhaustive_checks_evaluate_each_point_once():
+    spec = GridSpec(64)
+    ctx = ObservationContext(H=4, K=10**6)
+    calls = []
+    for certified in (True, False):
+        calls.clear()
+        assert ftc_check(_counting_square(spec, calls, certified), ctx, PLAN)
+        assert sorted(calls) == list(range(65))
+    calls.clear()
+    assert secant_check(_counting_square(spec, calls), ctx, PLAN)
+    assert sorted(calls) == list(range(65))
+
+
+def test_secant_check_reads_the_modulus_once_per_offset():
+    spec = GridSpec(64)
+    ctx = ObservationContext(H=4, K=10**6)
+    sq = square(spec)
+    gaps = []
+
+    def modulus(d):
+        gaps.append(d)
+        return sq.quotient_certificate.modulus(d)
+
+    f = GridFunction.pointwise(
+        spec,
+        lambda v: v * v,
+        sq.certificate,
+        Certificate(sq.quotient_certificate.bound, modulus),
+    )
+    report = secant_check(f, ctx, PLAN)
+    assert report.mode == "exhaustive"
+    # band 4..16 mesh steps; each of the 13 offsets is read once
+    assert gaps == [Fraction(k, 64) for k in range(4, 17)]
+    assert report == secant_check(square(spec), ctx, PLAN)

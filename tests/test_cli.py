@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hypergrid.cli import JobConfig, build_job, main, run
+from hypergrid.series import exp_approx
 
 
 def invoke(capsys, *argv):
@@ -382,3 +383,29 @@ def test_non_integer_tau_cap_is_an_error(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == "error: HYPERGRID_MAX_TAU must be an integer, got 'abc'\n"
+
+
+# --- deep nesting and huge values ------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "exp(x)^400", "--tau", "64"),
+        ("check", "continuity", "exp(x)^300", "--tau", "64", "--H", "4"),
+    ],
+)
+def test_deep_nesting_and_huge_values_are_errors_not_tracebacks(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_deep_expressions_within_reach_still_evaluate(capsys):
+    code, out, _ = invoke(capsys, "eval", "x^350", "--tau", "64", "--at", "1/2")
+    assert code == 0
+    assert out.splitlines()[0] == str(Fraction(1, 2**350))
+    code, out, _ = invoke(capsys, "eval", "exp(x)^150", "--tau", "64", "--at", "1/2")
+    assert code == 0
+    assert out.splitlines()[0] == str(exp_approx(Fraction(1, 2), 64) ** 150)

@@ -1,12 +1,20 @@
 """Expression parsing, rendering, folding, and compilation to the grid."""
 
 from fractions import Fraction
+from itertools import accumulate
+from math import ceil
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hypergrid import DomainError, GridSpec, ObservationContext, ParseError
+from hypergrid import (
+    DomainError,
+    GridSpec,
+    ObservationContext,
+    ParseError,
+    cumulative_values,
+)
 from hypergrid.errors import EvaluationError
 from hypergrid.expr import (
     BinOp,
@@ -244,3 +252,149 @@ def test_compiled_exp_of_certified_argument_has_a_sound_bound():
     assert f.certificate.bound == 3
     for n in (0, 50, 100, 200):
         assert abs(f(spec.point(n))) <= f.certificate.bound
+
+
+# --- the batch path and the polynomial lane ---------------------------------
+
+
+def _nonzero_literals():
+    return st.builds(
+        lambda n, k: Literal(Fraction(n, 10**k)),
+        st.integers(min_value=1, max_value=999),
+        st.integers(min_value=0, max_value=3),
+    )
+
+
+def _polynomial_trees():
+    inner = st.recursive(
+        st.one_of(_literals(), st.just(Var())),
+        lambda inner: st.one_of(
+            st.builds(Neg, inner),
+            st.builds(BinOp, st.sampled_from("+-*"), inner, inner),
+            st.builds(BinOp, st.just("/"), inner, _nonzero_literals()),
+            st.builds(Pow, inner, st.integers(min_value=0, max_value=6)),
+        ),
+        max_leaves=10,
+    )
+    # a binary root, so that most trees mix several degrees
+    return st.one_of(inner, st.builds(BinOp, st.sampled_from("+-*"), inner, inner))
+
+
+def _degree(node) -> int:
+    if isinstance(node, Var):
+        return 1
+    if isinstance(node, Neg):
+        return _degree(node.child)
+    if isinstance(node, Pow):
+        return _degree(node.base) * node.exponent
+    if isinstance(node, BinOp):
+        left, right = _degree(node.left), _degree(node.right)
+        return left + right if node.op == "*" else max(left, right)
+    return 0
+
+
+def _direct(node, x: Fraction) -> Fraction:
+    """The tree's value at x in plain Fraction arithmetic."""
+    if isinstance(node, Literal):
+        return node.value
+    if isinstance(node, Var):
+        return x
+    if isinstance(node, Neg):
+        return -_direct(node.child, x)
+    if isinstance(node, Pow):
+        return _direct(node.base, x) ** node.exponent
+    a, b = _direct(node.left, x), _direct(node.right, x)
+    return {"+": a + b, "-": a - b, "*": a * b, "/": a / b if b else None}[node.op]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polynomial_trees(), st.integers(min_value=2, max_value=512))
+@example(parse("x^3 - x/2"), 512)
+@example(parse("(x + 1/3)^5 - 2*x^2 + 7"), 97)
+@example(parse("-(0.25 - x)^6 * (x/3 + 1) - x^2/0.7"), 255)
+def test_polynomial_lane_equals_direct_fraction_evaluation(tree, tau):
+    assume(_degree(tree) <= 48)
+    spec = GridSpec(tau)
+    f = compile(tree, spec)
+    assert f.polynomial is not None
+    expected = [_direct(tree, Fraction(n, tau)) for n in range(tau + 1)]
+    assert [f(p) for p in spec.points()] == expected
+    assert f.materialize() == expected
+    sums = list(accumulate(expected))
+    assert cumulative_values(f) == sums
+    assert cumulative_values(f, workers=3) == sums
+
+
+def _small_literals():
+    return st.sampled_from([Literal(Fraction(v)) for v in (0, 1, 2, Fraction(1, 2))])
+
+
+def _exp_trees():
+    return st.recursive(
+        st.one_of(_small_literals(), st.just(Var())),
+        lambda inner: st.one_of(
+            st.builds(Neg, inner),
+            st.builds(BinOp, st.sampled_from("+-*"), inner, inner),
+            st.builds(BinOp, st.just("/"), inner, _nonzero_literals()),
+            st.builds(Pow, inner, st.integers(min_value=0, max_value=3)),
+            st.builds(Call, st.just("exp"), inner),
+        ),
+        max_leaves=8,
+    )
+
+
+def _sup(node) -> Fraction:
+    """A crude bound on |value| over [0, 1]; exp(a) counts as 3**ceil(a)."""
+    if isinstance(node, Literal):
+        return abs(node.value)
+    if isinstance(node, Var):
+        return Fraction(1)
+    if isinstance(node, Neg):
+        return _sup(node.child)
+    if isinstance(node, Pow):
+        return _sup(node.base) ** node.exponent
+    if isinstance(node, Call):
+        return Fraction(3) ** ceil(_sup(node.arg))
+    a, b = _sup(node.left), _sup(node.right)
+    if node.op == "/":
+        return a / abs(node.right.value)
+    return a * b if node.op == "*" else a + b
+
+
+def _exp_arguments(node):
+    if isinstance(node, Call):
+        yield node.arg
+        yield from _exp_arguments(node.arg)
+    elif isinstance(node, Neg):
+        yield from _exp_arguments(node.child)
+    elif isinstance(node, Pow):
+        yield from _exp_arguments(node.base)
+    elif isinstance(node, BinOp):
+        yield from _exp_arguments(node.left)
+        yield from _exp_arguments(node.right)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_exp_trees(), st.integers(min_value=2, max_value=64))
+def test_batch_path_equals_point_by_point_evaluation(tree, tau):
+    # large exp arguments only make the series slow, not the test stronger
+    assume(all(_sup(arg) <= 6 for arg in _exp_arguments(tree)))
+    spec = GridSpec(tau)
+    per_point = compile(tree, spec)
+    expected = [per_point(p) for p in spec.points()]
+    batched = compile(tree, spec)
+    assert batched.materialize() == expected
+    assert batched.materialize() == expected  # again, from the memo
+    sums = list(accumulate(expected))
+    assert cumulative_values(compile(tree, spec)) == sums
+    assert cumulative_values(compile(tree, spec), workers=3) == sums
+
+
+def test_materialize_fails_where_point_by_point_evaluation_fails_first():
+    # the batch meets the division by zero at 1/2 before the log fails at 0
+    spec = GridSpec(4)
+    f = compile(parse("log(1/(x - 1/2))"), spec)
+    with pytest.raises(EvaluationError) as info:
+        f.materialize()
+    assert info.value.point == spec.point(0)
+    assert "log of non-positive value -2" in str(info.value)

@@ -30,6 +30,7 @@ from hypergrid.gridfun import (
     add_certificates,
     constant_certificate,
     identity_certificate,
+    map_values,
     multiply_certificates,
     scale_certificate,
 )
@@ -78,6 +79,32 @@ def test_difference_and_quotient_of_the_square():
 def test_materialize_small_grids():
     spec = GridSpec(4)
     assert identity(spec).materialize() == [Fraction(n, 4) for n in range(5)]
+
+
+def test_materialize_returns_a_new_list_and_reuses_the_memo():
+    spec = GridSpec(16)
+    calls = []
+    base = GridFunction(spec, lambda p: (calls.append(p.index), p.value)[1])
+    f = map_values(base, lambda v, n: v + n) * 2 + square(spec)
+    expected = [2 * (Fraction(n, 16) + n) + Fraction(n, 16) ** 2 for n in range(17)]
+    first = f.materialize()
+    assert first == expected
+    assert sorted(calls) == list(range(17))
+    first[3] = None  # the caller owns the list
+    calls.clear()
+    assert f.materialize() == expected
+    assert calls == []  # the memoized node answered from its memo
+
+
+def test_algebra_carries_polynomial_forms():
+    spec = GridSpec(12)
+    x = identity(spec)
+    f = (x * x - x * Fraction(1, 2) + 3) * 2
+    assert f.polynomial.terms == {2: 2, 1: -1, 0: 6}
+    assert f.materialize() == [2 * (v * v - v / 2 + 3) for v in (p.value for p in spec.points())]
+    assert (x * exp_fn(spec)).polynomial is None
+    assert (x - x).polynomial.terms == {}
+    assert (x - x).materialize() == [0] * 13
 
 
 def test_materialize_refuses_astronomical_grids():

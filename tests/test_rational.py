@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hypergrid import DomainError, format_rational, parse_rational, render_decimal
+from hypergrid import (
+    DomainError,
+    ResourceLimitError,
+    format_rational,
+    parse_rational,
+    render_decimal,
+)
 from hypergrid.rational import rational_arith
 
 rationals = st.fractions(
@@ -91,3 +97,8 @@ def test_arith_division_by_zero():
 def test_arith_unknown_operator():
     with pytest.raises(DomainError):
         rational_arith(Fraction(1), "%", Fraction(1))
+
+
+def test_format_rational_refuses_integers_past_the_print_limit():
+    with pytest.raises(ResourceLimitError):
+        format_rational(Fraction(10**5000, 3))
