@@ -249,6 +249,63 @@ def test_failing_checks_exit_two(capsys):
     assert "fail" in out
 
 
+_PINNED_CONTEXT = '"context":{"H":1000,"K":1000000000000}'
+_PRECONDITION = "representations disagree before quotients were compared"
+
+
+@pytest.mark.parametrize(
+    "argv, code, text, record",
+    [
+        (
+            ("continuity", "exp(x)", "--tau", "65536", "--H", "1000"),
+            0,
+            "check continuity: pass (mode=certified, samples=65537,"
+            " max_gap=0, tolerance=1/1000)\n",
+            '{"check":"continuity",' + _PINNED_CONTEXT + ',"grids":[65536],'
+            '"max_gap":"0","mode":"certified","samples":65537,"schema":1,'
+            '"tolerance":"1/1000","verdict":"pass"}\n',
+        ),
+        (
+            ("continuity", "log(1+x)", "--tau", "4096"),
+            0,
+            "check continuity: pass (mode=sampled-ok, samples=4097,"
+            " max_gap=0, tolerance=1/1000)\n",
+            '{"check":"continuity",' + _PINNED_CONTEXT + ',"grids":[4096],'
+            '"max_gap":"0","mode":"sampled-ok","samples":4097,"schema":1,'
+            '"tolerance":"1/1000","verdict":"pass"}\n',
+        ),
+        (
+            ("continuity", "1/(x - 1/2)", "--tau", "101", "--H", "100"),
+            2,
+            "check continuity: fail (mode=refuted, samples=102,"
+            " max_gap=4/99, tolerance=1/100)\n"
+            "witness: jump between 0 and 1/101\n",
+            '{"check":"continuity","context":{"H":100,"K":1000000000000},'
+            '"grids":[101],"max_gap":"4/99","mode":"refuted","samples":102,'
+            '"schema":1,"tolerance":"1/100","verdict":"fail",'
+            '"witness":"jump between 0 and 1/101"}\n',
+        ),
+        (
+            ("grid-independence", "x^2", "--tau", "10", "--tau2", "30",
+             "--samples", "64"),
+            2,
+            "check grid-independence: fail (mode=sampled, samples=31,"
+            " max_gap=28/225, tolerance=1/1000)\n"
+            "witness: values differ at 1/30\n"
+            f"precondition: {_PRECONDITION}\n",
+            '{"check":"grid-independence",' + _PINNED_CONTEXT + ','
+            f'"detail":{{"precondition":"{_PRECONDITION}"}},"grids":[10,30],'
+            '"max_gap":"28/225","mode":"sampled","samples":31,"schema":1,'
+            '"tolerance":"1/1000","verdict":"fail",'
+            '"witness":"values differ at 1/30"}\n',
+        ),
+    ],
+)
+def test_check_reports_are_pinned_byte_for_byte(capsys, argv, code, text, record):
+    assert invoke(capsys, "check", *argv) == (code, text, "")
+    assert invoke(capsys, "check", *argv, "--json") == (code, record, "")
+
+
 # --- json determinism ------------------------------------------------------------
 
 
