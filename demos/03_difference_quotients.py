@@ -28,7 +28,7 @@ print(f"f = x^2 on tau = {spec.tau}")
 print(f"difference quotient at 1/2: {f.quotient(x)}  (exactly 2x + epsilon)")
 
 d = derivative(f, ctx, plan)
-print(f"derivative admitted: verdict {d.verdict.status!r}")
+print(f"derivative admitted: verdict {d.verdict.mode!r}")
 print(f"d(1/2) = {d(Fraction(1, 2))} ~ 1 at H = {ctx.H}: {ctx.indiscernible(d(Fraction(1, 2)), Fraction(1))}")
 
 print()
@@ -45,5 +45,4 @@ print("A jump is rejected with a concrete witness:")
 try:
     derivative(step(spec), ctx, plan)
 except NotDifferentiableError as exc:
-    a, b = exc.witness
-    print(f"  not differentiable: quotient spikes between {a.value} and {b.value}")
+    print(f"  not differentiable: quotient makes a {exc.witness}")

@@ -10,7 +10,6 @@ fundamental theorem of calculus holds with zero error by telescoping.
 """
 
 from .calculus import (
-    CheckReport,
     ConvergentSequence,
     LimitQuotientResult,
     RealFunctionRepr,
@@ -26,7 +25,7 @@ from .calculus import (
     secant_check,
     secant_deviation,
 )
-from .context import DEFAULT_H, DEFAULT_K, ObservationContext
+from .context import DEFAULT_H, DEFAULT_K, CheckReport, ObservationContext
 from .errors import (
     DomainError,
     EvaluationError,
@@ -42,20 +41,14 @@ from .functions import constant, exp_fn, identity, log_fn, monomial, square, ste
 from .grid import (
     GridPoint,
     GridSpec,
-    embed,
     quasi_identity_defect,
     round_to_grid,
     successor,
 )
 from .gridfun import (
     Certificate,
-    ContinuityVerdict,
-    FnComparison,
     GridFunction,
     continuity_check,
-    difference,
-    difference_quotient,
-    evaluate,
     fn_indiscernible,
     grid_maps,
     transport,
@@ -82,7 +75,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CheckReport",
     "Certificate",
-    "ContinuityVerdict",
     "ConvergentSequence",
     "DEFAULT_H",
     "DEFAULT_K",
@@ -92,7 +84,6 @@ __all__ = [
     "Expression",
     "ExtendedReal",
     "FULL_POLICY",
-    "FnComparison",
     "GridFunction",
     "GridMismatchError",
     "GridPoint",
@@ -118,10 +109,6 @@ __all__ = [
     "countable_sum",
     "cumulative_values",
     "derivative",
-    "difference",
-    "difference_quotient",
-    "embed",
-    "evaluate",
     "exp_approx",
     "exp_fn",
     "exp_series",

@@ -19,84 +19,23 @@ comparison is a result, not an exception.  Reports serialize to a
 stable JSON shape for the command-line tools.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import Callable, Optional, Sequence, Tuple
 
-from .context import ObservationContext
+from .context import CheckReport, ObservationContext, _report
 from .errors import DomainError, NotDifferentiableError, ResourceLimitError
 from .grid import GridPoint, GridSpec, round_to_grid
 from .gridfun import (
     MATERIALIZE_LIMIT,
     Certificate,
-    ContinuityVerdict,
     GridFunction,
     continuity_check,
     fn_indiscernible,
     grid_maps,
     transport,
 )
-from .rational import format_rational
 from .sampling import SamplingPlan, sample_unit_fractions
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    """Outcome of one verification job.  Truthy iff it passed.
-
-    ``max_gap`` is the largest observed discrepancy in the check's own
-    metric and ``tolerance`` the cutoff it was held to; for checks whose
-    metric is an excess over a per-pair bound, the gap may be negative
-    (slack) and the tolerance is zero.
-    """
-
-    check: str
-    grids: Tuple[int, ...]
-    context: ObservationContext
-    samples: int
-    max_gap: Fraction
-    tolerance: Fraction
-    verdict: str
-    mode: str = "sampled"
-    witness: Optional[str] = None
-    detail: dict = field(default_factory=dict)
-
-    def __bool__(self):
-        return self.verdict == "pass"
-
-    def to_dict(self) -> dict:
-        record = {
-            "schema": 1,
-            "check": self.check,
-            "grids": list(self.grids),
-            "context": {"H": self.context.H, "K": self.context.K},
-            "samples": self.samples,
-            "max_gap": format_rational(self.max_gap),
-            "tolerance": format_rational(self.tolerance),
-            "verdict": self.verdict,
-            "mode": self.mode,
-        }
-        if self.witness is not None:
-            record["witness"] = self.witness
-        if self.detail:
-            record["detail"] = {k: str(v) for k, v in sorted(self.detail.items())}
-        return record
-
-
-def _report(check, grids, ctx, samples, max_gap, tol, ok, mode, witness=None, **detail):
-    return CheckReport(
-        check=check,
-        grids=tuple(grids),
-        context=ctx,
-        samples=samples,
-        max_gap=max_gap,
-        tolerance=tol,
-        verdict="pass" if ok else "fail",
-        mode=mode,
-        witness=witness,
-        detail=detail,
-    )
 
 
 class RealFunctionRepr:
@@ -105,7 +44,7 @@ class RealFunctionRepr:
 
     __slots__ = ("f", "verdict")
 
-    def __init__(self, f: GridFunction, verdict: Optional[ContinuityVerdict] = None):
+    def __init__(self, f: GridFunction, verdict: Optional[CheckReport] = None):
         self.f = f
         self.verdict = verdict
 
@@ -143,20 +82,20 @@ def derivative(
     """Differentiate a representation at a context.
 
     The difference-quotient function must survive a continuity check;
-    a refutation witness (a spike across adjacent points) means the
-    function is not differentiable at this context and raises.  The
-    result carries the verdict under which it was admitted.
+    a refutation (a spike across adjacent points) means the function is
+    not differentiable at this context and raises with the report's
+    witness.  The result carries the continuity report under which it
+    was admitted.
     """
     f = _as_grid_function(fr)
     q = quotient_function(f)
-    verdict = continuity_check(q, ctx, plan)
-    if not verdict:
-        a, b = verdict.witness
+    report = continuity_check(q, ctx, plan)
+    if not report:
         raise NotDifferentiableError(
-            f"difference quotient jumps by more than 1/H between {a.value} and {b.value}",
-            witness=verdict.witness,
+            f"difference quotient has a {report.witness} above 1/H",
+            witness=report.witness,
         )
-    return RealFunctionRepr(q, verdict)
+    return RealFunctionRepr(q, report)
 
 
 def secant_deviation(f: GridFunction, a: GridPoint, x: GridPoint) -> Fraction:
@@ -286,7 +225,7 @@ def grid_independence_check(
             ctx.infinitesimal_scale,
             False,
             "sampled",
-            witness=f"values differ at {agreement.witness.value}",
+            witness=f"values differ at {agreement.witness}",
             precondition="representations disagree before quotients were compared",
         )
 

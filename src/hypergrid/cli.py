@@ -27,7 +27,6 @@ from typing import Optional, Tuple
 
 from . import expr as expr_mod
 from .calculus import (
-    CheckReport,
     ftc_check,
     grid_independence_check,
     integral,
@@ -35,7 +34,7 @@ from .calculus import (
     quotient_function,
     secant_check,
 )
-from .context import DEFAULT_K, ObservationContext
+from .context import DEFAULT_K, CheckReport, ObservationContext
 from .errors import DomainError, HypergridError, ResourceLimitError
 from .grid import GridSpec, round_to_grid
 from .gridfun import continuity_check
@@ -179,32 +178,8 @@ def _tree(job: JobConfig):
         raise DomainError("an expression is required (inline or --file)")
     tree = expr_mod.parse(job.expr_text)
     if job.domain is not None:
-        a, b = job.domain
-        mapped = expr_mod.BinOp(
-            "+",
-            expr_mod.Literal(a),
-            expr_mod.BinOp("*", expr_mod.Literal(b - a), expr_mod.Var()),
-        )
-        tree = _substitute(tree, mapped)
+        tree = expr_mod.on_domain(tree, *job.domain)
     return tree
-
-
-def _substitute(node, replacement):
-    if isinstance(node, expr_mod.Var):
-        return replacement
-    if isinstance(node, expr_mod.Neg):
-        return expr_mod.Neg(_substitute(node.child, replacement))
-    if isinstance(node, expr_mod.BinOp):
-        return expr_mod.BinOp(
-            node.op,
-            _substitute(node.left, replacement),
-            _substitute(node.right, replacement),
-        )
-    if isinstance(node, expr_mod.Pow):
-        return expr_mod.Pow(_substitute(node.base, replacement), node.exponent)
-    if isinstance(node, expr_mod.Call):
-        return expr_mod.Call(node.name, _substitute(node.arg, replacement))
-    return node
 
 
 def _unit_point(job: JobConfig, fallback: Fraction) -> Fraction:
@@ -330,24 +305,7 @@ def _run_check(job: JobConfig, ctx: ObservationContext):
         points = [margin + u * span for u in sample_unit_fractions(job.samples, job.seed)]
         report = limit_check(f, ctx, points)
     else:
-        verdict = continuity_check(f, ctx, plan)
-        witness = None
-        max_gap = Fraction(0)
-        if verdict.witness is not None:
-            a, b = verdict.witness
-            witness = f"jump between {a.value} and {b.value}"
-            max_gap = abs(f(b) - f(a))
-        report = CheckReport(
-            check="continuity",
-            grids=(spec.tau,),
-            context=ctx,
-            samples=len(plan.indices(spec.tau)),
-            max_gap=max_gap,
-            tolerance=ctx.infinitesimal_scale,
-            verdict="pass" if verdict else "fail",
-            mode=verdict.status,
-            witness=witness,
-        )
+        report = continuity_check(f, ctx, plan)
     return (0 if report else 2), _report_text(job, report)
 
 

@@ -8,12 +8,18 @@ this package is made at a context, never absolutely.
 The relation is reflexive and symmetric but deliberately NOT transitive:
 chaining two judgements can double the gap (see
 ``ObservationContext.indiscernible``).  Treat it as a tolerance relation.
+
+A judgement read at a context is recorded as a ``CheckReport``: every
+check in the package, from pointwise function comparison and continuity
+up to the calculus checks, returns one.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Optional, Tuple
 
 from .errors import DomainError
+from .rational import format_rational
 
 DEFAULT_H = 10**6
 DEFAULT_K = 10**12
@@ -64,3 +70,63 @@ class ObservationContext:
         if p < -self.K and q < -self.K:
             return True
         return False
+
+
+@dataclass(frozen=True)
+class CheckReport:
+    """Outcome of one verification job.  Truthy iff it passed.
+
+    ``max_gap`` is the largest observed discrepancy in the check's own
+    metric and ``tolerance`` the cutoff it was held to; for checks whose
+    metric is an excess over a per-pair bound, the gap may be negative
+    (slack) and the tolerance is zero.  ``mode`` says how the verdict was
+    reached: "exhaustive" or "sampled" probing, or for continuity
+    "certified", "sampled-ok" or "refuted".
+    """
+
+    check: str
+    grids: Tuple[int, ...]
+    context: ObservationContext
+    samples: int
+    max_gap: Fraction
+    tolerance: Fraction
+    verdict: str
+    mode: str = "sampled"
+    witness: Optional[str] = None
+    detail: dict = field(default_factory=dict)
+
+    def __bool__(self):
+        return self.verdict == "pass"
+
+    def to_dict(self) -> dict:
+        record = {
+            "schema": 1,
+            "check": self.check,
+            "grids": list(self.grids),
+            "context": {"H": self.context.H, "K": self.context.K},
+            "samples": self.samples,
+            "max_gap": format_rational(self.max_gap),
+            "tolerance": format_rational(self.tolerance),
+            "verdict": self.verdict,
+            "mode": self.mode,
+        }
+        if self.witness is not None:
+            record["witness"] = self.witness
+        if self.detail:
+            record["detail"] = {k: str(v) for k, v in sorted(self.detail.items())}
+        return record
+
+
+def _report(check, grids, ctx, samples, max_gap, tol, ok, mode, witness=None, **detail):
+    return CheckReport(
+        check=check,
+        grids=tuple(grids),
+        context=ctx,
+        samples=samples,
+        max_gap=max_gap,
+        tolerance=tol,
+        verdict="pass" if ok else "fail",
+        mode=mode,
+        witness=witness,
+        detail=detail,
+    )

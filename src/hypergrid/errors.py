@@ -15,7 +15,8 @@ class GridMismatchError(DomainError):
 
 class NotDifferentiableError(DomainError):
     """The difference-quotient function was refuted as continuous at the
-    working context; ``witness`` holds the offending pair of grid points."""
+    working context; ``witness`` is the continuity report's witness text,
+    naming the adjacent pair of grid points across which it jumps."""
 
     def __init__(self, message, witness=None):
         super().__init__(message)

@@ -18,10 +18,11 @@ Syntax errors carry the offending position.
 Compilation turns a tree into a ``GridFunction`` by folding the grid
 function algebra over it, so continuity certificates compose along the
 way, and so do polynomial forms: a tree without exp, log or division by
-a non-constant compiles to an integer-lane polynomial.  ``exp`` applied to a certified argument gets a certificate from
-the bound 3**ceil(B) (an integer dominating e**B); ``log`` never gets
-one and is left to sampling.  Division certifies only when the divisor
-folds to a constant.
+a non-constant compiles to an integer-lane polynomial.  Powers fold by
+repeated squaring.  ``exp`` applied to a certified argument gets a
+certificate from the bound 3**ceil(B) (an integer dominating e**B; see
+``functions.exp_of``); ``log`` never gets one and is left to sampling.
+Division certifies only when the divisor folds to a constant.
 """
 
 import re
@@ -30,11 +31,11 @@ from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 from .errors import DomainError, EvaluationError, ParseError
-from .functions import constant, exp_fn, identity
+from .functions import constant, exp_fn, exp_of, identity
 from .grid import GridSpec
-from .gridfun import Certificate, GridFunction, map_values
+from .gridfun import GridFunction, map_values
 from .rational import parse_rational
-from .series import DEFAULT_POLICY, TruncationPolicy, exp_approx, log_approx
+from .series import DEFAULT_POLICY, TruncationPolicy, log_approx
 
 
 @dataclass(frozen=True)
@@ -275,23 +276,32 @@ def pretty(node: Node) -> str:
     return _render(node, 0)
 
 
-def _ceil_fraction(q: Fraction) -> int:
-    return -((-q.numerator) // q.denominator)
+def _power(base: GridFunction, k: int) -> GridFunction:
+    """base**k by repeated squaring, so evaluation nests about 2 log2(k)
+    product nodes deep instead of k.  By the product rule every value and
+    certificate reading equals that of the k-fold product."""
+    if k == 0:
+        return constant(base.spec, 1)
+    if k == 1:
+        return base
+    half = _power(base, k // 2)
+    return half * half * base if k % 2 else half * half
 
 
-def _exp_of(g: GridFunction, spec: GridSpec, policy: TruncationPolicy) -> GridFunction:
-    theta = (
-        Fraction(0)
-        if policy.mode == "full"
-        else Fraction(1, spec.tau << policy.guard)
-    )
-
-    cert = None
-    if g.certificate is not None:
-        lip = Fraction(3 ** max(1, _ceil_fraction(g.certificate.bound)))
-        inner = g.certificate.modulus
-        cert = Certificate(lip, lambda d: lip * inner(d) + 2 * theta)
-    return map_values(g, lambda v, n: exp_approx(v, spec.tau, policy), cert)
+def on_domain(node: Node, a: Fraction, b: Fraction) -> Node:
+    """The tree of x -> node(a + (b - a) x), which carries an expression
+    on [a, b] onto the unit interval the grid covers."""
+    if isinstance(node, Var):
+        return BinOp("+", Literal(a), BinOp("*", Literal(b - a), Var()))
+    if isinstance(node, Neg):
+        return Neg(on_domain(node.child, a, b))
+    if isinstance(node, BinOp):
+        return BinOp(node.op, on_domain(node.left, a, b), on_domain(node.right, a, b))
+    if isinstance(node, Pow):
+        return Pow(on_domain(node.base, a, b), node.exponent)
+    if isinstance(node, Call):
+        return Call(node.name, on_domain(node.arg, a, b))
+    return node
 
 
 def _log_of(g: GridFunction, spec: GridSpec, policy: TruncationPolicy) -> GridFunction:
@@ -320,17 +330,13 @@ def compile(
     if isinstance(node, Neg):
         return compile(node.child, spec, policy) * Fraction(-1)
     if isinstance(node, Pow):
-        base = compile(node.base, spec, policy)
-        out = constant(spec, 1)
-        for _ in range(node.exponent):
-            out = out * base
-        return out
+        return _power(compile(node.base, spec, policy), node.exponent)
     if isinstance(node, Call):
         if node.name == "exp" and isinstance(node.arg, Var):
             return exp_fn(spec, policy)
         arg = compile(node.arg, spec, policy)
         if node.name == "exp":
-            return _exp_of(arg, spec, policy)
+            return exp_of(arg, policy)
         return _log_of(arg, spec, policy)
     if isinstance(node, BinOp):
         left = compile(node.left, spec, policy)

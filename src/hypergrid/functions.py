@@ -19,6 +19,7 @@ grid-function algebra combines into the forms of compiled polynomials.
 """
 
 from fractions import Fraction
+from math import ceil
 
 from .errors import DomainError
 from .grid import GridSpec
@@ -60,6 +61,30 @@ def square(spec: GridSpec) -> GridFunction:
     return monomial(spec, 2)
 
 
+def _tail_threshold(spec: GridSpec, policy: TruncationPolicy) -> Fraction:
+    """The most a policy's truncated exp moves a value: 0 for the full
+    sum, 1/(tau * 2**guard) for the tail-bounded one."""
+    return Fraction(0) if policy.mode == "full" else Fraction(1, spec.tau << policy.guard)
+
+
+def exp_of(g: GridFunction, policy: TruncationPolicy = DEFAULT_POLICY) -> GridFunction:
+    """The truncated exponential of g's values, memoized.
+
+    A certified g with |g| <= B gives a value certificate: exp has
+    Lipschitz constant e**B <= 3**ceil(B) on [-B, B], so the modulus is
+    3**ceil(B) times g's plus twice the tail threshold.  Without a
+    certificate on g there is none on the result.
+    """
+    spec = g.spec
+    cert = None
+    if g.certificate is not None:
+        lip = Fraction(3 ** max(1, ceil(g.certificate.bound)))
+        inner = g.certificate.modulus
+        wobble = 2 * _tail_threshold(spec, policy)
+        cert = Certificate(lip, lambda d: lip * inner(d) + wobble)
+    return map_values(g, lambda v, n: exp_approx(v, spec.tau, policy), cert)
+
+
 def exp_fn(
     spec: GridSpec, policy: TruncationPolicy = DEFAULT_POLICY
 ) -> GridFunction:
@@ -68,22 +93,12 @@ def exp_fn(
     On [0, 1] the partial sums stay below 3, and a termwise bound gives
     |e(x) - e(y)| <= 3 |x - y| for both the values and the quotient; the
     policy's tail threshold enters the moduli as a tiny additive slack.
+    The value certificate is ``exp_of``'s for the identity.
     """
-    theta = (
-        Fraction(0)
-        if policy.mode == "full"
-        else Fraction(1, spec.tau << policy.guard)
-    )
-    wobble = 2 * theta
-    quotient_wobble = 4 * theta * spec.tau
-    return map_values(
-        identity(spec),
-        lambda v, n: exp_approx(v, spec.tau, policy),
-        certificate=Certificate(Fraction(3), lambda d: 3 * d + wobble),
-        quotient_certificate=Certificate(
-            Fraction(3), lambda d: 3 * d + quotient_wobble
-        ),
-    )
+    f = exp_of(identity(spec), policy)
+    quotient_wobble = 4 * _tail_threshold(spec, policy) * spec.tau
+    f.quotient_certificate = Certificate(Fraction(3), lambda d: 3 * d + quotient_wobble)
+    return f
 
 
 def log_fn(

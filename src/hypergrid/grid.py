@@ -61,11 +61,6 @@ class GridPoint:
         return Fraction(self.index, self.spec.tau)
 
 
-def embed(x: GridPoint) -> Fraction:
-    """The inclusion of the grid into the rationals: n/tau exactly."""
-    return x.value
-
-
 def round_to_grid(s: Fraction, spec: GridSpec) -> GridPoint:
     """Round s in [0, 1] down to the grid: index = integer part of s*tau.
 

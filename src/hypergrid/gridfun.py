@@ -18,17 +18,19 @@ Horner evaluation and one Fraction per point, and prefix sums can stay
 in integers.  Every value equals the one the rule gives point by point.
 
 Continuity here is a three-valued, auditable claim.  A function may carry
-a certificate: an upper bound on |f| over the grid together with a modulus
-``omega`` such that |x - y| <= d implies |f(x) - f(y)| <= omega(d).
+a certificate: an upper bound on |f| over the grid together with a monotone
+modulus ``omega`` such that |x - y| <= d implies |f(x) - f(y)| <= omega(d).
 ``continuity_check`` then either certifies preservation of
 indiscernibility at a context, refutes it with a concrete witness pair,
-or reports that sampling found nothing ("sampled-ok").  Certificates
-propagate compositionally: sums add moduli, products use the
-bounded-factor rule, scaling scales.
+or reports that sampling found nothing ("sampled-ok"); the claim is the
+mode of the ``CheckReport`` it returns.  Certificates propagate
+compositionally: sums add moduli, products use the bounded-factor rule,
+scaling scales.
 
-Function-level indiscernibility compares |f - g| pointwise against 1/H.
-(The absolute difference is used even where a one-sided gap would do;
-the relation is treated as a symmetric distance throughout.)
+Function-level indiscernibility (``fn_indiscernible``, also a
+``CheckReport``) compares |f - g| pointwise against 1/H.  (The absolute
+difference is used even where a one-sided gap would do; the relation is
+treated as a symmetric distance throughout.)
 """
 
 from dataclasses import dataclass
@@ -37,7 +39,7 @@ from math import lcm
 from operator import add, mul
 from typing import Callable, Optional
 
-from .context import ObservationContext
+from .context import CheckReport, ObservationContext, _report
 from .errors import GridMismatchError, HypergridError, ResourceLimitError
 from .grid import GridPoint, GridSpec, round_to_grid, successor
 from .sampling import SamplingPlan
@@ -400,58 +402,40 @@ def map_values(
     return f
 
 
-def evaluate(f: GridFunction, x: GridPoint) -> Fraction:
-    return f(x)
-
-
-def difference(f: GridFunction, x: GridPoint) -> Fraction:
-    return f.difference(x)
-
-
-def difference_quotient(f: GridFunction, x: GridPoint) -> Fraction:
-    return f.quotient(x)
-
-
-@dataclass(frozen=True)
-class FnComparison:
-    """Outcome of a pointwise function comparison.  Truthy iff the two
-    functions were indiscernible everywhere probed; ``mode`` records
-    whether the probe was exhaustive (a decision) or sampled (a sound
-    refuter / statistical accepter)."""
-
-    indiscernible: bool
-    mode: str
-    max_gap: Fraction
-    samples: int
-    witness: Optional[GridPoint] = None
-
-    def __bool__(self):
-        return self.indiscernible
-
-
 def fn_indiscernible(
     f: GridFunction,
     g: GridFunction,
     ctx: ObservationContext,
     plan: SamplingPlan = SamplingPlan(),
-) -> FnComparison:
+) -> CheckReport:
     """Compare two functions on the same grid at context ``ctx``: their
-    values must stay within 1/H at every probed point."""
+    values must stay within 1/H at every probed point.  The report's
+    witness is the first probed point where they do not."""
     if f.spec != g.spec:
         raise GridMismatchError("cannot compare functions on different grids")
+    tau = f.spec.tau
     tol = ctx.infinitesimal_scale
+    indices = plan.indices(tau)
     max_gap = Fraction(0)
     witness = None
-    count = 0
-    for n in plan.indices(f.spec.tau):
+    for n in indices:
         p = f.spec.point(n)
         gap = abs(f(p) - g(p))
-        count += 1
         if gap > max_gap:
             max_gap = gap
             if gap > tol and witness is None:
-                witness = p
-    return FnComparison(witness is None, plan.mode(f.spec.tau), max_gap, count, witness)
+                witness = str(p.value)
+    return _report(
+        "indiscernible",
+        [tau],
+        ctx,
+        len(indices),
+        max_gap,
+        tol,
+        max_gap <= tol,
+        plan.mode(tau),
+        witness,
+    )
 
 
 def grid_maps(spec_a: GridSpec, spec_b: GridSpec):
@@ -500,71 +484,41 @@ def _probe_spec(to_b, source_spec: GridSpec) -> GridSpec:
     return to_b(GridPoint(0, source_spec)).spec
 
 
-@dataclass(frozen=True)
-class ContinuityVerdict:
-    """Three-valued continuity claim at a context.
-
-    ``certified``: a certificate guarantees preservation of
-    indiscernibility (``scale`` is an input gap at which the modulus
-    drops below 1/H).  ``refuted``: ``witness`` is a pair of adjacent
-    grid points whose values jump by more than 1/H; adjacent pairs are
-    conclusive because every admissible input scale is at least the mesh
-    width.  ``sampled-ok``: probing found no such jump.
-    """
-
-    status: str
-    witness: Optional[tuple] = None
-    scale: Optional[Fraction] = None
-
-    CERTIFIED = "certified"
-    SAMPLED_OK = "sampled-ok"
-    REFUTED = "refuted"
-
-    def __bool__(self):
-        return self.status != self.REFUTED
-
-
-def _certificate_scale(cert: Certificate, ctx: ObservationContext, eps: Fraction):
-    """Largest probed input gap d >= eps with modulus(d) <= 1/H, or None."""
-    tol = ctx.infinitesimal_scale
-    d = tol
-    while d >= eps:
-        if cert.modulus(d) <= tol:
-            return d
-        d = d / 2
-    if cert.modulus(eps) <= tol:
-        return eps
-    return None
-
-
 def continuity_check(
     f: GridFunction,
     ctx: ObservationContext,
     plan: SamplingPlan = SamplingPlan(),
-) -> ContinuityVerdict:
+) -> CheckReport:
     """Decide, as far as possible, whether ``f`` maps indiscernible points
-    to indiscernible values at ``ctx``.
+    to indiscernible values at ``ctx``.  The report's mode is the
+    three-valued claim: "certified", "refuted" or "sampled-ok".
 
     With a certificate the claim is certified outright when some input
-    scale between the mesh width and 1/H pushes the modulus below 1/H.
-    Without one (or when the certificate is too weak) the check samples
-    jumps across adjacent pairs around each planned index: a jump above
-    1/H refutes continuity at every admissible scale at once.
+    scale between the mesh width and 1/H pushes the modulus to 1/H or
+    below; the modulus is monotone, so the mesh width decides.  Without
+    one (or when the certificate is too weak) the check samples jumps
+    across adjacent pairs around each planned index: a jump above 1/H
+    refutes continuity at every admissible scale at once, since no input
+    scale is finer than the mesh.  The witness names that adjacent pair.
     """
-    eps = f.spec.epsilon
-    if f.certificate is not None:
-        scale = _certificate_scale(f.certificate, ctx, eps)
-        if scale is not None:
-            return ContinuityVerdict(ContinuityVerdict.CERTIFIED, scale=scale)
-
+    spec = f.spec
     tol = ctx.infinitesimal_scale
-    tau = f.spec.tau
-    for n in plan.indices(tau):
+    indices = plan.indices(spec.tau)
+
+    def verdict(mode, jump=Fraction(0), witness=None):
+        ok = mode != "refuted"
+        samples = len(indices)
+        return _report("continuity", [spec.tau], ctx, samples, jump, tol, ok, mode, witness)
+
+    if f.certificate is not None and f.certificate.modulus(spec.epsilon) <= tol:
+        return verdict("certified")
+    for n in indices:
         for lo in (n - 1, n):
-            if lo < 0 or lo + 1 > tau:
+            if lo < 0 or lo + 1 > spec.tau:
                 continue
-            a = f.spec.point(lo)
-            b = f.spec.point(lo + 1)
-            if abs(f(b) - f(a)) > tol:
-                return ContinuityVerdict(ContinuityVerdict.REFUTED, witness=(a, b))
-    return ContinuityVerdict(ContinuityVerdict.SAMPLED_OK)
+            a = spec.point(lo)
+            b = spec.point(lo + 1)
+            jump = abs(f(b) - f(a))
+            if jump > tol:
+                return verdict("refuted", jump, f"jump between {a.value} and {b.value}")
+    return verdict("sampled-ok")

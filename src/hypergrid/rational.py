@@ -84,18 +84,3 @@ def render_decimal(q: Fraction, digits: int = 12) -> str:
     int_part, frac_part = divmod(whole, scale)
     return f"{sign}{int_part}.{frac_part:0{digits}d}"
 
-
-def rational_arith(a: Fraction, op: str, b: Fraction) -> Fraction:
-    """Exact field operation.  ``op`` is one of "+", "-", "*", "/".
-
-    Division by zero raises ``ZeroDivisionError``.
-    """
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
-    raise DomainError(f"unknown operator {op!r}")

@@ -448,7 +448,7 @@ def test_non_integer_tau_cap_is_an_error(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("eval", "exp(x)^400", "--tau", "64"),
+        ("eval", "exp(" * 400 + "x" + ")" * 400, "--tau", "64"),
         ("check", "continuity", "exp(x)^300", "--tau", "64", "--H", "4"),
     ],
 )
@@ -466,3 +466,7 @@ def test_deep_expressions_within_reach_still_evaluate(capsys):
     code, out, _ = invoke(capsys, "eval", "exp(x)^150", "--tau", "64", "--at", "1/2")
     assert code == 0
     assert out.splitlines()[0] == str(exp_approx(Fraction(1, 2), 64) ** 150)
+    # powers fold by squaring, so 400 factors nest only a few products deep
+    code, out, _ = invoke(capsys, "eval", "exp(x)^400", "--tau", "64")
+    assert code == 0
+    assert out.splitlines()[0] == "1"

@@ -90,3 +90,14 @@ def test_infinitesimal_gap_of_bounded_values_identifies(p, q):
     ctx = ObservationContext(H=100, K=1000)
     if abs(p - q) * ctx.H <= 1:
         assert ctx.indiscernible(p, q)
+
+
+def test_public_api_resolves():
+    # every exported name exists, so a deletion cannot leave a stale export
+    import hypergrid
+    import hypergrid.calculus
+    import hypergrid.context
+
+    assert [name for name in hypergrid.__all__ if not hasattr(hypergrid, name)] == []
+    assert hypergrid.CheckReport is hypergrid.context.CheckReport
+    assert hypergrid.calculus.CheckReport is hypergrid.context.CheckReport

@@ -28,7 +28,8 @@ from hypergrid.expr import (
     parse,
     pretty,
 )
-from hypergrid.series import FULL_POLICY, exp_approx, log_approx
+from hypergrid.functions import constant
+from hypergrid.series import DEFAULT_POLICY, FULL_POLICY, exp_approx, log_approx
 
 CTX = ObservationContext(H=1000, K=10**6)
 
@@ -254,6 +255,27 @@ def test_compiled_exp_of_certified_argument_has_a_sound_bound():
         assert abs(f(spec.point(n))) <= f.certificate.bound
 
 
+@pytest.mark.parametrize("policy", [DEFAULT_POLICY, FULL_POLICY])
+def test_exp_certificate_readings_are_pinned(policy):
+    tau = 64
+    spec = GridSpec(tau)
+    theta = 0 if policy.mode == "full" else Fraction(1, tau * 2**policy.guard)
+    d = Fraction(1, 16)
+    # text: (value bound, value modulus at d, quotient (bound, modulus) or None);
+    # exp of an argument bounded by B is bounded by 3**ceil(B)
+    cases = {
+        "exp(x)": (3, 3 * d + 2 * theta, (3, 3 * d + 4 * theta * tau)),
+        "exp(x^2)": (3, 3 * 2 * d + 2 * theta, None),
+        "exp(2*x - 1)": (27, 27 * 2 * d + 2 * theta, None),
+    }
+    for text, (bound, modulus, quotient) in cases.items():
+        f = compile(parse(text), spec, policy)
+        assert f.certificate.bound == bound, text
+        assert f.certificate.modulus(d) == modulus, text
+        qcert = f.quotient_certificate
+        assert (qcert and (qcert.bound, qcert.modulus(d))) == quotient, text
+
+
 # --- the batch path and the polynomial lane ---------------------------------
 
 
@@ -398,3 +420,43 @@ def test_materialize_fails_where_point_by_point_evaluation_fails_first():
         f.materialize()
     assert info.value.point == spec.point(0)
     assert "log of non-positive value -2" in str(info.value)
+
+
+def _k_fold_product(base, k):
+    out = constant(base.spec, 1)
+    for _ in range(k):
+        out = out * base
+    return out
+
+
+def _readings(f, gaps):
+    """Bound and modulus at each gap of f's value and quotient
+    certificates, None for a certificate f does not carry."""
+    return [
+        None if cert is None else (cert.bound, [cert.modulus(d) for d in gaps])
+        for cert in (f.certificate, f.quotient_certificate)
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    _exp_trees(),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=2, max_value=16),
+)
+@example(Var(), 40, 16)
+@example(parse("exp(x)"), 7, 16)
+@example(parse("x^2 + x/3"), 9, 16)
+@example(parse("exp(x^2)"), 5, 16)
+@example(parse("1 + x"), 13, 16)
+@example(parse("1/(1 + x)"), 6, 8)
+def test_powers_fold_by_squaring_to_the_k_fold_product(base, k, tau):
+    assume(all(_sup(arg) <= 6 for arg in _exp_arguments(base)))
+    spec = GridSpec(tau)
+    squared = compile(Pow(base, k), spec)
+    chained = _k_fold_product(compile(base, spec), k)
+    expected = chained.materialize()
+    assert squared.materialize() == expected
+    assert [squared(p) for p in spec.points()] == expected
+    gaps = [spec.epsilon, Fraction(1, 16), Fraction(1)]
+    assert _readings(squared, gaps) == _readings(chained, gaps)

@@ -10,7 +10,6 @@ from hypergrid import (
     DomainError,
     GridPoint,
     GridSpec,
-    embed,
     quasi_identity_defect,
     round_to_grid,
     successor,
@@ -50,11 +49,6 @@ def test_point_index_bounds():
             GridPoint(bad, spec)
 
 
-def test_embed_is_exact():
-    p = GridSpec(7).point(3)
-    assert embed(p) == Fraction(3, 7)
-
-
 def test_round_floors_onto_the_grid():
     spec = GridSpec(10)
     assert round_to_grid(Fraction(1, 3), spec).index == 3
@@ -82,8 +76,8 @@ def test_rounding_defect_is_in_the_half_open_mesh_cell(s, tau):
 def test_rounding_fixes_grid_points(tau, n):
     spec = GridSpec(tau)
     p = spec.point(n % (tau + 1))
-    assert round_to_grid(embed(p), spec) == p
-    assert quasi_identity_defect(embed(p), spec) == 0
+    assert round_to_grid(p.value, spec) == p
+    assert quasi_identity_defect(p.value, spec) == 0
 
 
 def test_successor_steps_by_epsilon():

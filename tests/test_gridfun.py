@@ -7,7 +7,7 @@ import pytest
 
 from hypergrid import (
     Certificate,
-    ContinuityVerdict,
+    CheckReport,
     DomainError,
     GridFunction,
     GridMismatchError,
@@ -187,7 +187,9 @@ def test_fn_indiscernible_reports_a_witness():
     spec = GridSpec(200)
     result = fn_indiscernible(square(spec), identity(spec), CTX, PLAN)
     assert not result
-    assert result.witness is not None
+    assert isinstance(result, CheckReport)
+    # the first probed point where x^2 and x differ by more than 1/H
+    assert result.witness == "1/200"
     assert result.max_gap > CTX.infinitesimal_scale
 
 
@@ -234,43 +236,46 @@ def test_transport_stretches_the_certificate_by_one_source_mesh():
 
 
 def test_continuity_certified_for_certified_functions():
-    verdict = continuity_check(square(GridSpec(10**6)), CTX, PLAN)
-    assert verdict.status == ContinuityVerdict.CERTIFIED
-    assert bool(verdict)
-    # the reported scale is admissible and actually works
-    assert GridSpec(10**6).epsilon <= verdict.scale <= CTX.infinitesimal_scale
-    assert square(GridSpec(10**6)).certificate(verdict.scale) <= CTX.infinitesimal_scale
+    spec = GridSpec(10**6)
+    report = continuity_check(square(spec), CTX, PLAN)
+    assert report.mode == "certified"
+    assert bool(report)
+    assert report.check == "continuity"
+    assert report.max_gap == 0 and report.tolerance == CTX.infinitesimal_scale
+    # the certificate that earned the verdict meets 1/H at the mesh width
+    assert square(spec).certificate(spec.epsilon) <= CTX.infinitesimal_scale
 
 
 def test_continuity_sampled_ok_without_a_certificate():
     spec = GridSpec(4096)
     bare = GridFunction(spec, lambda p: p.value)
-    verdict = continuity_check(bare, CTX, PLAN)
-    assert verdict.status == ContinuityVerdict.SAMPLED_OK
-    assert bool(verdict)
+    report = continuity_check(bare, CTX, PLAN)
+    assert report.mode == "sampled-ok"
+    assert bool(report)
+    assert report.samples == len(PLAN.indices(spec.tau))
 
 
 def test_continuity_refuted_with_an_adjacent_witness():
     spec = GridSpec(4096)
-    verdict = continuity_check(step(spec), CTX, PLAN)
-    assert verdict.status == ContinuityVerdict.REFUTED
-    assert not verdict
-    a, b = verdict.witness
-    assert b.index == a.index + 1
-    assert abs(step(spec)(b) - step(spec)(a)) > CTX.infinitesimal_scale
+    report = continuity_check(step(spec), CTX, PLAN)
+    assert report.mode == "refuted"
+    assert not report
+    # the adjacent pair across the jump, and the jump itself
+    assert report.witness == "jump between 2047/4096 and 1/2"
+    assert report.max_gap == 1
 
 
 def test_weak_certificates_fall_back_to_sampling():
     spec = GridSpec(4096)
     # modulus too large to certify at H=1000, but values are constant
     f = GridFunction(spec, lambda p: Fraction(0), Certificate(Fraction(1), lambda d: Fraction(1)))
-    verdict = continuity_check(f, CTX, PLAN)
-    assert verdict.status == ContinuityVerdict.SAMPLED_OK
+    report = continuity_check(f, CTX, PLAN)
+    assert report.mode == "sampled-ok"
 
 
 def test_exp_fn_is_certified_continuous():
-    verdict = continuity_check(exp_fn(GridSpec(2**20)), CTX, PLAN)
-    assert verdict.status == ContinuityVerdict.CERTIFIED
+    report = continuity_check(exp_fn(GridSpec(2**20)), CTX, PLAN)
+    assert report.mode == "certified"
 
 
 def test_constant_has_zero_moduli():

@@ -13,7 +13,6 @@ from hypergrid import (
     parse_rational,
     render_decimal,
 )
-from hypergrid.rational import rational_arith
 
 rationals = st.fractions(
     min_value=Fraction(-10**6), max_value=Fraction(10**6), max_denominator=10**6
@@ -79,24 +78,6 @@ def test_render_decimal_is_within_half_ulp(q, digits):
     text = render_decimal(q, digits)
     back = parse_rational(text)
     assert abs(back - q) * 2 * 10**digits <= 1
-
-
-def test_arith_exact():
-    a, b = Fraction(1, 3), Fraction(1, 6)
-    assert rational_arith(a, "+", b) == Fraction(1, 2)
-    assert rational_arith(a, "-", b) == Fraction(1, 6)
-    assert rational_arith(a, "*", b) == Fraction(1, 18)
-    assert rational_arith(a, "/", b) == Fraction(2)
-
-
-def test_arith_division_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        rational_arith(Fraction(1), "/", Fraction(0))
-
-
-def test_arith_unknown_operator():
-    with pytest.raises(DomainError):
-        rational_arith(Fraction(1), "%", Fraction(1))
 
 
 def test_format_rational_refuses_integers_past_the_print_limit():
