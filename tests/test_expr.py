@@ -460,3 +460,39 @@ def test_powers_fold_by_squaring_to_the_k_fold_product(base, k, tau):
     assert [squared(p) for p in spec.points()] == expected
     gaps = [spec.epsilon, Fraction(1, 16), Fraction(1)]
     assert _readings(squared, gaps) == _readings(chained, gaps)
+
+
+# --- certificate soundness --------------------------------------------------
+
+
+def _assert_certifies(cert, values, tau, label):
+    """``cert`` holds for ``values``, read at the consecutive grid points
+    0, 1/tau, 2/tau, ...: every |value| <= bound, and every pair k steps
+    apart moves by at most modulus(k/tau)."""
+    assert max(abs(v) for v in values) <= cert.bound, label
+    for k in range(1, len(values)):
+        jump = max(abs(values[n + k] - values[n]) for n in range(len(values) - k))
+        assert jump <= cert.modulus(Fraction(k, tau)), (label, k)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.one_of(_polynomial_trees(), _exp_trees()),
+    st.integers(min_value=2, max_value=64),
+    st.sampled_from([DEFAULT_POLICY, FULL_POLICY]),
+)
+@example(parse("x*exp(x)"), 64, DEFAULT_POLICY)
+@example(parse("exp(x)^5 * x^3 - exp(2*x - 1)"), 64, DEFAULT_POLICY)
+@example(parse("exp(exp(x))"), 33, FULL_POLICY)
+@example(parse("(x + 1)^7 * exp(x)"), 16, DEFAULT_POLICY)
+def test_certificates_are_sound_on_every_grid_pair(tree, tau, policy):
+    assume(_degree(tree) <= 48)
+    assume(all(_sup(arg) <= 6 for arg in _exp_arguments(tree)))
+    spec = GridSpec(tau)
+    f = compile(tree, spec, policy)
+    values = f.materialize()
+    if f.certificate is not None:
+        _assert_certifies(f.certificate, values, tau, "values")
+    if f.quotient_certificate is not None:
+        quotients = [(values[n + 1] - values[n]) * tau for n in range(tau)]
+        _assert_certifies(f.quotient_certificate, quotients, tau, "quotients")
