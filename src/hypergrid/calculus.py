@@ -393,9 +393,9 @@ def limit_check(
 
 def cumulative_values(f: GridFunction, workers: int = 1) -> list:
     """Prefix sums of f over the whole grid: out[n] = sum(f(i/tau) for
-    i in 0..n).  With workers > 1 the grid is cut into chunks whose
-    partial sums are combined in chunk order; exact arithmetic makes the
-    result bit-identical to the serial one.
+    i in 0..n).  With workers > 1 the grid is cut into that many chunks,
+    summed one after another and combined in chunk order; exact
+    arithmetic makes the result bit-identical to the one-chunk sum.
     """
     _require_table(f.spec)
     return _prefix_sums(f, None, workers)
@@ -423,23 +423,13 @@ def _prefix_sums(f: GridFunction, values: Optional[list], workers: int) -> list:
 def _running_sums(terms: list, workers: int) -> list:
     """Turn ``terms`` into its inclusive running sums, in place, so that
     each term is released as its sum replaces it.  With several workers
-    the chunks are summed in threads, then each chunk is offset by the
-    total before it."""
+    the terms are cut into that many chunks, each summed from its first
+    term and then offset by the total before it, all serially."""
     chunk = -(-len(terms) // max(1, workers))
-
-    def prefix(lo):
+    for lo in range(0, len(terms), chunk):
         acc = terms[lo]
         for i in range(lo + 1, min(lo + chunk, len(terms))):
             acc = terms[i] = acc + terms[i]
-
-    if workers <= 1:
-        prefix(0)
-        return terms
-
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(prefix, range(0, len(terms), chunk)))
     for lo in range(chunk, len(terms), chunk):
         offset = terms[lo - 1]
         for i in range(lo, min(lo + chunk, len(terms))):
@@ -498,12 +488,8 @@ def _antiderivative(f: GridFunction, sums: list) -> RealFunctionRepr:
     """The integral's representation from f's prefix sums; it inherits
     f's certificates."""
     eps = f.spec.epsilon
-    cert = None
-    qcert = None
-    if f.certificate is not None:
-        bound = f.certificate.bound
-        cert = Certificate(bound * (1 + eps), lambda d: bound * d)
-        qcert = Certificate(bound, f.certificate.modulus)
+    qcert = f.certificate
+    cert = qcert and Certificate(qcert.bound * (1 + eps), qcert.bound, Fraction(0))
     return RealFunctionRepr(
         GridFunction(f.spec, lambda p: sums[p.index] * eps, cert, qcert)
     )

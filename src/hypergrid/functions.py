@@ -1,15 +1,16 @@
 """Stock grid functions with certificates attached.
 
 Every constructor here returns a ``GridFunction`` on the given grid,
-carrying the tightest simple certificates that are actually provable:
+carrying the tightest simple certificates that are actually provable,
+each an affine (bound, slope, offset) with modulus slope*d + offset:
 
-* monomials x**k on [0, 1]: value modulus k*d, quotient bound k and
-  quotient modulus k(k-1)*d, both from the factorization of A**k - B**k
-  (each secant summand is a product of k-1 factors bounded by 1).
+* monomials x**k on [0, 1]: values (1, k, 0) and quotients
+  (k, k(k-1), 0), both from the factorization of A**k - B**k (each
+  secant summand is a product of k-1 factors bounded by 1).
 * the truncated exponential: termwise comparison gives Lipschitz
   constant 3 on [0, 1] for both the values and the difference quotient;
   a tail-bounded policy perturbs each value by less than the tail
-  threshold, which the moduli absorb as an additive constant.
+  threshold, which the moduli absorb in their offsets.
 
 The logarithm and the step function carry no certificates: one is
 unbounded near 0, the other is there to be refuted.
@@ -23,8 +24,12 @@ from math import ceil
 
 from .errors import DomainError
 from .grid import GridSpec
-from .gridfun import Certificate, GridFunction, Polynomial, map_values
+from .gridfun import Certificate, GridFunction, Polynomial, constant_certificate, map_values
 from .series import DEFAULT_POLICY, TruncationPolicy, exp_approx, log_approx
+
+#: The largest bound B on an exp argument that earns a certificate; past it
+#: 3**ceil(B) is too large to build, and sampling decides instead.
+EXP_BOUND_LIMIT = 2**16
 
 
 def constant(spec: GridSpec, c) -> GridFunction:
@@ -32,8 +37,8 @@ def constant(spec: GridSpec, c) -> GridFunction:
     return GridFunction.from_polynomial(
         spec,
         Polynomial({0: c}),
-        certificate=Certificate(abs(c), lambda d: Fraction(0)),
-        quotient_certificate=Certificate(Fraction(0), lambda d: Fraction(0)),
+        certificate=constant_certificate(c),
+        quotient_certificate=constant_certificate(0),
     )
 
 
@@ -46,10 +51,8 @@ def monomial(spec: GridSpec, k: int) -> GridFunction:
     return GridFunction.from_polynomial(
         spec,
         Polynomial({k: 1}),
-        certificate=Certificate(Fraction(1), lambda d, k=k: k * d),
-        quotient_certificate=Certificate(
-            Fraction(k), lambda d, k=k: k * (k - 1) * d
-        ),
+        certificate=Certificate(Fraction(1), Fraction(k), Fraction(0)),
+        quotient_certificate=Certificate(Fraction(k), Fraction(k * (k - 1)), Fraction(0)),
     )
 
 
@@ -73,15 +76,16 @@ def exp_of(g: GridFunction, policy: TruncationPolicy = DEFAULT_POLICY) -> GridFu
     A certified g with |g| <= B gives a value certificate: exp has
     Lipschitz constant e**B <= 3**ceil(B) on [-B, B], so the modulus is
     3**ceil(B) times g's plus twice the tail threshold.  Without a
-    certificate on g there is none on the result.
+    certificate on g, or with B above ``EXP_BOUND_LIMIT``, there is none
+    on the result.
     """
     spec = g.spec
+    inner = g.certificate
     cert = None
-    if g.certificate is not None:
-        lip = Fraction(3 ** max(1, ceil(g.certificate.bound)))
-        inner = g.certificate.modulus
+    if inner is not None and inner.bound <= EXP_BOUND_LIMIT:
+        lip = Fraction(3 ** max(1, ceil(inner.bound)))
         wobble = 2 * _tail_threshold(spec, policy)
-        cert = Certificate(lip, lambda d: lip * inner(d) + wobble)
+        cert = Certificate(lip, lip * inner.slope, lip * inner.offset + wobble)
     return map_values(g, lambda v, n: exp_approx(v, spec.tau, policy), cert)
 
 
@@ -97,7 +101,7 @@ def exp_fn(
     """
     f = exp_of(identity(spec), policy)
     quotient_wobble = 4 * _tail_threshold(spec, policy) * spec.tau
-    f.quotient_certificate = Certificate(Fraction(3), lambda d: 3 * d + quotient_wobble)
+    f.quotient_certificate = Certificate(Fraction(3), Fraction(3), quotient_wobble)
     return f
 
 

@@ -18,14 +18,14 @@ Horner evaluation and one Fraction per point, and prefix sums can stay
 in integers.  Every value equals the one the rule gives point by point.
 
 Continuity here is a three-valued, auditable claim.  A function may carry
-a certificate: an upper bound on |f| over the grid together with a monotone
-modulus ``omega`` such that |x - y| <= d implies |f(x) - f(y)| <= omega(d).
-``continuity_check`` then either certifies preservation of
-indiscernibility at a context, refutes it with a concrete witness pair,
-or reports that sampling found nothing ("sampled-ok"); the claim is the
-mode of the ``CheckReport`` it returns.  Certificates propagate
-compositionally: sums add moduli, products use the bounded-factor rule,
-scaling scales.
+a certificate, three rationals: an upper bound on |f| over the grid and
+an affine modulus omega(d) = slope * d + offset such that |x - y| <= d
+implies |f(x) - f(y)| <= omega(d).  ``continuity_check`` then either
+certifies preservation of indiscernibility at a context, refutes it with
+a concrete witness pair, or reports that sampling found nothing
+("sampled-ok"); the claim is the mode of the ``CheckReport`` it returns.
+Certificates compose when a node is built: sums add moduli, products use
+the bounded-factor rule, scaling scales, so a read is O(1).
 
 Function-level indiscernibility (``fn_indiscernible``, also a
 ``CheckReport``) compares |f - g| pointwise against 1/H.  (The absolute
@@ -33,7 +33,7 @@ difference is used even where a one-sided gap would do; the relation is
 treated as a symmetric distance throughout.)
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 from operator import add, mul
@@ -49,39 +49,47 @@ MATERIALIZE_LIMIT = 2**24
 
 @dataclass(frozen=True)
 class Certificate:
-    """Continuity certificate: ``bound`` >= sup |f| on the grid and a
-    monotone ``modulus`` with |x-y| <= d  =>  |f(x)-f(y)| <= modulus(d)."""
+    """Continuity certificate: ``bound`` >= sup |f| on the grid and the
+    affine modulus ``slope * d + offset`` (slope, offset >= 0), so that
+    |x-y| <= d  =>  |f(x)-f(y)| <= modulus(d)."""
 
     bound: Fraction
-    modulus: Callable[[Fraction], Fraction]
+    slope: Fraction
+    offset: Fraction
 
-    def __call__(self, d: Fraction) -> Fraction:
-        return self.modulus(d)
+    def modulus(self, d: Fraction) -> Fraction:
+        return self.slope * d + self.offset
 
 
 def constant_certificate(c: Fraction) -> Certificate:
-    return Certificate(abs(Fraction(c)), lambda d: Fraction(0))
+    return Certificate(abs(Fraction(c)), Fraction(0), Fraction(0))
 
 
 def identity_certificate() -> Certificate:
-    return Certificate(Fraction(1), lambda d: d)
+    return Certificate(Fraction(1), Fraction(1), Fraction(0))
+
+
+def _weighted(bound: Fraction, *terms) -> Certificate:
+    """A certificate with ``bound`` and modulus sum(w * c.modulus) over terms (w, c)."""
+    return Certificate(
+        bound,
+        sum(w * c.slope for w, c in terms),
+        sum(w * c.offset for w, c in terms),
+    )
 
 
 def add_certificates(a: Certificate, b: Certificate) -> Certificate:
-    return Certificate(a.bound + b.bound, lambda d: a.modulus(d) + b.modulus(d))
+    return _weighted(a.bound + b.bound, (1, a), (1, b))
 
 
 def scale_certificate(c: Fraction, a: Certificate) -> Certificate:
     c = abs(Fraction(c))
-    return Certificate(c * a.bound, lambda d: c * a.modulus(d))
+    return _weighted(c * a.bound, (c, a))
 
 
 def multiply_certificates(a: Certificate, b: Certificate) -> Certificate:
     # bounded-factor rule: |fg(x)-fg(y)| <= |f| |g(x)-g(y)| + |g| |f(x)-f(y)|
-    return Certificate(
-        a.bound * b.bound,
-        lambda d: a.bound * b.modulus(d) + b.bound * a.modulus(d),
-    )
+    return _weighted(a.bound * b.bound, (a.bound, b), (b.bound, a))
 
 
 def _quotient_product_certificate(f_cert, f_qcert, g_cert, g_qcert):
@@ -89,17 +97,13 @@ def _quotient_product_certificate(f_cert, f_qcert, g_cert, g_qcert):
     exact identity D(fg)(u) = f(u+) Dg(u) + g(u) Df(u)."""
     if None in (f_cert, f_qcert, g_cert, g_qcert):
         return None
-    bound = f_cert.bound * g_qcert.bound + g_cert.bound * f_qcert.bound
-
-    def modulus(d):
-        return (
-            f_cert.bound * g_qcert.modulus(d)
-            + g_qcert.bound * f_cert.modulus(d)
-            + g_cert.bound * f_qcert.modulus(d)
-            + f_qcert.bound * g_cert.modulus(d)
-        )
-
-    return Certificate(bound, modulus)
+    return _weighted(
+        f_cert.bound * g_qcert.bound + g_cert.bound * f_qcert.bound,
+        (f_cert.bound, g_qcert),
+        (g_qcert.bound, f_cert),
+        (g_cert.bound, f_qcert),
+        (f_qcert.bound, g_cert),
+    )
 
 
 class Polynomial:
@@ -300,6 +304,8 @@ class GridFunction:
         if self.polynomial is not None and other.polynomial is not None:
             poly = value_op(self.polynomial, other.polynomial)
             return GridFunction.from_polynomial(self.spec, poly, cert, qcert)
+        if other is self:  # a square reads its operand once
+            return self._apply(lambda v: value_op(v, v), cert, qcert)
         f = GridFunction(self.spec, lambda p: value_op(self(p), other(p)), cert, qcert)
         f._batch = lambda: list(map(value_op, self._values(), other._values()))
         return f
@@ -308,8 +314,12 @@ class GridFunction:
         if self.polynomial is not None:
             poly = value_op(self.polynomial, c)
             return GridFunction.from_polynomial(self.spec, poly, cert, qcert)
-        f = GridFunction(self.spec, lambda p: value_op(self(p), c), cert, qcert)
-        f._batch = lambda: [value_op(v, c) for v in self._values()]
+        return self._apply(lambda v: value_op(v, c), cert, qcert)
+
+    def _apply(self, op, cert, qcert):
+        """The node x -> op(f(x)), which reads f once per point."""
+        f = GridFunction(self.spec, lambda p: op(self(p)), cert, qcert)
+        f._batch = lambda: list(map(op, self._values()))
         return f
 
     def __add__(self, other):
@@ -327,7 +337,7 @@ class GridFunction:
             return self._combine_binary(other, add, cert, qcert)
         shift = Fraction(other)
         cert = (
-            Certificate(self.certificate.bound + abs(shift), self.certificate.modulus)
+            replace(self.certificate, bound=self.certificate.bound + abs(shift))
             if self.certificate
             else None
         )
@@ -470,12 +480,10 @@ def transport(
         raise GridMismatchError("from_b does not land on the source grid")
     target_spec = _probe_spec(to_b, f.spec)
 
-    cert = None
-    if f.certificate is not None:
-        eps_src = f.spec.epsilon
-        inner = f.certificate.modulus
+    cert = f.certificate
+    if cert is not None:
         # rounding both arguments back can stretch a gap by one source mesh
-        cert = Certificate(f.certificate.bound, lambda d: inner(d + eps_src))
+        cert = replace(cert, offset=cert.modulus(f.spec.epsilon))
 
     return GridFunction(target_spec, lambda y: f(from_b(y)), cert)
 
@@ -495,23 +503,23 @@ def continuity_check(
 
     With a certificate the claim is certified outright when some input
     scale between the mesh width and 1/H pushes the modulus to 1/H or
-    below; the modulus is monotone, so the mesh width decides.  Without
-    one (or when the certificate is too weak) the check samples jumps
-    across adjacent pairs around each planned index: a jump above 1/H
-    refutes continuity at every admissible scale at once, since no input
-    scale is finer than the mesh.  The witness names that adjacent pair.
+    below; the modulus is monotone, so the mesh width decides, and no
+    point is probed (the report counts 0 samples).  Without one (or when
+    the certificate is too weak) the check samples jumps across adjacent
+    pairs around each planned index: a jump above 1/H refutes continuity
+    at every admissible scale at once, since no input scale is finer than
+    the mesh.  The witness names that adjacent pair.
     """
     spec = f.spec
     tol = ctx.infinitesimal_scale
-    indices = plan.indices(spec.tau)
 
-    def verdict(mode, jump=Fraction(0), witness=None):
+    def verdict(mode, samples, jump=Fraction(0), witness=None):
         ok = mode != "refuted"
-        samples = len(indices)
         return _report("continuity", [spec.tau], ctx, samples, jump, tol, ok, mode, witness)
 
     if f.certificate is not None and f.certificate.modulus(spec.epsilon) <= tol:
-        return verdict("certified")
+        return verdict("certified", 0)
+    indices = plan.indices(spec.tau)
     for n in indices:
         for lo in (n - 1, n):
             if lo < 0 or lo + 1 > spec.tau:
@@ -520,5 +528,6 @@ def continuity_check(
             b = spec.point(lo + 1)
             jump = abs(f(b) - f(a))
             if jump > tol:
-                return verdict("refuted", jump, f"jump between {a.value} and {b.value}")
-    return verdict("sampled-ok")
+                witness = f"jump between {a.value} and {b.value}"
+                return verdict("refuted", len(indices), jump, witness)
+    return verdict("sampled-ok", len(indices))

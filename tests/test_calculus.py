@@ -322,7 +322,7 @@ def test_integral_carries_certificates():
     assert anti.f.certificate is not None
     assert anti.f.quotient_certificate is not None
     # the integral is Lipschitz with the integrand's bound
-    assert anti.f.certificate(Fraction(1, 10)) == Fraction(1, 10)
+    assert anti.f.certificate.modulus(Fraction(1, 10)) == Fraction(1, 10)
 
 
 # --- the fundamental theorem ------------------------------------------------
@@ -458,24 +458,20 @@ def test_exhaustive_checks_evaluate_each_point_once():
     assert sorted(calls) == list(range(65))
 
 
-def test_secant_check_reads_the_modulus_once_per_offset():
+def test_secant_check_reads_the_certificate_by_value():
     spec = GridSpec(64)
     ctx = ObservationContext(H=4, K=10**6)
     sq = square(spec)
-    gaps = []
+    qcert = Certificate(Fraction(2), Fraction(2), Fraction(0))
+    assert qcert == sq.quotient_certificate and qcert is not sq.quotient_certificate
 
-    def modulus(d):
-        gaps.append(d)
-        return sq.quotient_certificate.modulus(d)
+    def with_quotient_certificate(c):
+        return GridFunction.pointwise(spec, lambda v: v * v, sq.certificate, c)
 
-    f = GridFunction.pointwise(
-        spec,
-        lambda v: v * v,
-        sq.certificate,
-        Certificate(sq.quotient_certificate.bound, modulus),
-    )
-    report = secant_check(f, ctx, PLAN)
+    report = secant_check(with_quotient_certificate(qcert), ctx, PLAN)
     assert report.mode == "exhaustive"
-    # band 4..16 mesh steps; each of the 13 offsets is read once
-    assert gaps == [Fraction(k, 64) for k in range(4, 17)]
-    assert report == secant_check(square(spec), ctx, PLAN)
+    assert report == secant_check(sq, ctx, PLAN)
+    # the worst excess over the modulus moves exactly with its offset
+    slack = Certificate(Fraction(2), Fraction(2), Fraction(1, 1000))
+    looser = secant_check(with_quotient_certificate(slack), ctx, PLAN)
+    assert looser.max_gap == report.max_gap - Fraction(1, 1000)

@@ -259,10 +259,10 @@ _PRECONDITION = "representations disagree before quotients were compared"
         (
             ("continuity", "exp(x)", "--tau", "65536", "--H", "1000"),
             0,
-            "check continuity: pass (mode=certified, samples=65537,"
+            "check continuity: pass (mode=certified, samples=0,"
             " max_gap=0, tolerance=1/1000)\n",
             '{"check":"continuity",' + _PINNED_CONTEXT + ',"grids":[65536],'
-            '"max_gap":"0","mode":"certified","samples":65537,"schema":1,'
+            '"max_gap":"0","mode":"certified","samples":0,"schema":1,'
             '"tolerance":"1/1000","verdict":"pass"}\n',
         ),
         (
@@ -457,6 +457,16 @@ def test_deep_nesting_and_huge_values_are_errors_not_tracebacks(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_continuity_of_an_exp_past_the_certificate_guard_is_sampled(capsys):
+    # no certificate for a 10**9-bounded argument: sampling refutes at once
+    code, out, _ = invoke(
+        capsys, "check", "continuity", "exp(10^9*x)", "--tau", "1000000000"
+    )
+    assert code == 2
+    assert "mode=refuted" in out
+    assert "witness: jump between 0 and 1/1000000000" in out
 
 
 def test_deep_expressions_within_reach_still_evaluate(capsys):

@@ -23,12 +23,14 @@ from hypergrid.expr import (
     Neg,
     Pow,
     Var,
+    _power,
     compile,
     fold_constant,
     parse,
     pretty,
 )
-from hypergrid.functions import constant
+from hypergrid.functions import EXP_BOUND_LIMIT, constant
+from hypergrid.gridfun import GridFunction
 from hypergrid.series import DEFAULT_POLICY, FULL_POLICY, exp_approx, log_approx
 
 CTX = ObservationContext(H=1000, K=10**6)
@@ -460,6 +462,31 @@ def test_powers_fold_by_squaring_to_the_k_fold_product(base, k, tau):
     assert [squared(p) for p in spec.points()] == expected
     gaps = [spec.epsilon, Fraction(1, 16), Fraction(1)]
     assert _readings(squared, gaps) == _readings(chained, gaps)
+
+
+def test_a_square_reads_its_operand_once():
+    spec = GridSpec(16)
+    calls = []
+
+    def rule(p):
+        calls.append(p.index)
+        return p.value + 1
+
+    f = _power(GridFunction(spec, rule), 8)
+    assert f.materialize() == [(p.value + 1) ** 8 for p in spec.points()]
+    assert calls == list(range(17))
+    calls.clear()
+    assert f(spec.point(3)) == Fraction(19, 16) ** 8
+    assert calls == [3]
+
+
+def test_exp_of_a_huge_argument_drops_its_certificate():
+    # 3**ceil(B) for B = 10**9 would be a 1.6-Gbit integer
+    spec = GridSpec(64)
+    assert compile(parse("exp(10^9*x)"), spec).certificate is None
+    assert compile(parse(f"exp({EXP_BOUND_LIMIT + 1}*x)"), spec).certificate is None
+    kept = compile(parse("exp(65536*x)"), spec).certificate
+    assert kept.bound == 3**EXP_BOUND_LIMIT
 
 
 # --- certificate soundness --------------------------------------------------

@@ -2,8 +2,11 @@
 transport between grids, and the three-valued continuity check."""
 
 from fractions import Fraction
+from math import ceil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypergrid import (
     Certificate,
@@ -26,7 +29,10 @@ from hypergrid import (
     step,
     transport,
 )
+from hypergrid.calculus import _antiderivative
+from hypergrid.functions import exp_of
 from hypergrid.gridfun import (
+    _quotient_product_certificate,
     add_certificates,
     constant_certificate,
     identity_certificate,
@@ -34,6 +40,7 @@ from hypergrid.gridfun import (
     multiply_certificates,
     scale_certificate,
 )
+from hypergrid.series import DEFAULT_POLICY, FULL_POLICY
 
 CTX = ObservationContext(H=1000, K=10**6)
 PLAN = SamplingPlan(random_points=64, dyadic_depth=6, exhaustive_limit=4097)
@@ -152,17 +159,18 @@ def test_uncertified_operands_drop_certificates():
 
 def test_certificate_combinators():
     c = constant_certificate(Fraction(-5))
-    assert c.bound == 5 and c(Fraction(1, 2)) == 0
+    assert c.bound == 5 and c.modulus(Fraction(1, 2)) == 0
     i = identity_certificate()
-    assert i.bound == 1 and i(Fraction(1, 3)) == Fraction(1, 3)
+    assert i.bound == 1 and i.modulus(Fraction(1, 3)) == Fraction(1, 3)
     s = add_certificates(c, i)
-    assert s.bound == 6 and s(Fraction(1, 4)) == Fraction(1, 4)
+    assert s.bound == 6 and s.modulus(Fraction(1, 4)) == Fraction(1, 4)
     t = scale_certificate(Fraction(-2), i)
-    assert t.bound == 2 and t(Fraction(1, 4)) == Fraction(1, 2)
-    m = multiply_certificates(Certificate(Fraction(2), lambda d: d), i)
+    assert t.bound == 2 and t.modulus(Fraction(1, 4)) == Fraction(1, 2)
+    m = multiply_certificates(Certificate(Fraction(2), Fraction(1), Fraction(0)), i)
     assert m.bound == 2
     # bounded-factor rule: 2 * d + 1 * d
-    assert m(Fraction(1, 8)) == Fraction(3, 8)
+    assert m.modulus(Fraction(1, 8)) == Fraction(3, 8)
+    assert m == Certificate(Fraction(2), Fraction(3), Fraction(0))
 
 
 def test_scalar_shift_keeps_the_quotient_certificate():
@@ -170,7 +178,7 @@ def test_scalar_shift_keeps_the_quotient_certificate():
     spec = GridSpec(100)
     shifted = square(spec) + 7
     assert shifted.certificate.bound == Fraction(8)
-    assert shifted.certificate(Fraction(1, 10)) == Fraction(2, 10)
+    assert shifted.certificate.modulus(Fraction(1, 10)) == Fraction(2, 10)
     assert shifted.quotient_certificate.bound == 2
 
 
@@ -232,7 +240,7 @@ def test_transport_stretches_the_certificate_by_one_source_mesh():
     src = square(a).certificate
     d = Fraction(1, 7)
     assert g.certificate.bound == src.bound
-    assert g.certificate(d) == src.modulus(d + a.epsilon)
+    assert g.certificate.modulus(d) == src.modulus(d + a.epsilon)
 
 
 def test_continuity_certified_for_certified_functions():
@@ -243,7 +251,7 @@ def test_continuity_certified_for_certified_functions():
     assert report.check == "continuity"
     assert report.max_gap == 0 and report.tolerance == CTX.infinitesimal_scale
     # the certificate that earned the verdict meets 1/H at the mesh width
-    assert square(spec).certificate(spec.epsilon) <= CTX.infinitesimal_scale
+    assert square(spec).certificate.modulus(spec.epsilon) <= CTX.infinitesimal_scale
 
 
 def test_continuity_sampled_ok_without_a_certificate():
@@ -268,7 +276,8 @@ def test_continuity_refuted_with_an_adjacent_witness():
 def test_weak_certificates_fall_back_to_sampling():
     spec = GridSpec(4096)
     # modulus too large to certify at H=1000, but values are constant
-    f = GridFunction(spec, lambda p: Fraction(0), Certificate(Fraction(1), lambda d: Fraction(1)))
+    weak = Certificate(Fraction(1), Fraction(0), Fraction(1))
+    f = GridFunction(spec, lambda p: Fraction(0), weak)
     report = continuity_check(f, CTX, PLAN)
     assert report.mode == "sampled-ok"
 
@@ -282,8 +291,8 @@ def test_constant_has_zero_moduli():
     spec = GridSpec(10)
     f = constant(spec, Fraction(5, 3))
     assert f.certificate.bound == Fraction(5, 3)
-    assert f.certificate(Fraction(1)) == 0
-    assert f.quotient_certificate(Fraction(1)) == 0
+    assert f.certificate.modulus(Fraction(1)) == 0
+    assert f.quotient_certificate.modulus(Fraction(1)) == 0
 
 
 def test_monomial_certificates_are_sound_on_sampled_pairs():
@@ -299,3 +308,105 @@ def test_monomial_certificates_are_sound_on_sampled_pairs():
 def test_monomial_rejects_negative_exponents():
     with pytest.raises(DomainError):
         monomial(GridSpec(10), -1)
+
+
+# --- certificates as data against the closure formulas ----------------------
+
+# Before certificates became (bound, slope, offset), each was a bound and a
+# modulus closure built by these formulas; the data form must read the same.
+
+
+def _closure(c):
+    return c.bound, lambda d: c.slope * d + c.offset
+
+
+def _old_add(a, b):
+    return a[0] + b[0], lambda d: a[1](d) + b[1](d)
+
+
+def _old_scale(c, a):
+    c = abs(c)
+    return c * a[0], lambda d: c * a[1](d)
+
+
+def _old_multiply(a, b):
+    return a[0] * b[0], lambda d: a[0] * b[1](d) + b[0] * a[1](d)
+
+
+def _old_quotient_product(f, fq, g, gq):
+    bound = f[0] * gq[0] + g[0] * fq[0]
+    return bound, lambda d: f[0] * gq[1](d) + gq[0] * f[1](d) + g[0] * fq[1](d) + fq[0] * g[1](d)
+
+
+def _old_exp_of(g, theta):
+    lip = Fraction(3 ** max(1, ceil(g[0])))
+    return lip, lambda d: lip * g[1](d) + 2 * theta
+
+
+def _old_transport(a, eps_src):
+    return a[0], lambda d: a[1](d + eps_src)
+
+
+def _old_antiderivative(a, eps):
+    return (a[0] * (1 + eps), lambda d: a[0] * d), a
+
+
+def _rationals(top=50):
+    return st.builds(
+        Fraction, st.integers(min_value=0, max_value=top), st.integers(min_value=1, max_value=64)
+    )
+
+
+def _certificates(top=50):
+    return st.builds(Certificate, _rationals(top), _rationals(top), _rationals(top))
+
+
+def _reads_like(cert, old, gaps):
+    bound, modulus = old
+    assert cert.bound == bound
+    assert [cert.modulus(d) for d in gaps] == [modulus(d) for d in gaps]
+
+
+_GAPS = st.lists(_rationals(4), min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _certificates(),
+    _certificates(),
+    _certificates(),
+    _certificates(),
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 64)),
+    _GAPS,
+)
+def test_combinators_read_like_the_closure_formulas(a, b, c, e, k, gaps):
+    _reads_like(add_certificates(a, b), _old_add(_closure(a), _closure(b)), gaps)
+    _reads_like(scale_certificate(k, a), _old_scale(k, _closure(a)), gaps)
+    _reads_like(multiply_certificates(a, b), _old_multiply(_closure(a), _closure(b)), gaps)
+    _reads_like(
+        _quotient_product_certificate(a, b, c, e),
+        _old_quotient_product(*map(_closure, (a, b, c, e))),
+        gaps,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _certificates(top=20),
+    st.integers(min_value=2, max_value=64),
+    st.integers(min_value=2, max_value=64),
+    st.sampled_from([DEFAULT_POLICY, FULL_POLICY]),
+    _GAPS,
+)
+def test_exp_transport_and_integral_read_like_the_closure_formulas(cert, tau, tau_b, policy, gaps):
+    spec = GridSpec(tau)
+    f = GridFunction(spec, lambda p: Fraction(0), cert)
+    theta = 0 if policy.mode == "full" else Fraction(1, tau * 2**policy.guard)
+    _reads_like(exp_of(f, policy).certificate, _old_exp_of(_closure(cert), theta), gaps)
+    to_b, from_b = grid_maps(spec, GridSpec(tau_b))
+    carried = transport(f, to_b, from_b).certificate
+    _reads_like(carried, _old_transport(_closure(cert), spec.epsilon), gaps)
+    anti = _antiderivative(f, [Fraction(0)] * (tau + 1)).f
+    old_cert, old_qcert = _old_antiderivative(_closure(cert), spec.epsilon)
+    _reads_like(anti.certificate, old_cert, gaps)
+    _reads_like(anti.quotient_certificate, old_qcert, gaps)
