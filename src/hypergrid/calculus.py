@@ -204,6 +204,8 @@ def grid_independence_check(
     values; a failure there is reported as a precondition failure rather
     than a quotient gap.
     """
+    if samples < 1:
+        raise DomainError(f"grid independence check needs at least one sample, got {samples}")
     g1 = _as_grid_function(f1)
     g2 = _as_grid_function(f2)
     tol = 2 * ctx.infinitesimal_scale
@@ -313,7 +315,10 @@ def _band_offsets(f: GridFunction, seq: ConvergentSequence, budget: int) -> list
     if not seq.verify(budget):
         raise DomainError("sequence does not meet its own convergence claim")
     band_lo, band_hi = _band(f.spec, seq.context)
-    return [t for t in seq.terms(budget) if t != 0 and band_lo < abs(t) <= band_hi]
+    offsets = [t for t in seq.terms(budget) if t != 0 and band_lo < abs(t) <= band_hi]
+    if not offsets:
+        raise DomainError(f"band is empty: no offset of the sequence in ({band_lo}, {band_hi}]")
+    return offsets
 
 
 def _probe_quotients(
@@ -370,12 +375,14 @@ def limit_check(
     given point; pass iff every probe at every point lands within 2/H.
     The sequence is verified, and its in-band offsets listed, once."""
     f = _as_grid_function(fr)
+    if not points:
+        raise DomainError("limit check needs at least one point")
     seq = ConvergentSequence(lambda i: Fraction(1, 2**i), Fraction(0), ctx)
     max_gap = Fraction(0)
     witness = None
     count = 0
     tol = 2 * ctx.infinitesimal_scale
-    offsets = _band_offsets(f, seq, budget) if points else []
+    offsets = _band_offsets(f, seq, budget)
     for s in points:
         x = round_to_grid(Fraction(s), f.spec)
         if x.index >= f.spec.tau:
@@ -397,27 +404,18 @@ def cumulative_values(f: GridFunction, workers: int = 1) -> list:
     summed one after another and combined in chunk order; exact
     arithmetic makes the result bit-identical to the one-chunk sum.
     """
-    _require_table(f.spec)
-    return _prefix_sums(f, None, workers)
+    return _prefix_sums(*_integrand_numerators(f, None), workers)
 
 
-def _require_table(spec: GridSpec):
-    if spec.tau + 1 > MATERIALIZE_LIMIT:
-        raise ResourceLimitError(
-            f"cumulative sum over {spec.tau + 1} points exceeds the limit"
-            f" {MATERIALIZE_LIMIT}; use integral_stream"
-        )
-
-
-def _prefix_sums(f: GridFunction, values: Optional[list], workers: int) -> list:
-    """``cumulative_values`` of f.  ``values``, when given, is
-    f.materialize(), and becomes the prefix sums in place.  A polynomial
-    sums its integer numerators instead and divides each prefix once by
-    the shared denominator."""
-    if f.polynomial is not None:
-        numerators, den = f.polynomial.numerators(f.spec.tau)
-        return [Fraction(s, den) for s in _running_sums(numerators, workers)]
-    return _running_sums(f.materialize() if values is None else values, workers)
+def _prefix_sums(numerators: list, den: int, workers: int) -> list:
+    """The prefix sums of the values N[n] / den, from f's ``numerators``
+    (N, den): N becomes its running sums in place, and each prefix then
+    becomes one Fraction over den (none is needed when den is 1)."""
+    sums = _running_sums(numerators, workers)
+    if den != 1:
+        for i, s in enumerate(sums):
+            sums[i] = Fraction(s, den)
+    return sums
 
 
 def _running_sums(terms: list, workers: int) -> list:
@@ -462,26 +460,26 @@ def integral(
     value certificate becomes the quotient certificate.
     """
     f = _as_grid_function(fr)
-    values = _integrand_values(f, ctx)
-    return _antiderivative(f, _prefix_sums(f, values, workers))
+    return _antiderivative(f, _prefix_sums(*_integrand_numerators(f, ctx), workers))
 
 
-def _integrand_values(f: GridFunction, ctx: Optional[ObservationContext]):
-    """f.materialize() for an integral, after f is found bounded by K at
-    ``ctx``; None for a certified polynomial, whose prefix sums need no
-    values."""
+def _integrand_numerators(f: GridFunction, ctx: Optional[ObservationContext]):
+    """f.numerators() for prefix sums, after f is found bounded by K at
+    ``ctx`` (without a context there is no bound to meet)."""
     if ctx is not None and f.certificate is not None and f.certificate.bound > ctx.K:
         raise DomainError("certified bound exceeds K: integral may overflow")
-    _require_table(f.spec)
-    if f.polynomial is not None and f.certificate is not None:
-        return None
-    values = f.materialize()
+    if f.spec.tau + 1 > MATERIALIZE_LIMIT:
+        raise ResourceLimitError(
+            f"cumulative sum over {f.spec.tau + 1} points exceeds the limit"
+            f" {MATERIALIZE_LIMIT}; use integral_stream"
+        )
+    numerators, den = f.numerators()
     if ctx is not None and f.certificate is None:
         step = max(1, f.spec.tau // 64)
         for n in range(0, f.spec.tau + 1, step):
-            if abs(values[n]) > ctx.K:
+            if abs(numerators[n]) > ctx.K * den:
                 raise DomainError(f"function exceeds K at {Fraction(n, f.spec.tau)}")
-    return values
+    return numerators, den
 
 
 def _antiderivative(f: GridFunction, sums: list) -> RealFunctionRepr:
@@ -510,27 +508,27 @@ def ftc_check(
     """
     f = _as_grid_function(fr)
     spec = f.spec
-    values = _integrand_values(f, ctx)
-    if values is None:
-        values = f.materialize()
-    anti = _antiderivative(f, _prefix_sums(f, list(values), workers))
+    # values are N[n] / den: both layers compare numerators, scaled by den
+    numerators, den = _integrand_numerators(f, ctx)
+    anti = _antiderivative(f, _prefix_sums(list(numerators), den, workers))
     tol = ctx.infinitesimal_scale
     exact_violations = 0
     witness = None
-    max_gap = Fraction(0)
+    max_gap = 0
     count = 0
     for n in plan.indices(spec.tau):
         if n >= spec.tau:
             continue
         u = spec.point(n)
         count += 1
-        if anti.f.quotient(u) != values[n + 1]:
+        if anti.f.quotient(u) * den != numerators[n + 1]:
             exact_violations += 1
             if witness is None:
                 witness = f"u={u.value}"
-        gap = abs(values[n + 1] - values[n])
+        gap = abs(numerators[n + 1] - numerators[n])
         if gap > max_gap:
             max_gap = gap
+    max_gap = Fraction(max_gap, den)
     ok = exact_violations == 0 and max_gap <= tol
     return _report(
         "ftc",

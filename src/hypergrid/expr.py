@@ -17,9 +17,10 @@ Syntax errors carry the offending position.
 
 Compilation turns a tree into a ``GridFunction`` by folding the grid
 function algebra over it, so continuity certificates compose along the
-way, and so do polynomial forms: a tree without exp, log or division by
-a non-constant compiles to an integer-lane polynomial.  Powers fold by
-repeated squaring.  ``exp`` applied to a certified argument gets a
+way, and so do lanes: a tree without exp, log or division by a
+non-constant compiles to a polynomial whose values are read as integer
+numerators over one shared denominator.  Powers fold by repeated
+squaring.  ``exp`` applied to a certified argument gets a
 certificate from the bound 3**ceil(B) (an integer dominating e**B; see
 ``functions.exp_of``); ``log`` never gets one and is left to sampling.
 Division certifies only when the divisor folds to a constant.
@@ -31,11 +32,11 @@ from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 from .errors import DomainError, EvaluationError, ParseError
-from .functions import constant, exp_fn, exp_of, identity
+from .functions import constant, exp_fn, exp_of, identity, log_of
 from .grid import GridSpec
-from .gridfun import GridFunction, map_values
+from .gridfun import GridFunction
 from .rational import parse_rational
-from .series import DEFAULT_POLICY, TruncationPolicy, log_approx
+from .series import DEFAULT_POLICY, TruncationPolicy
 
 
 @dataclass(frozen=True)
@@ -304,15 +305,6 @@ def on_domain(node: Node, a: Fraction, b: Fraction) -> Node:
     return node
 
 
-def _log_of(g: GridFunction, spec: GridSpec, policy: TruncationPolicy) -> GridFunction:
-    def op(v, n):
-        if v <= 0:
-            raise EvaluationError(f"log of non-positive value {v}", point=spec.point(n))
-        return log_approx(v, spec.tau, policy)
-
-    return map_values(g, op)
-
-
 def compile(
     node: Node, spec: GridSpec, policy: TruncationPolicy = DEFAULT_POLICY
 ) -> GridFunction:
@@ -337,7 +329,7 @@ def compile(
         arg = compile(node.arg, spec, policy)
         if node.name == "exp":
             return exp_of(arg, policy)
-        return _log_of(arg, spec, policy)
+        return log_of(arg, policy)
     if isinstance(node, BinOp):
         left = compile(node.left, spec, policy)
         if node.op == "/":

@@ -15,16 +15,17 @@ each an affine (bound, slope, offset) with modulus slope*d + offset:
 The logarithm and the step function carry no certificates: one is
 unbounded near 0, the other is there to be refuted.
 
-Constants and monomials also carry their polynomial form, which the
-grid-function algebra combines into the forms of compiled polynomials.
+Constants and monomials also carry a lane, integer numerators over a
+shared denominator (c over its own, n**k over tau**k), which the
+grid-function algebra combines into the lanes of compiled polynomials.
 """
 
 from fractions import Fraction
 from math import ceil
 
-from .errors import DomainError
+from .errors import DomainError, EvaluationError
 from .grid import GridSpec
-from .gridfun import Certificate, GridFunction, Polynomial, constant_certificate, map_values
+from .gridfun import Certificate, GridFunction, constant_certificate, constant_lane, map_values
 from .series import DEFAULT_POLICY, TruncationPolicy, exp_approx, log_approx
 
 #: The largest bound B on an exp argument that earns a certificate; past it
@@ -34,9 +35,9 @@ EXP_BOUND_LIMIT = 2**16
 
 def constant(spec: GridSpec, c) -> GridFunction:
     c = Fraction(c)
-    return GridFunction.from_polynomial(
+    return GridFunction.from_lane(
         spec,
-        Polynomial({0: c}),
+        constant_lane(c),
         certificate=constant_certificate(c),
         quotient_certificate=constant_certificate(0),
     )
@@ -46,11 +47,9 @@ def monomial(spec: GridSpec, k: int) -> GridFunction:
     """x**k on the grid, for a nonnegative integer k."""
     if k < 0:
         raise DomainError("monomial exponent must be a nonnegative integer")
-    if k == 0:
-        return constant(spec, 1)
-    return GridFunction.from_polynomial(
+    return GridFunction.from_lane(
         spec,
-        Polynomial({k: 1}),
+        ((lambda ns: [n**k for n in ns]), spec.tau**k),
         certificate=Certificate(Fraction(1), Fraction(k), Fraction(0)),
         quotient_certificate=Certificate(Fraction(k), Fraction(k * (k - 1)), Fraction(0)),
     )
@@ -105,18 +104,25 @@ def exp_fn(
     return f
 
 
+def log_of(g: GridFunction, policy: TruncationPolicy = DEFAULT_POLICY) -> GridFunction:
+    """The lattice logarithm of g's values, memoized; a non-positive
+    value raises ``EvaluationError`` at its point.  No certificate."""
+    spec = g.spec
+
+    def op(v, n):
+        if v <= 0:
+            raise EvaluationError(f"log of non-positive value {v}", point=spec.point(n))
+        return log_approx(v, spec.tau, policy)
+
+    return map_values(g, op)
+
+
 def log_fn(
     spec: GridSpec, policy: TruncationPolicy = DEFAULT_POLICY
 ) -> GridFunction:
     """Lattice logarithm on the grid; undefined at 0, so evaluation at
     the left endpoint raises.  Unbounded near 0, hence no certificate."""
-
-    def rule(p):
-        if p.index == 0:
-            raise DomainError("log is undefined at 0")
-        return log_approx(p.value, spec.tau, policy)
-
-    return GridFunction(spec, rule, memoize=True)
+    return log_of(identity(spec), policy)
 
 
 def step(spec: GridSpec, at=Fraction(1, 2)) -> GridFunction:

@@ -10,12 +10,12 @@ Exhaustive consumers evaluate through one batch path, ``materialize()``,
 which returns a fresh list of all tau + 1 values (the caller owns it; no
 node keeps a table).  Nodes built by the algebra combine their operands'
 lists, memoized nodes fill and reuse their memo, and a plain rule is
-called once per index.  Polynomials carry their rational coefficients
-(``Polynomial``), and the algebra combines them alongside the
-certificates: on a grid of resolution tau a polynomial of degree d is
-P(n) / (D * tau**d) with integer P, so its values come from integer
-Horner evaluation and one Fraction per point, and prefix sums can stay
-in integers.  Every value equals the one the rule gives point by point.
+called once per index.  Constants and monomials carry a lane, integer
+numerators over one shared denominator, which the algebra combines
+alongside the certificates (sums over the lcm of the denominators,
+products over their product), so a polynomial costs one Fraction per
+value and ``numerators`` keeps prefix sums in integers.  Every value
+equals the one the rule gives point by point.
 
 Continuity here is a three-valued, auditable claim.  A function may carry
 a certificate, three rationals: an upper bound on |f| over the grid and
@@ -106,68 +106,27 @@ def _quotient_product_certificate(f_cert, f_qcert, g_cert, g_qcert):
     )
 
 
-class Polynomial:
-    """c_0 + c_1 x + ... + c_d x**d with rational coefficients, stored
-    sparsely as ``terms``: degree -> nonzero coefficient."""
-
-    __slots__ = ("terms", "_lane")
-
-    def __init__(self, terms: dict):
-        self.terms = {k: Fraction(c) for k, c in terms.items() if c != 0}
-        self._lane = None
-
-    def __add__(self, other) -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            other = Polynomial({0: other})
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms.get(k, 0) + c
-        return Polynomial(terms)
-
-    def __mul__(self, other) -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            c = Fraction(other)
-            return Polynomial({k: a * c for k, a in self.terms.items()})
-        terms = {}
-        for i, a in self.terms.items():
-            for j, b in other.terms.items():
-                terms[i + j] = terms.get(i + j, 0) + a * b
-        return Polynomial(terms)
-
-    def integer_form(self, tau: int):
-        """(steps, den) with value(n/tau) = P(n) / den for the integer
-        polynomial P = sum(c_k * D * tau**(d-k) * n**k), D the least common
-        denominator and den = D * tau**d; ``steps`` are P's (coefficient,
-        degree gap) pairs from the top, as ``_horner`` consumes them."""
-        lane = self._lane
-        if lane is None or lane[0] != tau:
-            degrees = sorted(self.terms, reverse=True)
-            top = degrees[0] if degrees else 0
-            common = lcm(*(c.denominator for c in self.terms.values()))
-            steps = []
-            for i, k in enumerate(degrees):
-                c = self.terms[k]
-                below = degrees[i + 1] if i + 1 < len(degrees) else 0
-                a = c.numerator * (common // c.denominator) * tau ** (top - k)
-                steps.append((a, k - below))
-            lane = self._lane = (tau, tuple(steps), common * tau**top)
-        return lane[1], lane[2]
-
-    def numerators(self, tau: int):
-        """([P(0), ..., P(tau)], den): every grid value's integer
-        numerator over the shared denominator."""
-        steps, den = self.integer_form(tau)
-        return [_horner(steps, n) for n in range(tau + 1)], den
+def constant_lane(c: Fraction):
+    """The lane of the constant c: its numerator everywhere, over its denominator."""
+    return (lambda ns: [c.numerator] * len(ns)), c.denominator
 
 
-def _horner(steps, n: int) -> int:
-    """P(n) for the (coefficient, degree gap) pairs of ``integer_form``."""
-    acc = 0
-    for a, gap in steps:
-        acc += a
-        if gap:
-            acc *= n if gap == 1 else n**gap
-    return acc
+def _lane_sum(a, b):
+    (read_a, den_a), (read_b, den_b) = a, b
+    den = lcm(den_a, den_b)
+    sa, sb = den // den_a, den // den_b
+    return (lambda ns: [x * sa + y * sb for x, y in zip(read_a(ns), read_b(ns))]), den
+
+
+def _lane_product(a, b):
+    (read_a, den_a), (read_b, den_b) = a, b
+    if a is b:  # a square reads its operand once
+        return (lambda ns: [x * x for x in read_a(ns)]), den_a * den_a
+    return (lambda ns: [x * y for x, y in zip(read_a(ns), read_b(ns))]), den_a * den_b
+
+
+# lanes combine as their values do: sums over the lcm, products over the product
+_LANE_OPS = {add: _lane_sum, mul: _lane_product}
 
 
 class GridFunction:
@@ -176,8 +135,8 @@ class GridFunction:
     ``certificate`` (optional) certifies continuity of the values;
     ``quotient_certificate`` (optional) certifies continuity of the
     difference-quotient function, which is what differentiability at a
-    context ultimately needs.  ``polynomial`` is the function's
-    polynomial form when the algebra knows one, else None.
+    context ultimately needs.  A node the algebra keeps in integers
+    carries a lane (``from_lane``), and ``numerators`` reads it.
     """
 
     __slots__ = (
@@ -187,7 +146,7 @@ class GridFunction:
         "quotient_certificate",
         "_cache",
         "_batch",
-        "polynomial",
+        "_lane",
     )
 
     def __init__(
@@ -204,25 +163,25 @@ class GridFunction:
         self.quotient_certificate = quotient_certificate
         self._cache = {} if memoize else None
         self._batch = None  # all values at once, for nodes that combine lists
-        self.polynomial = None
+        self._lane = None
 
     @classmethod
-    def from_polynomial(
+    def from_lane(
         cls,
         spec: GridSpec,
-        polynomial: Polynomial,
+        lane,
         certificate: Optional[Certificate] = None,
         quotient_certificate: Optional[Certificate] = None,
     ) -> "GridFunction":
-        """The polynomial on the grid, evaluated in integers by Horner."""
-        tau = spec.tau
-
-        def rule(p):
-            steps, den = polynomial.integer_form(tau)
-            return Fraction(_horner(steps, p.index), den)
-
-        f = cls(spec, rule, certificate, quotient_certificate)
-        f.polynomial = polynomial
+        """The function n/tau -> N[n] / den of a lane (read, den): ``read``
+        maps a sequence of grid indices to their integer numerators N over
+        the shared denominator den.  A point reads the lane at its own
+        index, the batch path at every index."""
+        read, den = lane
+        f = cls(spec, lambda p: Fraction(read((p.index,))[0], den), certificate)
+        f.quotient_certificate = quotient_certificate
+        f._batch = lambda: [Fraction(v, den) for v in read(range(spec.tau + 1))]
+        f._lane = lane
         return f
 
     @classmethod
@@ -269,13 +228,26 @@ class GridFunction:
         evaluated once; guarded against astronomical grids.  A failure is
         the one point-by-point evaluation meets first, at the leftmost
         failing point."""
+        return self._guarded(self._values)
+
+    def numerators(self) -> tuple:
+        """(N, den) with f(n/tau) == N[n] / den at every grid index, in a
+        new list read once and guarded like ``materialize``: a lane's
+        integer numerators over its shared denominator, else the values
+        themselves over 1."""
+        if self._lane is None:
+            return self.materialize(), 1
+        read, den = self._lane
+        return self._guarded(lambda: read(range(self.spec.tau + 1))), den
+
+    def _guarded(self, read):
         if self.spec.tau + 1 > MATERIALIZE_LIMIT:
             raise ResourceLimitError(
                 f"refusing to materialize {self.spec.tau + 1} points"
                 f" (limit {MATERIALIZE_LIMIT})"
             )
         try:
-            return self._values()
+            return read()
         except HypergridError:
             for p in self.spec.points():
                 self(p)
@@ -284,9 +256,6 @@ class GridFunction:
     def _values(self) -> list:
         """The unguarded batch path behind ``materialize``."""
         size = self.spec.tau + 1
-        if self.polynomial is not None:
-            numerators, den = self.polynomial.numerators(self.spec.tau)
-            return [Fraction(v, den) for v in numerators]
         cache = self._cache
         if cache is not None and len(cache) == size:
             return [cache[n] for n in range(size)]
@@ -296,14 +265,14 @@ class GridFunction:
         return list(map(self._rule if cache is None else self, self.spec.points()))
 
     # Pointwise algebra; certificates propagate whenever both sides carry
-    # them, and polynomial forms whenever both sides have one.
+    # them, and lanes whenever both sides have one.
 
     def _combine_binary(self, other, value_op, cert, qcert):
         if other.spec != self.spec:
             raise GridMismatchError("cannot combine functions on different grids")
-        if self.polynomial is not None and other.polynomial is not None:
-            poly = value_op(self.polynomial, other.polynomial)
-            return GridFunction.from_polynomial(self.spec, poly, cert, qcert)
+        if self._lane is not None and other._lane is not None:
+            lane = _LANE_OPS[value_op](self._lane, other._lane)
+            return GridFunction.from_lane(self.spec, lane, cert, qcert)
         if other is self:  # a square reads its operand once
             return self._apply(lambda v: value_op(v, v), cert, qcert)
         f = GridFunction(self.spec, lambda p: value_op(self(p), other(p)), cert, qcert)
@@ -311,9 +280,9 @@ class GridFunction:
         return f
 
     def _combine_scalar(self, value_op, c: Fraction, cert, qcert):
-        if self.polynomial is not None:
-            poly = value_op(self.polynomial, c)
-            return GridFunction.from_polynomial(self.spec, poly, cert, qcert)
+        if self._lane is not None:
+            lane = _LANE_OPS[value_op](self._lane, constant_lane(c))
+            return GridFunction.from_lane(self.spec, lane, cert, qcert)
         return self._apply(lambda v: value_op(v, c), cert, qcert)
 
     def _apply(self, op, cert, qcert):

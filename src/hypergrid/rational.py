@@ -70,9 +70,12 @@ def format_rational(q: Fraction) -> str:
 
 def render_decimal(q: Fraction, digits: int = 12) -> str:
     """Fixed-point decimal rendering of ``q`` to ``digits`` fractional
-    digits, rounding half away from zero."""
+    digits, rounding half away from zero.  More digits than Python's
+    int-to-text limit raises ResourceLimitError."""
     if digits < 0:
         raise DomainError(f"digit count must be nonnegative, got {digits}")
+    if digits > sys.get_int_max_str_digits() > 0:
+        raise ResourceLimitError(f"{digits} digits exceed the limit for printing integers")
     scale = 10**digits
     scaled = q.numerator * scale * 2
     whole, rem = divmod(abs(scaled), q.denominator * 2)

@@ -35,6 +35,7 @@ from hypergrid import (
     step,
     transport,
 )
+from hypergrid.expr import compile, parse
 from hypergrid.gridfun import grid_maps
 
 CTX = ObservationContext(H=1000, K=10**6)
@@ -252,6 +253,23 @@ def test_limit_check_passes_at_interior_points():
     assert report.samples >= 3 * len(points)
 
 
+def test_limit_checks_that_would_probe_nothing_raise():
+    spec = GridSpec(64)
+    ctx = ObservationContext(H=32, K=10**6)  # band (1/16, 1/32] holds no offset
+    seq = ConvergentSequence(lambda i: Fraction(1, 2**i), Fraction(0), ctx)
+    with pytest.raises(DomainError, match="band is empty"):
+        limit_quotient(square(spec), spec.point(10), seq)
+    with pytest.raises(DomainError, match="band is empty"):
+        limit_check(square(spec), ctx, [Fraction(1, 2)])
+    with pytest.raises(DomainError, match="at least one point"):
+        limit_check(square(GridSpec(10**4)), CTX, [])
+
+
+def test_grid_independence_needs_a_sample():
+    with pytest.raises(DomainError, match="at least one sample"):
+        grid_independence_check(square(GridSpec(100)), square(GridSpec(300)), CTX, samples=0)
+
+
 # --- integration ------------------------------------------------------------
 
 
@@ -456,6 +474,26 @@ def test_exhaustive_checks_evaluate_each_point_once():
     calls.clear()
     assert secant_check(_counting_square(spec, calls), ctx, PLAN)
     assert sorted(calls) == list(range(65))
+
+
+def test_ftc_check_reads_the_integrand_lane_once():
+    spec = GridSpec(64)
+    ctx = ObservationContext(H=4, K=10**6)
+    cubic = compile(parse("x^3 - x/2"), spec)
+    read, den = cubic._lane
+    reads = []
+
+    def counting_read(indices):
+        reads.append(list(indices))
+        return read(indices)
+
+    f = GridFunction.from_lane(
+        spec, (counting_read, den), cubic.certificate, cubic.quotient_certificate
+    )
+    report = ftc_check(f, ctx, PLAN)
+    assert report and report.detail == {"exact_violations": 0}
+    assert reads == [list(range(65))]
+    assert report == ftc_check(compile(parse("x^3 - x/2"), spec), ctx, PLAN)
 
 
 def test_secant_check_reads_the_certificate_by_value():

@@ -116,6 +116,16 @@ def test_integrate_identity(capsys):
     assert out.splitlines()[0] == "11/20"
 
 
+def test_digits_past_the_print_limit_are_an_error_not_a_traceback(capsys):
+    code, out, _ = invoke(capsys, "eval", "x/3", "--tau", "64", "--at", "1/2", "--digits", "4300")
+    assert code == 0
+    assert out == "1/6\n= 0.1" + "6" * 4298 + "7\n"
+    code, out, err = invoke(capsys, "eval", "x/3", "--tau", "64", "--at", "1/2", "--digits", "4301")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: 4301 digits exceed")
+
+
 def test_eval_log_at_zero_is_a_domain_error(capsys):
     code, _, err = invoke(capsys, "eval", "log(x)", "--tau", "10")
     assert code == 1
@@ -238,6 +248,14 @@ def test_check_limit(capsys):
     )
     assert code == 0
     assert "limit: pass" in out
+
+
+def test_limit_check_with_an_empty_band_is_an_error(capsys):
+    # at tau 64 the band (max(4 eps, 1/H^2), 1/H] = (1/16, 1/32] is empty
+    code, out, err = invoke(capsys, "check", "limit", "x^2", "--tau", "64", "--H", "32")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: band is empty")
 
 
 def test_failing_checks_exit_two(capsys):

@@ -29,7 +29,7 @@ from hypergrid.expr import (
     parse,
     pretty,
 )
-from hypergrid.functions import EXP_BOUND_LIMIT, constant
+from hypergrid.functions import EXP_BOUND_LIMIT, constant, log_fn
 from hypergrid.gridfun import GridFunction
 from hypergrid.series import DEFAULT_POLICY, FULL_POLICY, exp_approx, log_approx
 
@@ -204,6 +204,15 @@ def test_compile_log_raises_at_nonpositive_arguments():
     assert "grid point 0" in str(info.value)
 
 
+def test_log_fn_is_the_compiled_log():
+    spec = GridSpec(64)
+    for policy in (DEFAULT_POLICY, FULL_POLICY):
+        f, g = log_fn(spec, policy), compile(parse("log(x)"), spec, policy)
+        assert [f(spec.point(n)) for n in range(1, 65)] == [g(spec.point(n)) for n in range(1, 65)]
+    with pytest.raises(EvaluationError):
+        log_fn(spec)(spec.point(0))
+
+
 def test_compile_policy_controls_the_series():
     spec = GridSpec(50)
     tail = compile(parse("exp(x)"), spec)
@@ -340,8 +349,10 @@ def test_polynomial_lane_equals_direct_fraction_evaluation(tree, tau):
     assume(_degree(tree) <= 48)
     spec = GridSpec(tau)
     f = compile(tree, spec)
-    assert f.polynomial is not None
+    assert f._lane is not None
     expected = [_direct(tree, Fraction(n, tau)) for n in range(tau + 1)]
+    numerators, den = f.numerators()
+    assert [Fraction(v, den) for v in numerators] == expected
     assert [f(p) for p in spec.points()] == expected
     assert f.materialize() == expected
     sums = list(accumulate(expected))

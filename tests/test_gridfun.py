@@ -103,15 +103,24 @@ def test_materialize_returns_a_new_list_and_reuses_the_memo():
     assert calls == []  # the memoized node answered from its memo
 
 
-def test_algebra_carries_polynomial_forms():
+def test_algebra_carries_lanes():
     spec = GridSpec(12)
     x = identity(spec)
     f = (x * x - x * Fraction(1, 2) + 3) * 2
-    assert f.polynomial.terms == {2: 2, 1: -1, 0: 6}
-    assert f.materialize() == [2 * (v * v - v / 2 + 3) for v in (p.value for p in spec.points())]
-    assert (x * exp_fn(spec)).polynomial is None
-    assert (x - x).polynomial.terms == {}
-    assert (x - x).materialize() == [0] * 13
+    expected = [2 * (v * v - v / 2 + 3) for v in (p.value for p in spec.points())]
+    assert f._lane is not None
+    numerators, den = f.numerators()
+    assert all(type(v) is int for v in numerators)
+    assert [Fraction(v, den) for v in numerators] == expected
+    assert f.materialize() == expected
+    assert [f(p) for p in spec.points()] == expected
+    mixed = x * exp_fn(spec)
+    assert mixed._lane is None
+    assert mixed.numerators() == (mixed.materialize(), 1)
+    zero = x - x
+    assert zero._lane is not None
+    assert zero.numerators()[0] == [0] * 13
+    assert zero.materialize() == [0] * 13
 
 
 def test_materialize_refuses_astronomical_grids():

@@ -1,5 +1,6 @@
 """Exact rational substrate: parsing, rendering, arithmetic."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -78,6 +79,13 @@ def test_render_decimal_is_within_half_ulp(q, digits):
     text = render_decimal(q, digits)
     back = parse_rational(text)
     assert abs(back - q) * 2 * 10**digits <= 1
+
+
+def test_render_decimal_refuses_digits_past_the_print_limit():
+    limit = sys.get_int_max_str_digits()
+    assert render_decimal(Fraction(1, 3), limit) == "0." + "3" * limit
+    with pytest.raises(ResourceLimitError):
+        render_decimal(Fraction(1, 3), limit + 1)
 
 
 def test_format_rational_refuses_integers_past_the_print_limit():
