@@ -403,14 +403,9 @@ def cumulative_values(f: GridFunction, workers: int = 1) -> list:
     i in 0..n).  With workers > 1 the grid is cut into that many chunks,
     summed one after another and combined in chunk order; exact
     arithmetic makes the result bit-identical to the one-chunk sum.
-    """
-    return _prefix_sums(*_integrand_numerators(f, None), workers)
-
-
-def _prefix_sums(numerators: list, den: int, workers: int) -> list:
-    """The prefix sums of the values N[n] / den, from f's ``numerators``
-    (N, den): N becomes its running sums in place, and each prefix then
-    becomes one Fraction over den (none is needed when den is 1)."""
+    A lane is summed in integers, and each prefix then becomes one
+    Fraction over its denominator, in place."""
+    numerators, den = _integrand_numerators(f, None)
     sums = _running_sums(numerators, workers)
     if den != 1:
         for i, s in enumerate(sums):
@@ -460,7 +455,8 @@ def integral(
     value certificate becomes the quotient certificate.
     """
     f = _as_grid_function(fr)
-    return _antiderivative(f, _prefix_sums(*_integrand_numerators(f, ctx), workers))
+    numerators, den = _integrand_numerators(f, ctx)
+    return _antiderivative(f, _running_sums(numerators, workers), den)
 
 
 def _integrand_numerators(f: GridFunction, ctx: Optional[ObservationContext]):
@@ -482,15 +478,17 @@ def _integrand_numerators(f: GridFunction, ctx: Optional[ObservationContext]):
     return numerators, den
 
 
-def _antiderivative(f: GridFunction, sums: list) -> RealFunctionRepr:
-    """The integral's representation from f's prefix sums; it inherits
-    f's certificates."""
+def _antiderivative(f: GridFunction, sums: list, den: int) -> RealFunctionRepr:
+    """The integral's representation from the prefix sums of f's
+    ``numerators`` (N, den): the lane (sums[n], den * tau), since the
+    integral at n/tau is sums[n] / den * eps.  For an integrand without a
+    lane den is 1 and the sums are f's Fraction values summed, so they
+    are Fractions over tau.  It inherits f's certificates."""
     eps = f.spec.epsilon
     qcert = f.certificate
     cert = qcert and Certificate(qcert.bound * (1 + eps), qcert.bound, Fraction(0))
-    return RealFunctionRepr(
-        GridFunction(f.spec, lambda p: sums[p.index] * eps, cert, qcert)
-    )
+    lane = sums.__getitem__, den * f.spec.tau
+    return RealFunctionRepr(GridFunction.from_lane(f.spec, lane, cert, qcert))
 
 
 def ftc_check(
@@ -503,14 +501,18 @@ def ftc_check(
 
     Layer one is exact: Delta(sum f dx)/dx (u) == f(successor(u)) must
     hold with zero error at every probed u; any violation is a hard
-    failure regardless of context.  Layer two reads f(successor(u)) vs
-    f(u) at the context; max_gap reports that comparison against 1/H.
+    failure regardless of context.  It reads the integral's own lane
+    (S, D): with f = N / den, the quotient at u = n/tau is
+    (S[n+1] - S[n]) * tau / D, so the identity is compared
+    cross-multiplied, in integers when f has a lane.  Layer two reads
+    f(successor(u)) vs f(u) at the context; max_gap reports that
+    comparison against 1/H.
     """
     f = _as_grid_function(fr)
     spec = f.spec
-    # values are N[n] / den: both layers compare numerators, scaled by den
     numerators, den = _integrand_numerators(f, ctx)
-    anti = _antiderivative(f, _prefix_sums(list(numerators), den, workers))
+    anti = _antiderivative(f, _running_sums(list(numerators), workers), den)
+    sums, anti_den = anti.f.numerators()
     tol = ctx.infinitesimal_scale
     exact_violations = 0
     witness = None
@@ -519,12 +521,11 @@ def ftc_check(
     for n in plan.indices(spec.tau):
         if n >= spec.tau:
             continue
-        u = spec.point(n)
         count += 1
-        if anti.f.quotient(u) * den != numerators[n + 1]:
+        if (sums[n + 1] - sums[n]) * spec.tau * den != numerators[n + 1] * anti_den:
             exact_violations += 1
             if witness is None:
-                witness = f"u={u.value}"
+                witness = f"u={Fraction(n, spec.tau)}"
         gap = abs(numerators[n + 1] - numerators[n])
         if gap > max_gap:
             max_gap = gap

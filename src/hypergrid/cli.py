@@ -37,7 +37,7 @@ from .calculus import (
 from .context import DEFAULT_K, CheckReport, ObservationContext
 from .errors import DomainError, HypergridError, ResourceLimitError
 from .grid import GridSpec, round_to_grid
-from .gridfun import continuity_check
+from .gridfun import MATERIALIZE_LIMIT, continuity_check
 from .rational import format_rational, parse_rational, render_decimal
 from .sampling import SamplingPlan, sample_unit_fractions
 from .series import TruncationPolicy, countable_sum, is_unstable
@@ -127,6 +127,10 @@ def build_job(argv=None) -> JobConfig:
     samples = getattr(args, "samples", 1024)
     if samples < 1:
         raise DomainError(f"--samples must be at least 1, got {samples}")
+    sum_cap = getattr(args, "sum_cap", 2**16)
+    for flag, value in (("--samples", samples), ("--sum-cap", sum_cap)):
+        if value > MATERIALIZE_LIMIT:
+            raise ResourceLimitError(f"{flag} {value} exceeds the limit {MATERIALIZE_LIMIT}")
     domain = None
     if args.domain is not None:
         a, b = (parse_rational(s) for s in args.domain)
@@ -145,7 +149,7 @@ def build_job(argv=None) -> JobConfig:
         tau2=getattr(args, "tau2", None),
         samples=samples,
         series=getattr(args, "series", None),
-        sum_cap=getattr(args, "sum_cap", 2**16),
+        sum_cap=sum_cap,
         exp_mode=args.exp_mode,
         guard=args.guard,
         domain=domain,

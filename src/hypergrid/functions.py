@@ -49,7 +49,7 @@ def monomial(spec: GridSpec, k: int) -> GridFunction:
         raise DomainError("monomial exponent must be a nonnegative integer")
     return GridFunction.from_lane(
         spec,
-        ((lambda ns: [n**k for n in ns]), spec.tau**k),
+        ((lambda n: n**k), spec.tau**k),
         certificate=Certificate(Fraction(1), Fraction(k), Fraction(0)),
         quotient_certificate=Certificate(Fraction(k), Fraction(k * (k - 1)), Fraction(0)),
     )

@@ -2,20 +2,20 @@
 
 A ``GridFunction`` is an evaluation rule, not a table: grids default to
 resolutions where materialization is impossible, and rules scale where
-tables do not.  Rules must be pure; the optional memo cache is the only
+tables do not.  Every node is one function of the grid index, ``at(n)``.
+Rules must be pure; the optional memo wrapped around ``at`` is the only
 mutable state and behaves as a write-once-per-key map (duplicate
 computation is allowed, divergent results are not).
 
-Exhaustive consumers evaluate through one batch path, ``materialize()``,
-which returns a fresh list of all tau + 1 values (the caller owns it; no
-node keeps a table).  Nodes built by the algebra combine their operands'
-lists, memoized nodes fill and reuse their memo, and a plain rule is
-called once per index.  Constants and monomials carry a lane, integer
-numerators over one shared denominator, which the algebra combines
-alongside the certificates (sums over the lcm of the denominators,
-products over their product), so a polynomial costs one Fraction per
-value and ``numerators`` keeps prefix sums in integers.  Every value
-equals the one the rule gives point by point.
+Point evaluation and the whole-grid read run that same function:
+``materialize()`` maps ``at`` over the indices left to right into a
+fresh list of all tau + 1 values (the caller owns it; no node keeps a
+table), so a failure is the one point-by-point evaluation meets first.
+Constants and monomials carry a lane: ``at(n)`` is then an integer
+numerator over one shared denominator ``den``.  The algebra combines
+lanes alongside the certificates (sums over the lcm of the
+denominators, products over their product), so a polynomial costs one
+Fraction per value and ``numerators`` keeps prefix sums in integers.
 
 Continuity here is a three-valued, auditable claim.  A function may carry
 a certificate, three rationals: an upper bound on |f| over the grid and
@@ -40,7 +40,7 @@ from operator import add, mul
 from typing import Callable, Optional
 
 from .context import CheckReport, ObservationContext, _report
-from .errors import GridMismatchError, HypergridError, ResourceLimitError
+from .errors import GridMismatchError, ResourceLimitError
 from .grid import GridPoint, GridSpec, round_to_grid, successor
 from .sampling import SamplingPlan
 
@@ -108,46 +108,55 @@ def _quotient_product_certificate(f_cert, f_qcert, g_cert, g_qcert):
 
 def constant_lane(c: Fraction):
     """The lane of the constant c: its numerator everywhere, over its denominator."""
-    return (lambda ns: [c.numerator] * len(ns)), c.denominator
+    num = c.numerator
+    return (lambda n: num), c.denominator
 
 
-def _lane_sum(a, b):
-    (read_a, den_a), (read_b, den_b) = a, b
+def _lane_sum(a, den_a, b, den_b):
     den = lcm(den_a, den_b)
     sa, sb = den // den_a, den // den_b
-    return (lambda ns: [x * sa + y * sb for x, y in zip(read_a(ns), read_b(ns))]), den
+    return (lambda n: a(n) * sa + b(n) * sb), den
 
 
-def _lane_product(a, b):
-    (read_a, den_a), (read_b, den_b) = a, b
+def _lane_product(a, den_a, b, den_b):
     if a is b:  # a square reads its operand once
-        return (lambda ns: [x * x for x in read_a(ns)]), den_a * den_a
-    return (lambda ns: [x * y for x, y in zip(read_a(ns), read_b(ns))]), den_a * den_b
+        return (lambda n: (v := a(n)) * v), den_a * den_a
+    return (lambda n: a(n) * b(n)), den_a * den_b
 
 
 # lanes combine as their values do: sums over the lcm, products over the product
 _LANE_OPS = {add: _lane_sum, mul: _lane_product}
 
 
-class GridFunction:
-    """A deterministic rule from grid points to exact rationals.
+def _memoized(at):
+    """``at`` behind a write-once memo keyed by grid index."""
+    memo = {}
 
-    ``certificate`` (optional) certifies continuity of the values;
-    ``quotient_certificate`` (optional) certifies continuity of the
-    difference-quotient function, which is what differentiability at a
-    context ultimately needs.  A node the algebra keeps in integers
-    carries a lane (``from_lane``), and ``numerators`` reads it.
+    def read(n):
+        got = memo.get(n)
+        if got is None:
+            got = memo[n] = at(n)
+        return got
+
+    return read
+
+
+class GridFunction:
+    """A deterministic rule from grid points to exact rationals, held as
+    one function of the grid index, ``at(n)``.
+
+    When ``den`` is None, ``at(n)`` is the value at n/tau.  A node the
+    algebra keeps in integers carries a lane (``from_lane``): ``at(n)``
+    is then an integer numerator over the shared denominator ``den``,
+    and ``numerators`` reads it.  ``certificate`` (optional) certifies
+    continuity of the values; ``quotient_certificate`` (optional)
+    certifies continuity of the difference-quotient function, which is
+    what differentiability at a context ultimately needs.  The
+    constructor takes a rule on grid points, called as
+    ``rule(spec.point(n))``.
     """
 
-    __slots__ = (
-        "spec",
-        "_rule",
-        "certificate",
-        "quotient_certificate",
-        "_cache",
-        "_batch",
-        "_lane",
-    )
+    __slots__ = ("spec", "at", "den", "certificate", "quotient_certificate")
 
     def __init__(
         self,
@@ -157,13 +166,20 @@ class GridFunction:
         quotient_certificate: Optional[Certificate] = None,
         memoize: bool = False,
     ):
+        point = spec.point
+
+        def at(n):
+            return rule(point(n))
+
+        self._bind(spec, _memoized(at) if memoize else at, None, certificate, quotient_certificate)
+
+    def _bind(self, spec, at, den, certificate, quotient_certificate):
         self.spec = spec
-        self._rule = rule
+        self.at = at
+        self.den = den
         self.certificate = certificate
         self.quotient_certificate = quotient_certificate
-        self._cache = {} if memoize else None
-        self._batch = None  # all values at once, for nodes that combine lists
-        self._lane = None
+        return self
 
     @classmethod
     def from_lane(
@@ -173,16 +189,11 @@ class GridFunction:
         certificate: Optional[Certificate] = None,
         quotient_certificate: Optional[Certificate] = None,
     ) -> "GridFunction":
-        """The function n/tau -> N[n] / den of a lane (read, den): ``read``
-        maps a sequence of grid indices to their integer numerators N over
-        the shared denominator den.  A point reads the lane at its own
-        index, the batch path at every index."""
-        read, den = lane
-        f = cls(spec, lambda p: Fraction(read((p.index,))[0], den), certificate)
-        f.quotient_certificate = quotient_certificate
-        f._batch = lambda: [Fraction(v, den) for v in read(range(spec.tau + 1))]
-        f._lane = lane
-        return f
+        """The function n/tau -> at(n) / den of a lane (at, den): ``at``
+        maps a grid index to its integer numerator over the shared
+        denominator den (the integral of an integrand without a lane
+        has Fraction numerators; see ``calculus._antiderivative``)."""
+        return cls.__new__(cls)._bind(spec, *lane, certificate, quotient_certificate)
 
     @classmethod
     def pointwise(
@@ -207,13 +218,8 @@ class GridFunction:
             raise GridMismatchError(
                 f"point on grid tau={x.spec.tau} given to function on tau={self.spec.tau}"
             )
-        if self._cache is None:
-            return self._rule(x)
-        got = self._cache.get(x.index)
-        if got is None:
-            got = self._rule(x)
-            self._cache[x.index] = got
-        return got
+        v = self.at(x.index)
+        return v if self.den is None else Fraction(v, self.den)
 
     def difference(self, x: GridPoint) -> Fraction:
         """f(x+) - f(x); undefined at the right endpoint."""
@@ -224,45 +230,32 @@ class GridFunction:
         return self.difference(x) * self.spec.tau
 
     def materialize(self) -> list:
-        """All tau + 1 values as a new list owned by the caller, each
-        evaluated once; guarded against astronomical grids.  A failure is
-        the one point-by-point evaluation meets first, at the leftmost
-        failing point."""
-        return self._guarded(self._values)
+        """All tau + 1 values as a new list owned by the caller, read by
+        ``at`` from left to right; guarded against astronomical grids.  A
+        failure is the one point-by-point evaluation meets first, at the
+        leftmost failing point."""
+        values = self._read_all()
+        den = self.den
+        return values if den is None else [Fraction(v, den) for v in values]
 
     def numerators(self) -> tuple:
-        """(N, den) with f(n/tau) == N[n] / den at every grid index, in a
-        new list read once and guarded like ``materialize``: a lane's
-        integer numerators over its shared denominator, else the values
-        themselves over 1."""
-        if self._lane is None:
-            return self.materialize(), 1
-        read, den = self._lane
-        return self._guarded(lambda: read(range(self.spec.tau + 1))), den
+        """(N, den) with f(n/tau) == N[n] / den at every grid index, read
+        and guarded like ``materialize``: a lane's integer numerators
+        over its shared denominator, else the values themselves over 1."""
+        return self._read_all(), 1 if self.den is None else self.den
 
-    def _guarded(self, read):
-        if self.spec.tau + 1 > MATERIALIZE_LIMIT:
-            raise ResourceLimitError(
-                f"refusing to materialize {self.spec.tau + 1} points"
-                f" (limit {MATERIALIZE_LIMIT})"
-            )
-        try:
-            return read()
-        except HypergridError:
-            for p in self.spec.points():
-                self(p)
-            raise
-
-    def _values(self) -> list:
-        """The unguarded batch path behind ``materialize``."""
+    def _read_all(self) -> list:
         size = self.spec.tau + 1
-        cache = self._cache
-        if cache is not None and len(cache) == size:
-            return [cache[n] for n in range(size)]
-        if self._batch is not None:
-            return self._batch()
-        # a plain rule, once per point; through the memo when it has one
-        return list(map(self._rule if cache is None else self, self.spec.points()))
+        if size > MATERIALIZE_LIMIT:
+            raise ResourceLimitError(
+                f"refusing to materialize {size} points (limit {MATERIALIZE_LIMIT})"
+            )
+        return list(map(self.at, range(size)))
+
+    def _value_at(self):
+        """n -> f(n/tau), the index function of a node built over this one."""
+        at, den = self.at, self.den
+        return at if den is None else (lambda n: Fraction(at(n), den))
 
     # Pointwise algebra; certificates propagate whenever both sides carry
     # them, and lanes whenever both sides have one.
@@ -270,26 +263,21 @@ class GridFunction:
     def _combine_binary(self, other, value_op, cert, qcert):
         if other.spec != self.spec:
             raise GridMismatchError("cannot combine functions on different grids")
-        if self._lane is not None and other._lane is not None:
-            lane = _LANE_OPS[value_op](self._lane, other._lane)
+        if self.den is not None and other.den is not None:
+            lane = _LANE_OPS[value_op](self.at, self.den, other.at, other.den)
             return GridFunction.from_lane(self.spec, lane, cert, qcert)
+        a = self._value_at()
         if other is self:  # a square reads its operand once
-            return self._apply(lambda v: value_op(v, v), cert, qcert)
-        f = GridFunction(self.spec, lambda p: value_op(self(p), other(p)), cert, qcert)
-        f._batch = lambda: list(map(value_op, self._values(), other._values()))
-        return f
+            return _value_node(self.spec, lambda n: value_op((v := a(n)), v), cert, qcert)
+        b = other._value_at()
+        return _value_node(self.spec, lambda n: value_op(a(n), b(n)), cert, qcert)
 
     def _combine_scalar(self, value_op, c: Fraction, cert, qcert):
-        if self._lane is not None:
-            lane = _LANE_OPS[value_op](self._lane, constant_lane(c))
+        if self.den is not None:
+            lane = _LANE_OPS[value_op](self.at, self.den, *constant_lane(c))
             return GridFunction.from_lane(self.spec, lane, cert, qcert)
-        return self._apply(lambda v: value_op(v, c), cert, qcert)
-
-    def _apply(self, op, cert, qcert):
-        """The node x -> op(f(x)), which reads f once per point."""
-        f = GridFunction(self.spec, lambda p: op(self(p)), cert, qcert)
-        f._batch = lambda: list(map(op, self._values()))
-        return f
+        a = self.at
+        return _value_node(self.spec, lambda n: value_op(a(n), c), cert, qcert)
 
     def __add__(self, other):
         if isinstance(other, GridFunction):
@@ -351,34 +339,26 @@ class GridFunction:
     __rmul__ = __mul__
 
 
+def _value_node(spec, at, certificate=None, quotient_certificate=None):
+    """The node whose value at n/tau is at(n)."""
+    return GridFunction.__new__(GridFunction)._bind(
+        spec, at, None, certificate, quotient_certificate
+    )
+
+
 def map_values(
     g: GridFunction,
     op: Callable[[Fraction, int], Fraction],
     certificate: Optional[Certificate] = None,
     quotient_certificate: Optional[Certificate] = None,
 ) -> GridFunction:
-    """The memoized node x -> op(g(x), index of x).  Its batch path takes
-    g's values in one list and fills the memo at the indices it lacks."""
-    f = GridFunction(
-        g.spec,
-        lambda p: op(g(p), p.index),
-        certificate,
-        quotient_certificate,
-        memoize=True,
+    """The memoized node x -> op(g(x), index of x): its index function
+    reads g's value at the same index, for a point and for the whole
+    grid alike."""
+    value = g._value_at()
+    return _value_node(
+        g.spec, _memoized(lambda n: op(value(n), n)), certificate, quotient_certificate
     )
-    cache = f._cache
-
-    def batch():
-        out = g._values()
-        for n, v in enumerate(out):
-            got = cache.get(n)
-            if got is None:
-                got = cache[n] = op(v, n)
-            out[n] = got
-        return out
-
-    f._batch = batch
-    return f
 
 
 def fn_indiscernible(

@@ -43,6 +43,9 @@ from .errors import DomainError, ResourceLimitError, SearchRangeError
 from .reals import MINUS_INFINITY, PLUS_INFINITY, ExtendedReal, real_from_rational
 
 FULL_TAU_LIMIT = 2**17
+#: The largest |q| whose exponential is summed: past it the series needs
+#: more than 2|q| terms and e**|q| has thousands of digits.
+EXP_ARGUMENT_LIMIT = 2**12
 
 
 @dataclass(frozen=True)
@@ -93,6 +96,10 @@ def _exp_loop(q: Fraction, tau: int, policy: TruncationPolicy):
     """
     _require_grid(tau, policy)
     a, b = q.numerator, q.denominator
+    if abs(a) > EXP_ARGUMENT_LIMIT * b:
+        raise ResourceLimitError(
+            f"exp argument exceeds the magnitude limit {EXP_ARGUMENT_LIMIT}"
+        )
     check_tail = policy.mode == "tail-bounded"
     # tail bound is valid once the term ratio |q|/(i+1) is at most 1/2
     ratio_floor = 2 * (abs(a) // b + 1)

@@ -35,6 +35,7 @@ from hypergrid import (
     step,
     transport,
 )
+from hypergrid import calculus
 from hypergrid.expr import compile, parse
 from hypergrid.gridfun import grid_maps
 
@@ -363,6 +364,26 @@ def test_ftc_for_the_square():
     assert report.check == "ftc"
 
 
+@pytest.mark.parametrize("text", ["x^2", "exp(x)"])
+def test_ftc_exact_layer_catches_a_wrong_prefix_sum(monkeypatch, text):
+    # x^2 carries a lane, exp(x) does not; the last prefix is one unit off,
+    # so exactly one quotient, the one into the right endpoint, disagrees
+    spec = GridSpec(64)
+    ctx = ObservationContext(H=4, K=10**6)
+    running_sums = calculus._running_sums
+
+    def off_by_one(terms, workers):
+        sums = running_sums(terms, workers)
+        sums[-1] += 1
+        return sums
+
+    monkeypatch.setattr(calculus, "_running_sums", off_by_one)
+    report = ftc_check(compile(parse(text), spec), ctx, PLAN)
+    assert not report
+    assert report.detail == {"exact_violations": 1}
+    assert report.witness == f"u={Fraction(63, 64)}"
+
+
 def test_ftc_flags_visible_jumps_in_the_integrand():
     spec = GridSpec(4096)
     report = ftc_check(step(spec), CTX, PLAN)
@@ -480,19 +501,18 @@ def test_ftc_check_reads_the_integrand_lane_once():
     spec = GridSpec(64)
     ctx = ObservationContext(H=4, K=10**6)
     cubic = compile(parse("x^3 - x/2"), spec)
-    read, den = cubic._lane
     reads = []
 
-    def counting_read(indices):
-        reads.append(list(indices))
-        return read(indices)
+    def counting_at(n):
+        reads.append(n)
+        return cubic.at(n)
 
     f = GridFunction.from_lane(
-        spec, (counting_read, den), cubic.certificate, cubic.quotient_certificate
+        spec, (counting_at, cubic.den), cubic.certificate, cubic.quotient_certificate
     )
     report = ftc_check(f, ctx, PLAN)
     assert report and report.detail == {"exact_violations": 0}
-    assert reads == [list(range(65))]
+    assert reads == list(range(65))
     assert report == ftc_check(compile(parse("x^3 - x/2"), spec), ctx, PLAN)
 
 

@@ -81,6 +81,22 @@ def test_samples_below_one_are_rejected(capsys, samples):
     assert err == f"error: --samples must be at least 1, got {samples}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "limit", "x^2", "--tau", "100", "--samples"),
+        ("check", "grid-independence", "x^2", "--tau", "100", "--samples"),
+        ("sum", "harmonic", "--sum-cap"),
+    ],
+)
+def test_samples_and_sum_cap_above_the_limit_are_rejected(capsys, argv):
+    # rejected while the job is built, before any sample or term is taken
+    code, out, err = invoke(capsys, *argv, str(2**24 + 1))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {argv[-1]} {2**24 + 1} exceeds the limit {2**24}\n"
+
+
 def test_unknown_arguments_exit_with_usage_error(capsys):
     code, _, err = invoke(capsys, "eval", "x", "--frobnicate")
     assert code == 1
@@ -485,6 +501,17 @@ def test_continuity_of_an_exp_past_the_certificate_guard_is_sampled(capsys):
     assert code == 2
     assert "mode=refuted" in out
     assert "witness: jump between 0 and 1/1000000000" in out
+
+
+def test_continuity_of_a_huge_exp_argument_exits_on_the_magnitude_guard(capsys):
+    # sampling meets exp(10**9/65536) at the second grid point; the series
+    # refuses it before summing the ~30,000 terms it would take
+    code, out, err = invoke(
+        capsys, "check", "continuity", "exp(10^9*x)", "--tau", "65536"
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: exp argument exceeds the magnitude limit 4096\n"
 
 
 def test_deep_expressions_within_reach_still_evaluate(capsys):

@@ -14,6 +14,7 @@ from hypergrid import (
     ObservationContext,
     ParseError,
     cumulative_values,
+    integral,
 )
 from hypergrid.errors import EvaluationError
 from hypergrid.expr import (
@@ -349,9 +350,11 @@ def test_polynomial_lane_equals_direct_fraction_evaluation(tree, tau):
     assume(_degree(tree) <= 48)
     spec = GridSpec(tau)
     f = compile(tree, spec)
-    assert f._lane is not None
     expected = [_direct(tree, Fraction(n, tau)) for n in range(tau + 1)]
     numerators, den = f.numerators()
+    # a lane: integers over f's own denominator (1 only for an integer constant)
+    assert all(type(v) is int for v in numerators)
+    assert den == f.den and (den != 1 or len(set(numerators)) == 1)
     assert [Fraction(v, den) for v in numerators] == expected
     assert [f(p) for p in spec.points()] == expected
     assert f.materialize() == expected
@@ -423,6 +426,10 @@ def test_batch_path_equals_point_by_point_evaluation(tree, tau):
     sums = list(accumulate(expected))
     assert cumulative_values(compile(tree, spec)) == sums
     assert cumulative_values(compile(tree, spec), workers=3) == sums
+    anti = integral(compile(tree, spec)).f
+    integral_values = [s * spec.epsilon for s in sums]
+    assert anti.materialize() == integral_values
+    assert [anti(p) for p in spec.points()] == integral_values
 
 
 def test_materialize_fails_where_point_by_point_evaluation_fails_first():

@@ -22,6 +22,7 @@ from hypergrid import (
 from hypergrid.reals import MINUS_INFINITY, PLUS_INFINITY
 from hypergrid.series import (
     DEFAULT_POLICY,
+    EXP_ARGUMENT_LIMIT,
     FULL_POLICY,
     FULL_TAU_LIMIT,
     UNSTABLE,
@@ -80,6 +81,19 @@ def test_tail_policy_stops_early_on_large_grids():
 def test_full_policy_is_resource_guarded():
     with pytest.raises(ResourceLimitError):
         exp_approx(Fraction(1), FULL_TAU_LIMIT + 1, FULL_POLICY)
+
+
+def test_exp_argument_is_magnitude_guarded():
+    # the limit itself is summed; one lattice step past it is refused
+    tau = 64
+    assert exp_approx(Fraction(-EXP_ARGUMENT_LIMIT), tau) > 0
+    for q in (EXP_ARGUMENT_LIMIT + Fraction(1, tau), -EXP_ARGUMENT_LIMIT - Fraction(1, tau)):
+        for policy in (DEFAULT_POLICY, FULL_POLICY):
+            with pytest.raises(ResourceLimitError):
+                exp_approx(q, tau, policy)
+    # the logarithm evaluates the exponential, so it inherits the guard
+    with pytest.raises(ResourceLimitError):
+        log_approx(Fraction(2**6000), 2**16)
 
 
 def test_tiny_tau_rejected():
