@@ -19,13 +19,15 @@ comparison is a result, not an exception.  Reports serialize to a
 stable JSON shape for the command-line tools.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Optional, Sequence, Tuple
 
 from .context import CheckReport, ObservationContext, _report
 from .errors import DomainError, NotDifferentiableError, ResourceLimitError
-from .grid import GridPoint, GridSpec, round_to_grid
+from .grid import GridPoint, GridSpec, round_to_grid, successor
 from .gridfun import (
     MATERIALIZE_LIMIT,
     Certificate,
@@ -125,68 +127,66 @@ def secant_check(
 
     The gap metric is the worst excess of the deviation over the
     registered quotient modulus, so pass means max_gap <= 0.  Exhaustive
-    mode walks every admissible pair; sampled mode walks planned anchors
-    with a doubling ladder of offsets.
+    mode pairs every anchor with every offset; sampled mode pairs planned
+    anchors with a doubling ladder of offsets.  Both read ``numerators``
+    once, each point the pairs need, and walk the offsets in one loop that
+    keeps each offset's peak numerator; the witness is the first failing
+    pair in anchor-major order.
     """
     if f.quotient_certificate is None:
         raise DomainError("secant check needs a registered quotient modulus")
-    spec = f.spec
-    lo, hi = _band(spec, ctx)
-    lo_steps = -((-lo.numerator * spec.tau) // lo.denominator)  # ceil(lo / eps)
-    hi_steps = (hi.numerator * spec.tau) // hi.denominator
+    tau = f.spec.tau
+    lo, hi = _band(f.spec, ctx)
+    lo_steps = -((-lo.numerator * tau) // lo.denominator)  # ceil(lo / eps)
+    hi_steps = (hi.numerator * tau) // hi.denominator
     if hi_steps < lo_steps:
         raise DomainError("band is empty: grid too coarse for this context")
 
-    mode = plan.mode(spec.tau)
-    values = None
-    quotients = None
+    mode = plan.mode(tau)
     if mode == "exhaustive":
-        anchors = range(spec.tau)
+        anchors = range(tau)
         offsets = range(lo_steps, hi_steps + 1)
-        values = f.materialize()
-        quotients = [(values[n + 1] - values[n]) * spec.tau for n in range(spec.tau)]
+        N, den = f.numerators()
     else:
-        anchors = plan.indices(spec.tau)
+        anchors = [n for n in plan.indices(tau) if n < tau]
         offsets = []
         k = lo_steps
         while k <= hi_steps:
             offsets.append(k)
             k *= 2
         offsets.append(hi_steps)
+        needed = {m for n in anchors for m in (n, n + 1, *(n + k for k in offsets)) if m <= tau}
+        N, den = f.numerators(needed)
 
-    # the modulus depends on the gap alone and is pure: read it once per offset
+    D = {n: N[n + 1] - N[n] for n in anchors}  # read once, not once per offset
+
+    def deviation(n, k):  # |secant - quotient| * den * k / tau on the pair (n, n + k)
+        return abs(N[n + k] - N[n] - k * D[n])
+
     omega = f.quotient_certificate.modulus
-    eps = spec.epsilon
-    steps = []
-    for k in offsets:
-        gap = k * eps
-        steps.append((k, gap, omega(gap)))
-
-    worst = None
-    witness = None
+    excesses = []
+    failing = []  # (first failing anchor, offset) for each failing offset
     pairs = 0
-    for n in anchors:
-        if n >= spec.tau:
-            continue
-        qa = quotients[n] if quotients is not None else f.quotient(spec.point(n))
-        fa = values[n] if values is not None else f(spec.point(n))
-        for k, gap, bound in steps:
-            m = n + k
-            if m > spec.tau:
-                continue
-            fx = values[m] if values is not None else f(spec.point(m))
-            deviation = (fx - fa) / gap - qa
-            excess = abs(deviation) - bound
-            pairs += 1
-            if worst is None or excess > worst:
-                worst = excess
-                if excess > 0 and witness is None:
-                    witness = f"a={Fraction(n, spec.tau)}, x={Fraction(m, spec.tau)}"
-    if worst is None:
+    for k in offsets:
+        count = bisect_right(anchors, tau - k)  # the anchors n with n + k <= tau
+        if count == 0:
+            break  # offsets never decrease
+        bound = omega(Fraction(k, tau))
+        peak = max(deviation(n, k) for n in islice(anchors, count))
+        pairs += count
+        excesses.append(Fraction(peak * tau, den * k) - bound)
+        limit = bound * den * k / tau
+        if peak > limit:
+            first = next(n for n in islice(anchors, count) if deviation(n, k) > limit)
+            failing.append((first, k))
+    if not excesses:
         raise DomainError("no admissible pairs to check")
-    return _report(
-        "secant", [spec.tau], ctx, pairs, worst, Fraction(0), worst <= 0, mode, witness
-    )
+    worst = max(excesses)
+    witness = None
+    if failing:
+        n, k = min(failing)  # the least anchor, then the earliest offset
+        witness = f"a={Fraction(n, tau)}, x={Fraction(n + k, tau)}"
+    return _report("secant", [tau], ctx, pairs, worst, Fraction(0), worst <= 0, mode, witness)
 
 
 def grid_independence_check(
@@ -325,8 +325,10 @@ def _probe_quotients(
     f: GridFunction, x: GridPoint, offsets: list, tol: Fraction
 ) -> LimitQuotientResult:
     """Difference quotients from x to round(x + t) for each offset t,
-    read against the quotient at x with tolerance ``tol``."""
-    reference = f.quotient(x)
+    read against the quotient at x with tolerance ``tol``.  f(x+) and
+    f(x) are read once, in the order ``quotient`` reads them."""
+    after, fx = f(successor(x)), f(x)
+    reference = (after - fx) * f.spec.tau
     probes = []
     max_gap = Fraction(0)
     for t in offsets:
@@ -337,7 +339,7 @@ def _probe_quotients(
         step = y.value - x.value
         if step == 0:
             continue
-        q = (f(y) - f(x)) / step
+        q = (f(y) - fx) / step
         gap = abs(q - reference)
         probes.append(LimitProbe(t, q, gap))
         max_gap = max(max_gap, gap)

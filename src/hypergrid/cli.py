@@ -125,8 +125,9 @@ def build_job(argv=None) -> JobConfig:
         except UnicodeDecodeError:
             raise DomainError(f"cannot read {args.file}: not UTF-8 text") from None
     samples = getattr(args, "samples", 1024)
-    if samples < 1:
-        raise DomainError(f"--samples must be at least 1, got {samples}")
+    for flag, value in (("--samples", samples), ("--workers", args.workers)):
+        if value < 1:
+            raise DomainError(f"{flag} must be at least 1, got {value}")
     sum_cap = getattr(args, "sum_cap", 2**16)
     for flag, value in (("--samples", samples), ("--sum-cap", sum_cap)):
         if value > MATERIALIZE_LIMIT:

@@ -195,24 +195,6 @@ class GridFunction:
         has Fraction numerators; see ``calculus._antiderivative``)."""
         return cls.__new__(cls)._bind(spec, *lane, certificate, quotient_certificate)
 
-    @classmethod
-    def pointwise(
-        cls,
-        spec: GridSpec,
-        value_rule: Callable[[Fraction], Fraction],
-        certificate: Optional[Certificate] = None,
-        quotient_certificate: Optional[Certificate] = None,
-        memoize: bool = False,
-    ) -> "GridFunction":
-        """Build from a rule on rational values rather than grid points."""
-        return cls(
-            spec,
-            lambda p: value_rule(p.value),
-            certificate,
-            quotient_certificate,
-            memoize,
-        )
-
     def __call__(self, x: GridPoint) -> Fraction:
         if x.spec != self.spec:
             raise GridMismatchError(
@@ -221,13 +203,10 @@ class GridFunction:
         v = self.at(x.index)
         return v if self.den is None else Fraction(v, self.den)
 
-    def difference(self, x: GridPoint) -> Fraction:
-        """f(x+) - f(x); undefined at the right endpoint."""
-        return self(successor(x)) - self(x)
-
     def quotient(self, x: GridPoint) -> Fraction:
-        """The difference quotient (f(x+) - f(x)) / epsilon."""
-        return self.difference(x) * self.spec.tau
+        """The difference quotient (f(x+) - f(x)) / epsilon; undefined at
+        the right endpoint."""
+        return (self(successor(x)) - self(x)) * self.spec.tau
 
     def materialize(self) -> list:
         """All tau + 1 values as a new list owned by the caller, read by
@@ -238,11 +217,17 @@ class GridFunction:
         den = self.den
         return values if den is None else [Fraction(v, den) for v in values]
 
-    def numerators(self) -> tuple:
-        """(N, den) with f(n/tau) == N[n] / den at every grid index, read
-        and guarded like ``materialize``: a lane's integer numerators
-        over its shared denominator, else the values themselves over 1."""
-        return self._read_all(), 1 if self.den is None else self.den
+    def numerators(self, indices=None) -> tuple:
+        """(N, den) with f(n/tau) == N[n] / den, the read of a
+        grid-scanning check: a lane's integer numerators over its shared
+        denominator, else the values themselves over 1.  N is the list
+        over the whole grid, read and guarded like ``materialize``; given
+        a set of indices, it is the dict {n: N[n]} read in increasing
+        order, so a failure is again the leftmost one."""
+        den = 1 if self.den is None else self.den
+        if indices is None:
+            return self._read_all(), den
+        return {n: self.at(n) for n in sorted(indices)}, den
 
     def _read_all(self) -> list:
         size = self.spec.tau + 1
@@ -454,10 +439,13 @@ def continuity_check(
     scale between the mesh width and 1/H pushes the modulus to 1/H or
     below; the modulus is monotone, so the mesh width decides, and no
     point is probed (the report counts 0 samples).  Without one (or when
-    the certificate is too weak) the check samples jumps across adjacent
+    the certificate is too weak) the check reads jumps across the adjacent
     pairs around each planned index: a jump above 1/H refutes continuity
     at every admissible scale at once, since no input scale is finer than
-    the mesh.  The witness names that adjacent pair.
+    the mesh.  The witness names that pair.  The pairs are walked by their
+    distinct lower ends lo, in increasing order, reading ``at(lo + 1)``
+    and then ``at(lo)`` unless lo was the previous upper end: each point
+    is read once, and a refutation returns before a later point is read.
     """
     spec = f.spec
     tol = ctx.infinitesimal_scale
@@ -469,14 +457,17 @@ def continuity_check(
     if f.certificate is not None and f.certificate.modulus(spec.epsilon) <= tol:
         return verdict("certified", 0)
     indices = plan.indices(spec.tau)
+    at, den, tau = f.at, f.den or 1, spec.tau
+    prev, upper = -2, None  # the last lower end walked, and its upper value
     for n in indices:
         for lo in (n - 1, n):
-            if lo < 0 or lo + 1 > spec.tau:
+            if lo < 0 or lo >= tau or lo == prev:
                 continue
-            a = spec.point(lo)
-            b = spec.point(lo + 1)
-            jump = abs(f(b) - f(a))
-            if jump > tol:
-                witness = f"jump between {a.value} and {b.value}"
-                return verdict("refuted", len(indices), jump, witness)
+            hi_value = at(lo + 1)
+            lo_value = upper if lo == prev + 1 else at(lo)
+            prev, upper = lo, hi_value
+            jump = abs(hi_value - lo_value)
+            if jump * ctx.H > den:  # jump / den > 1/H
+                witness = f"jump between {Fraction(lo, tau)} and {Fraction(lo + 1, tau)}"
+                return verdict("refuted", len(indices), Fraction(jump, den), witness)
     return verdict("sampled-ok", len(indices))

@@ -46,6 +46,8 @@ FULL_TAU_LIMIT = 2**17
 #: The largest |q| whose exponential is summed: past it the series needs
 #: more than 2|q| terms and e**|q| has thousands of digits.
 EXP_ARGUMENT_LIMIT = 2**12
+#: The largest truncation guard: the tail test multiplies by tau * 2**guard.
+GUARD_LIMIT = 2**10
 
 
 @dataclass(frozen=True)
@@ -61,6 +63,8 @@ class TruncationPolicy:
             raise DomainError(f"unknown truncation mode {self.mode!r}")
         if self.guard < 1:
             raise DomainError("guard must be a positive integer")
+        if self.guard > GUARD_LIMIT:
+            raise ResourceLimitError(f"guard {self.guard} exceeds the limit {GUARD_LIMIT}")
 
 
 DEFAULT_POLICY = TruncationPolicy()

@@ -17,6 +17,7 @@ from hypergrid import (
     ResourceLimitError,
     SamplingPlan,
     constant,
+    continuity_check,
     cumulative_values,
     derivative,
     exp_fn,
@@ -29,6 +30,7 @@ from hypergrid import (
     limit_quotient,
     monomial,
     quotient_function,
+    round_to_grid,
     secant_check,
     secant_deviation,
     square,
@@ -495,6 +497,56 @@ def test_exhaustive_checks_evaluate_each_point_once():
     calls.clear()
     assert secant_check(_counting_square(spec, calls), ctx, PLAN)
     assert sorted(calls) == list(range(65))
+    # continuity walks the pairs (0, 1), (1, 2), ...: upper end first,
+    # each lower end but the first being the previous upper end
+    calls.clear()
+    assert continuity_check(_counting_square(spec, calls, False), ctx, PLAN)
+    assert calls == [1, 0] + list(range(2, 65))
+
+
+def test_sampled_checks_read_each_needed_point_once():
+    spec = GridSpec(2**13)
+    tau = spec.tau
+    ctx = ObservationContext(H=64, K=10**6)
+    anchors = [n for n in PLAN.indices(tau) if n < tau]
+    calls = []
+    report = secant_check(_counting_square(spec, calls), ctx, PLAN)
+    assert report.mode == "sampled"
+    # band [4 eps, 1/64] = 4..128 steps: the ladder 4, 8, ..., 128, then 128 again
+    offsets = [4, 8, 16, 32, 64, 128]
+    needed = {m for n in anchors for m in (n, n + 1)}
+    needed |= {n + k for n in anchors for k in offsets if n + k <= tau}
+    assert calls == sorted(needed)
+    assert report.samples == sum(n + k <= tau for n in anchors for k in offsets + [128])
+    calls.clear()
+    report = continuity_check(_counting_square(spec, calls, False), ctx, PLAN)
+    assert report.mode == "sampled-ok"
+    pairs = sorted({lo for n in PLAN.indices(tau) for lo in (n - 1, n) if 0 <= lo < tau})
+    assert sorted(calls) == sorted({m for lo in pairs for m in (lo, lo + 1)})
+    assert len(calls) == len(set(calls))
+
+
+def test_continuity_refutes_before_reading_a_later_point():
+    # 1/(x - 1/2) divides by zero at 1/2, far past the first visible jump
+    spec = GridSpec(100)
+    ctx = ObservationContext(H=100, K=10**6)
+    report = continuity_check(compile(parse("1/(x - 1/2)"), spec), ctx, PLAN)
+    assert report.mode == "refuted"
+    assert report.witness == "jump between 0 and 1/100"
+    assert report.samples == 101
+
+
+def test_limit_quotient_reads_each_point_once():
+    spec = GridSpec(10**4)
+    ctx = ObservationContext(H=100, K=10**6)
+    x = spec.point(3000)
+    seq = ConvergentSequence(lambda i: Fraction(1, 2**i), Fraction(0), ctx)
+    calls = []
+    result = limit_quotient(_counting_square(spec, calls), x, seq)
+    probes = [round_to_grid(x.value + probe.t, spec).index for probe in result.probes]
+    assert len(probes) >= 3
+    assert calls == [3001, 3000] + probes
+    assert result == limit_quotient(square(spec), x, seq)
 
 
 def test_ftc_check_reads_the_integrand_lane_once():
@@ -524,7 +576,7 @@ def test_secant_check_reads_the_certificate_by_value():
     assert qcert == sq.quotient_certificate and qcert is not sq.quotient_certificate
 
     def with_quotient_certificate(c):
-        return GridFunction.pointwise(spec, lambda v: v * v, sq.certificate, c)
+        return GridFunction(spec, lambda p: p.value**2, sq.certificate, c)
 
     report = secant_check(with_quotient_certificate(qcert), ctx, PLAN)
     assert report.mode == "exhaustive"

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hypergrid.cli import JobConfig, build_job, main, run
-from hypergrid.series import exp_approx
+from hypergrid.series import GUARD_LIMIT, exp_approx
 
 
 def invoke(capsys, *argv):
@@ -79,6 +79,22 @@ def test_samples_below_one_are_rejected(capsys, samples):
     assert code == 1
     assert out == ""
     assert err == f"error: --samples must be at least 1, got {samples}\n"
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_below_one_are_rejected(capsys, workers):
+    code, out, err = invoke(capsys, "integrate", "x", "--tau", "64", "--workers", workers)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --workers must be at least 1, got {workers}\n"
+
+
+def test_guard_above_the_limit_is_rejected(capsys):
+    # a 30-Mbit tail threshold would be multiplied into every series term
+    code, out, err = invoke(capsys, "eval", "exp(x)", "--tau", "64", "--guard", "30000000")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: guard 30000000 exceeds the limit {GUARD_LIMIT}\n"
 
 
 @pytest.mark.parametrize(

@@ -25,6 +25,7 @@ from hypergrid.series import (
     EXP_ARGUMENT_LIMIT,
     FULL_POLICY,
     FULL_TAU_LIMIT,
+    GUARD_LIMIT,
     UNSTABLE,
     exp_series,
     series_states,
@@ -44,6 +45,10 @@ def test_policy_validation():
         TruncationPolicy(mode="adaptive")
     with pytest.raises(DomainError):
         TruncationPolicy(guard=0)
+    # the tail test multiplies every term by tau * 2**guard
+    assert TruncationPolicy(guard=GUARD_LIMIT).guard == GUARD_LIMIT
+    with pytest.raises(ResourceLimitError, match=f"guard {GUARD_LIMIT + 1} exceeds"):
+        TruncationPolicy(guard=GUARD_LIMIT + 1)
 
 
 def test_exp_at_zero_is_one():
