@@ -67,15 +67,17 @@ def _as_grid_function(fr) -> GridFunction:
 
 def quotient_function(f: GridFunction) -> GridFunction:
     """The difference-quotient function as a grid function on the full
-    grid, extended at the right endpoint by its value at 1 - eps."""
-    last = f.spec.tau - 1
+    grid, extended at the right endpoint by its value at 1 - eps: at n it
+    is (f(m+) - f(m)) * tau with m = min(n, tau - 1), f(m+) read first.
+    It shares f's denominator, so a lane's quotients are a lane."""
+    at, tau = f.at, f.spec.tau
+    last = tau - 1
 
-    def rule(p: GridPoint) -> Fraction:
-        if p.index > last:
-            p = f.spec.point(last)
-        return f.quotient(p)
+    def quotient_at(n):
+        m = min(n, last)
+        return (at(m + 1) - at(m)) * tau
 
-    return GridFunction(f.spec, rule, certificate=f.quotient_certificate)
+    return GridFunction(f.spec, quotient_at, f.quotient_certificate, den=f.den)
 
 
 def derivative(
@@ -420,7 +422,9 @@ def _running_sums(terms: list, workers: int) -> list:
     each term is released as its sum replaces it.  With several workers
     the terms are cut into that many chunks, each summed from its first
     term and then offset by the total before it, all serially."""
-    chunk = -(-len(terms) // max(1, workers))
+    if workers < 1:
+        raise DomainError(f"workers must be at least 1, got {workers}")
+    chunk = -(-len(terms) // workers)
     for lo in range(0, len(terms), chunk):
         acc = terms[lo]
         for i in range(lo + 1, min(lo + chunk, len(terms))):
@@ -489,8 +493,7 @@ def _antiderivative(f: GridFunction, sums: list, den: int) -> RealFunctionRepr:
     eps = f.spec.epsilon
     qcert = f.certificate
     cert = qcert and Certificate(qcert.bound * (1 + eps), qcert.bound, Fraction(0))
-    lane = sums.__getitem__, den * f.spec.tau
-    return RealFunctionRepr(GridFunction.from_lane(f.spec, lane, cert, qcert))
+    return RealFunctionRepr(GridFunction(f.spec, sums.__getitem__, cert, qcert, den * f.spec.tau))
 
 
 def ftc_check(

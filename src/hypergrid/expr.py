@@ -338,15 +338,15 @@ def compile(
                 if divisor == 0:
                     raise DomainError("division by constant zero")
                 return left * (1 / divisor)
-            right = compile(node.right, spec, policy)
+            num, div = left._value_at(), compile(node.right, spec, policy)._value_at()
 
-            def rule(p):
-                d = right(p)
+            def ratio_at(n):
+                d = div(n)
                 if d == 0:
-                    raise EvaluationError("division by zero", point=p)
-                return left(p) / d
+                    raise EvaluationError("division by zero", point=spec.point(n))
+                return num(n) / d
 
-            return GridFunction(spec, rule)
+            return GridFunction(spec, ratio_at)
         right = compile(node.right, spec, policy)
         if node.op == "+":
             return left + right

@@ -15,9 +15,10 @@ each an affine (bound, slope, offset) with modulus slope*d + offset:
 The logarithm and the step function carry no certificates: one is
 unbounded near 0, the other is there to be refuted.
 
-Constants and monomials also carry a lane, integer numerators over a
-shared denominator (c over its own, n**k over tau**k), which the
-grid-function algebra combines into the lanes of compiled polynomials.
+Constants, monomials and steps also carry a lane, integer numerators
+over a shared denominator (c over its own, n**k over tau**k, 0 or 1
+over 1), which the grid-function algebra combines into the lanes of
+compiled polynomials.
 """
 
 from fractions import Fraction
@@ -35,23 +36,20 @@ EXP_BOUND_LIMIT = 2**16
 
 def constant(spec: GridSpec, c) -> GridFunction:
     c = Fraction(c)
-    return GridFunction.from_lane(
-        spec,
-        constant_lane(c),
-        certificate=constant_certificate(c),
-        quotient_certificate=constant_certificate(0),
-    )
+    at, den = constant_lane(c)
+    return GridFunction(spec, at, constant_certificate(c), constant_certificate(0), den)
 
 
 def monomial(spec: GridSpec, k: int) -> GridFunction:
     """x**k on the grid, for a nonnegative integer k."""
     if k < 0:
         raise DomainError("monomial exponent must be a nonnegative integer")
-    return GridFunction.from_lane(
+    return GridFunction(
         spec,
-        ((lambda n: n**k), spec.tau**k),
-        certificate=Certificate(Fraction(1), Fraction(k), Fraction(0)),
-        quotient_certificate=Certificate(Fraction(k), Fraction(k * (k - 1)), Fraction(0)),
+        lambda n: n**k,
+        Certificate(Fraction(1), Fraction(k), Fraction(0)),
+        Certificate(Fraction(k), Fraction(k * (k - 1)), Fraction(0)),
+        spec.tau**k,
     )
 
 
@@ -127,6 +125,7 @@ def log_fn(
 
 def step(spec: GridSpec, at=Fraction(1, 2)) -> GridFunction:
     """Unit jump at ``at``: 0 below, 1 from ``at`` on.  Deliberately
-    discontinuous; continuity checks should refute it."""
-    at = Fraction(at)
-    return GridFunction(spec, lambda p: Fraction(1 if p.value >= at else 0))
+    discontinuous; continuity checks should refute it.  A lane over 1:
+    n/tau >= at exactly from the index ceil(at * tau) on."""
+    jump = ceil(Fraction(at) * spec.tau)
+    return GridFunction(spec, lambda n: 1 if n >= jump else 0, den=1)

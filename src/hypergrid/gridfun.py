@@ -2,18 +2,20 @@
 
 A ``GridFunction`` is an evaluation rule, not a table: grids default to
 resolutions where materialization is impossible, and rules scale where
-tables do not.  Every node is one function of the grid index, ``at(n)``.
-Rules must be pure; the optional memo wrapped around ``at`` is the only
-mutable state and behaves as a write-once-per-key map (duplicate
-computation is allowed, divergent results are not).
+tables do not.  Every node is one function of the grid index, ``at(n)``,
+and is built one way, ``GridFunction(spec, at, certificate,
+quotient_certificate, den)``.  Rules must be pure; the memo that exp and
+log nodes keep (``map_values``) is the only mutable state and behaves as
+a write-once-per-key map (duplicate computation is allowed, divergent
+results are not).
 
 Point evaluation and the whole-grid read run that same function:
 ``materialize()`` maps ``at`` over the indices left to right into a
 fresh list of all tau + 1 values (the caller owns it; no node keeps a
 table), so a failure is the one point-by-point evaluation meets first.
-Constants and monomials carry a lane: ``at(n)`` is then an integer
-numerator over one shared denominator ``den``.  The algebra combines
-lanes alongside the certificates (sums over the lcm of the
+Constants, monomials and steps carry a lane: ``at(n)`` is then an
+integer numerator over one shared denominator ``den``.  The algebra
+combines lanes alongside the certificates (sums over the lcm of the
 denominators, products over their product), so a polynomial costs one
 Fraction per value and ``numerators`` keeps prefix sums in integers.
 
@@ -40,7 +42,7 @@ from operator import add, mul
 from typing import Callable, Optional
 
 from .context import CheckReport, ObservationContext, _report
-from .errors import GridMismatchError, ResourceLimitError
+from .errors import DomainError, GridMismatchError, ResourceLimitError
 from .grid import GridPoint, GridSpec, round_to_grid, successor
 from .sampling import SamplingPlan
 
@@ -63,10 +65,6 @@ class Certificate:
 
 def constant_certificate(c: Fraction) -> Certificate:
     return Certificate(abs(Fraction(c)), Fraction(0), Fraction(0))
-
-
-def identity_certificate() -> Certificate:
-    return Certificate(Fraction(1), Fraction(1), Fraction(0))
 
 
 def _weighted(bound: Fraction, *terms) -> Certificate:
@@ -145,15 +143,14 @@ class GridFunction:
     """A deterministic rule from grid points to exact rationals, held as
     one function of the grid index, ``at(n)``.
 
-    When ``den`` is None, ``at(n)`` is the value at n/tau.  A node the
-    algebra keeps in integers carries a lane (``from_lane``): ``at(n)``
-    is then an integer numerator over the shared denominator ``den``,
-    and ``numerators`` reads it.  ``certificate`` (optional) certifies
+    When ``den`` is None, ``at(n)`` is the value at n/tau.  Otherwise the
+    node carries a lane: ``at(n)`` is an integer numerator over the
+    shared denominator ``den`` (the integral of an integrand without a
+    lane has Fraction numerators; see ``calculus._antiderivative``), and
+    ``numerators`` reads it.  ``certificate`` (optional) certifies
     continuity of the values; ``quotient_certificate`` (optional)
     certifies continuity of the difference-quotient function, which is
-    what differentiability at a context ultimately needs.  The
-    constructor takes a rule on grid points, called as
-    ``rule(spec.point(n))``.
+    what differentiability at a context ultimately needs.
     """
 
     __slots__ = ("spec", "at", "den", "certificate", "quotient_certificate")
@@ -161,39 +158,16 @@ class GridFunction:
     def __init__(
         self,
         spec: GridSpec,
-        rule: Callable[[GridPoint], Fraction],
+        at: Callable[[int], Fraction],
         certificate: Optional[Certificate] = None,
         quotient_certificate: Optional[Certificate] = None,
-        memoize: bool = False,
+        den: Optional[int] = None,
     ):
-        point = spec.point
-
-        def at(n):
-            return rule(point(n))
-
-        self._bind(spec, _memoized(at) if memoize else at, None, certificate, quotient_certificate)
-
-    def _bind(self, spec, at, den, certificate, quotient_certificate):
         self.spec = spec
         self.at = at
         self.den = den
         self.certificate = certificate
         self.quotient_certificate = quotient_certificate
-        return self
-
-    @classmethod
-    def from_lane(
-        cls,
-        spec: GridSpec,
-        lane,
-        certificate: Optional[Certificate] = None,
-        quotient_certificate: Optional[Certificate] = None,
-    ) -> "GridFunction":
-        """The function n/tau -> at(n) / den of a lane (at, den): ``at``
-        maps a grid index to its integer numerator over the shared
-        denominator den (the integral of an integrand without a lane
-        has Fraction numerators; see ``calculus._antiderivative``)."""
-        return cls.__new__(cls)._bind(spec, *lane, certificate, quotient_certificate)
 
     def __call__(self, x: GridPoint) -> Fraction:
         if x.spec != self.spec:
@@ -222,12 +196,16 @@ class GridFunction:
         grid-scanning check: a lane's integer numerators over its shared
         denominator, else the values themselves over 1.  N is the list
         over the whole grid, read and guarded like ``materialize``; given
-        a set of indices, it is the dict {n: N[n]} read in increasing
-        order, so a failure is again the leftmost one."""
+        a set of indices in [0, tau], it is the dict {n: N[n]} read in
+        increasing order, so a failure is again the leftmost one."""
         den = 1 if self.den is None else self.den
         if indices is None:
             return self._read_all(), den
-        return {n: self.at(n) for n in sorted(indices)}, den
+        order = sorted(indices)
+        if order and (order[0] < 0 or order[-1] > self.spec.tau):
+            off = order[0] if order[0] < 0 else order[-1]
+            raise DomainError(f"grid index {off} outside [0, {self.spec.tau}]")
+        return {n: self.at(n) for n in order}, den
 
     def _read_all(self) -> list:
         size = self.spec.tau + 1
@@ -249,20 +227,20 @@ class GridFunction:
         if other.spec != self.spec:
             raise GridMismatchError("cannot combine functions on different grids")
         if self.den is not None and other.den is not None:
-            lane = _LANE_OPS[value_op](self.at, self.den, other.at, other.den)
-            return GridFunction.from_lane(self.spec, lane, cert, qcert)
+            at, den = _LANE_OPS[value_op](self.at, self.den, other.at, other.den)
+            return GridFunction(self.spec, at, cert, qcert, den)
         a = self._value_at()
         if other is self:  # a square reads its operand once
-            return _value_node(self.spec, lambda n: value_op((v := a(n)), v), cert, qcert)
+            return GridFunction(self.spec, lambda n: value_op((v := a(n)), v), cert, qcert)
         b = other._value_at()
-        return _value_node(self.spec, lambda n: value_op(a(n), b(n)), cert, qcert)
+        return GridFunction(self.spec, lambda n: value_op(a(n), b(n)), cert, qcert)
 
     def _combine_scalar(self, value_op, c: Fraction, cert, qcert):
         if self.den is not None:
-            lane = _LANE_OPS[value_op](self.at, self.den, *constant_lane(c))
-            return GridFunction.from_lane(self.spec, lane, cert, qcert)
+            at, den = _LANE_OPS[value_op](self.at, self.den, *constant_lane(c))
+            return GridFunction(self.spec, at, cert, qcert, den)
         a = self.at
-        return _value_node(self.spec, lambda n: value_op(a(n), c), cert, qcert)
+        return GridFunction(self.spec, lambda n: value_op(a(n), c), cert, qcert)
 
     def __add__(self, other):
         if isinstance(other, GridFunction):
@@ -324,13 +302,6 @@ class GridFunction:
     __rmul__ = __mul__
 
 
-def _value_node(spec, at, certificate=None, quotient_certificate=None):
-    """The node whose value at n/tau is at(n)."""
-    return GridFunction.__new__(GridFunction)._bind(
-        spec, at, None, certificate, quotient_certificate
-    )
-
-
 def map_values(
     g: GridFunction,
     op: Callable[[Fraction, int], Fraction],
@@ -341,7 +312,7 @@ def map_values(
     reads g's value at the same index, for a point and for the whole
     grid alike."""
     value = g._value_at()
-    return _value_node(
+    return GridFunction(
         g.spec, _memoized(lambda n: op(value(n), n)), certificate, quotient_certificate
     )
 
@@ -409,21 +380,17 @@ def transport(
     the canonical one); that obligation is the caller's, and violations
     surface in the roundtrip comparison rather than here.
     """
-    probe = from_b(GridPoint(0, _probe_spec(to_b, f.spec)))
-    if probe.spec != f.spec:
+    target_spec = to_b(GridPoint(0, f.spec)).spec
+    if from_b(GridPoint(0, target_spec)).spec != f.spec:
         raise GridMismatchError("from_b does not land on the source grid")
-    target_spec = _probe_spec(to_b, f.spec)
 
     cert = f.certificate
     if cert is not None:
         # rounding both arguments back can stretch a gap by one source mesh
         cert = replace(cert, offset=cert.modulus(f.spec.epsilon))
 
-    return GridFunction(target_spec, lambda y: f(from_b(y)), cert)
-
-
-def _probe_spec(to_b, source_spec: GridSpec) -> GridSpec:
-    return to_b(GridPoint(0, source_spec)).spec
+    point = target_spec.point
+    return GridFunction(target_spec, lambda n: f(from_b(point(n))), cert)
 
 
 def continuity_check(

@@ -61,6 +61,20 @@ def test_quotient_function_extends_at_the_right_endpoint():
     assert q(spec.point(100)) == q(spec.point(99))
 
 
+def test_quotient_function_of_a_polynomial_is_an_integer_lane():
+    spec = GridSpec(48)
+    f = compile(parse("(x + 1/3)^5 - 2*x^2 + 7"), spec)
+    q = quotient_function(f)
+    assert q.den == f.den
+    numerators, den = q.numerators()
+    assert den == f.den and all(type(v) is int for v in numerators)
+    points = list(spec.points())
+    expected = [f.quotient(p) for p in points[:-1]]
+    # the right endpoint repeats the quotient at 1 - eps
+    assert [q(p) for p in points] == expected + expected[-1:]
+    assert [Fraction(v, den) for v in numerators] == expected + expected[-1:]
+
+
 def test_quotient_function_inherits_the_quotient_certificate():
     spec = GridSpec(100)
     f = square(spec)
@@ -303,6 +317,17 @@ def test_parallel_prefix_sums_are_bit_identical():
         assert cumulative_values(f, workers=workers) == serial
 
 
+@pytest.mark.parametrize("workers", [0, -2])
+def test_workers_below_one_are_refused(workers):
+    spec = GridSpec(8)
+    with pytest.raises(DomainError, match="workers"):
+        cumulative_values(square(spec), workers=workers)
+    with pytest.raises(DomainError, match="workers"):
+        integral(square(spec), workers=workers)
+    with pytest.raises(DomainError, match="workers"):
+        ftc_check(square(spec), CTX, PLAN, workers=workers)
+
+
 def test_integral_stream_matches_the_table():
     spec = GridSpec(64)
     f = exp_fn(spec)
@@ -330,7 +355,7 @@ def test_integral_rejects_certified_unbounded_integrands():
 def test_integral_spot_checks_uncertified_integrands():
     ctx = ObservationContext(H=10, K=100)
     spec = GridSpec(100)
-    wild = GridFunction(spec, lambda p: Fraction(101))
+    wild = GridFunction(spec, lambda n: Fraction(101))
     with pytest.raises(DomainError):
         integral(wild, ctx)
     # without a context there is no boundedness obligation
@@ -433,7 +458,7 @@ def order_n_flat(F: GridFunction, a, n: int, ctx: ObservationContext, probes: in
 
 
 def shifted_power(spec: GridSpec, center: Fraction, k: int) -> GridFunction:
-    return GridFunction(spec, lambda p: (p.value - center) ** k)
+    return GridFunction(spec, lambda n: (Fraction(n, spec.tau) - center) ** k)
 
 
 def test_cubic_is_first_order_flat_at_its_root():
@@ -477,13 +502,13 @@ def test_flatness_survives_transport_to_a_finer_grid():
 def _counting_square(spec, calls, certified=True):
     sq = square(spec)
 
-    def rule(p):
-        calls.append(p.index)
-        return p.value**2
+    def at(n):
+        calls.append(n)
+        return Fraction(n, spec.tau) ** 2
 
     if not certified:
-        return GridFunction(spec, rule)
-    return GridFunction(spec, rule, sq.certificate, sq.quotient_certificate)
+        return GridFunction(spec, at)
+    return GridFunction(spec, at, sq.certificate, sq.quotient_certificate)
 
 
 def test_exhaustive_checks_evaluate_each_point_once():
@@ -559,8 +584,8 @@ def test_ftc_check_reads_the_integrand_lane_once():
         reads.append(n)
         return cubic.at(n)
 
-    f = GridFunction.from_lane(
-        spec, (counting_at, cubic.den), cubic.certificate, cubic.quotient_certificate
+    f = GridFunction(
+        spec, counting_at, cubic.certificate, cubic.quotient_certificate, cubic.den
     )
     report = ftc_check(f, ctx, PLAN)
     assert report and report.detail == {"exact_violations": 0}
@@ -576,7 +601,7 @@ def test_secant_check_reads_the_certificate_by_value():
     assert qcert == sq.quotient_certificate and qcert is not sq.quotient_certificate
 
     def with_quotient_certificate(c):
-        return GridFunction(spec, lambda p: p.value**2, sq.certificate, c)
+        return GridFunction(spec, lambda n: Fraction(n, 64) ** 2, sq.certificate, c)
 
     report = secant_check(with_quotient_certificate(qcert), ctx, PLAN)
     assert report.mode == "exhaustive"

@@ -486,11 +486,11 @@ def test_a_square_reads_its_operand_once():
     spec = GridSpec(16)
     calls = []
 
-    def rule(p):
-        calls.append(p.index)
-        return p.value + 1
+    def at(n):
+        calls.append(n)
+        return Fraction(n, 16) + 1
 
-    f = _power(GridFunction(spec, rule), 8)
+    f = _power(GridFunction(spec, at), 8)
     assert f.materialize() == [(p.value + 1) ** 8 for p in spec.points()]
     assert calls == list(range(17))
     calls.clear()

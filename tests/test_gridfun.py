@@ -35,7 +35,6 @@ from hypergrid.gridfun import (
     _quotient_product_certificate,
     add_certificates,
     constant_certificate,
-    identity_certificate,
     map_values,
     multiply_certificates,
     scale_certificate,
@@ -62,10 +61,40 @@ def test_points_from_other_grids_are_rejected():
 def test_memoized_rules_are_evaluated_once_per_point():
     spec = GridSpec(16)
     calls = []
-    f = GridFunction(spec, lambda p: (calls.append(p.index), p.value)[1], memoize=True)
+    f = map_values(identity(spec), lambda v, n: (calls.append(n), v)[1])
     p = spec.point(5)
     assert f(p) == f(p) == Fraction(5, 16)
     assert calls == [5]
+
+
+def test_off_grid_index_reads_are_refused():
+    spec = GridSpec(8)
+    with pytest.raises(DomainError, match="grid index -1 outside"):
+        square(spec).numerators({9, -1})
+    with pytest.raises(DomainError, match="grid index 9 outside"):
+        square(spec).numerators({0, 9})
+    with pytest.raises(DomainError, match="grid index 12 outside"):
+        exp_fn(spec).numerators({12})
+    assert square(spec).numerators({8, 0}) == ({0: 0, 8: 64}, 64)
+    assert square(spec).numerators(set()) == ({}, 64)
+
+
+_STEP_AT = st.one_of(
+    st.fractions(min_value=-2, max_value=2, max_denominator=200),
+    st.integers(min_value=-3, max_value=3).map(Fraction),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=2, max_value=64), _STEP_AT, st.integers(0, 64))
+def test_step_is_the_threshold_rule(tau, at, k):
+    spec = GridSpec(tau)
+    on_grid = Fraction(min(k, tau), tau)
+    for threshold in (at, on_grid, on_grid + Fraction(1, 3 * tau)):
+        f = step(spec, threshold)
+        assert f.den == 1
+        for p in spec.points():
+            assert f(p) == (1 if p.value >= threshold else 0)
 
 
 def test_difference_and_quotient_of_the_square():
@@ -84,7 +113,7 @@ def test_materialize_small_grids():
 def test_materialize_returns_a_new_list_and_reuses_the_memo():
     spec = GridSpec(16)
     calls = []
-    base = GridFunction(spec, lambda p: (calls.append(p.index), p.value)[1])
+    base = GridFunction(spec, lambda n: (calls.append(n), Fraction(n, 16))[1])
     f = map_values(base, lambda v, n: v + n) * 2 + square(spec)
     expected = [2 * (Fraction(n, 16) + n) + Fraction(n, 16) ** 2 for n in range(17)]
     first = f.materialize()
@@ -154,7 +183,7 @@ def test_certificates_propagate_through_the_algebra():
 
 def test_uncertified_operands_drop_certificates():
     spec = GridSpec(100)
-    bare = GridFunction(spec, lambda p: p.value)
+    bare = GridFunction(spec, lambda n: Fraction(n, 100))
     assert bare.certificate is None
     assert (square(spec) + bare).certificate is None
     assert (square(spec) * bare).quotient_certificate is None
@@ -163,7 +192,7 @@ def test_uncertified_operands_drop_certificates():
 def test_certificate_combinators():
     c = constant_certificate(Fraction(-5))
     assert c.bound == 5 and c.modulus(Fraction(1, 2)) == 0
-    i = identity_certificate()
+    i = Certificate(Fraction(1), Fraction(1), Fraction(0))
     assert i.bound == 1 and i.modulus(Fraction(1, 3)) == Fraction(1, 3)
     s = add_certificates(c, i)
     assert s.bound == 6 and s.modulus(Fraction(1, 4)) == Fraction(1, 4)
@@ -259,7 +288,7 @@ def test_continuity_certified_for_certified_functions():
 
 def test_continuity_sampled_ok_without_a_certificate():
     spec = GridSpec(4096)
-    bare = GridFunction(spec, lambda p: p.value)
+    bare = GridFunction(spec, lambda n: Fraction(n, 4096))
     report = continuity_check(bare, CTX, PLAN)
     assert report.mode == "sampled-ok"
     assert bool(report)
@@ -280,7 +309,7 @@ def test_weak_certificates_fall_back_to_sampling():
     spec = GridSpec(4096)
     # modulus too large to certify at H=1000, but values are constant
     weak = Certificate(Fraction(1), Fraction(0), Fraction(1))
-    f = GridFunction(spec, lambda p: Fraction(0), weak)
+    f = GridFunction(spec, lambda n: Fraction(0), weak)
     report = continuity_check(f, CTX, PLAN)
     assert report.mode == "sampled-ok"
 
@@ -403,7 +432,7 @@ def test_combinators_read_like_the_closure_formulas(a, b, c, e, k, gaps):
 )
 def test_exp_transport_and_integral_read_like_the_closure_formulas(cert, tau, tau_b, policy, gaps):
     spec = GridSpec(tau)
-    f = GridFunction(spec, lambda p: Fraction(0), cert)
+    f = GridFunction(spec, lambda n: Fraction(0), cert)
     theta = 0 if policy.mode == "full" else Fraction(1, tau * 2**policy.guard)
     _reads_like(exp_of(f, policy).certificate, _old_exp_of(_closure(cert), theta), gaps)
     to_b, from_b = grid_maps(spec, GridSpec(tau_b))

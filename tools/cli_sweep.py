@@ -1,0 +1,235 @@
+"""Byte-identity sweep of the command line.
+
+Runs a fixed list of CLI invocations in-process against one checkout and
+records, for each, its argv, exit code, stdout and stderr; a second mode
+compares two such records.  Two checkouts that should behave alike (a
+refactor and its parent, say) are compared like this:
+
+    python3 tools/cli_sweep.py run PARENT parent.json
+    python3 tools/cli_sweep.py run .      change.json
+    python3 tools/cli_sweep.py compare parent.json change.json
+
+``run SRC OUT.json`` imports ``hypergrid`` from ``SRC/src`` (or from SRC
+itself when it holds the package) and calls ``hypergrid.cli.main`` once
+per invocation.  An exception that escapes ``main`` is recorded as exit
+code "traceback" with its type and message, so a crash shows up as a
+difference instead of ending the sweep.  ``compare A.json B.json`` prints
+each argv whose record differs, or is missing from one side, and exits 1
+if there is any.
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+from collections import Counter
+
+EXPRESSIONS = (
+    "x",
+    "x^2",
+    "x^3 - x/2",
+    "(x + 1/3)^5 - 2*x^2 + 7",
+    "exp(x)",
+    "x*exp(x)",
+    "exp(2*x - 1)",
+    "log(1+x)",
+    "log(x)",
+    "1/(x+1)",
+    "x/(1 + x^2)",
+    "1/(x - 1/2)",
+    "exp(x)^3*x",
+)
+
+POINT_OPTIONS = (
+    [],
+    ["--at", "1/3"],
+    ["--at", "1"],
+    ["--at", "0.7"],
+    ["--domain", "-1", "2"],
+    ["--domain", "-1", "2", "--at", "0"],
+    ["--domain", "1/2", "3/2", "--at", "3/2", "--json"],
+    ["--json"],
+    ["--json", "--at", "1/2"],
+    ["--workers", "3"],
+    ["--exp-mode", "full", "--at", "1/4"],
+    ["--digits", "30", "--guard", "8"],
+)
+
+CHECK_EXPRESSIONS = (
+    "x^2",
+    "x^3 - x/2",
+    "exp(x)",
+    "x*exp(x)",
+    "log(1+x)",
+    "1/(x+1)",
+    "1/(x - 1/2)",
+)
+
+CHECK_KINDS = ("ftc", "grid-independence", "secant", "limit", "continuity")
+
+SERIES = ("zeros", "harmonic", "inverse-squares", "geometric:1/2", "geometric:2")
+
+ERRORS = (
+    [],
+    ["eval"],
+    ["eval", "x^", "--tau", "16"],
+    ["eval", "x +* 2", "--tau", "16"],
+    ["eval", "sin(x)", "--tau", "16"],
+    ["eval", "x", "--tau", "1"],
+    ["eval", "x", "--tau", "16", "--at", "2"],
+    ["eval", "x", "--tau", "16", "--at", "one"],
+    ["eval", "x", "--tau", "16", "--domain", "1", "1"],
+    ["eval", "x", "--tau", "16", "--domain", "0", "1", "--at", "-1"],
+    ["eval", "--tau", "16", "--file", "missing-expression.txt"],
+    ["eval", "log(x)", "--tau", "16", "--at", "0"],
+    ["eval", "1/(x - 1/2)", "--tau", "16", "--at", "1/2"],
+    ["eval", "exp(10^9*x)", "--tau", "16", "--at", "1"],
+    ["eval", "exp(x)^330", "--tau", "64"],
+    ["eval", "x/0", "--tau", "16"],
+    ["eval", "x", "--tau", "16", "--digits", "-1"],
+    ["eval", "x", "--tau", "16", "--guard", str(2**11)],
+    ["eval", "x", "--tau", "16", "--exp-mode", "half"],
+    ["integrate", "x", "--tau", "16", "--workers", "0"],
+    ["integrate", "x", "--tau", "16", "--workers", "-2"],
+    ["integrate", "exp(x)", "--tau", "16", "--H", "2", "--K", "2"],
+    ["integrate", "1/(x + 1/4)", "--tau", "16", "--H", "2", "--K", "3"],
+    ["integrate", "log(x)", "--tau", "16", "--domain", "0", "2"],
+    ["check", "ftc", "x", "--tau", "16", "--samples", "0"],
+    ["check", "ftc", "x", "--tau", "16", "--samples", str(2**25)],
+    ["check", "area", "x", "--tau", "16"],
+    ["check", "secant", "--tau", "16"],
+    ["check", "secant", "x^2", "--tau", "16", "--H", "2"],
+    ["check", "limit", "x^2", "--tau", "16", "--H", "64"],
+    ["check", "grid-independence", "x^2", "--tau", "16", "--samples", "0"],
+    ["check", "continuity", "exp(10^9*x)", "--tau", "65536"],
+    ["sum", "primes", "--H", "10"],
+    ["sum", "geometric:x", "--H", "10"],
+    ["sum", "harmonic", "--sum-cap", "3"],
+    ["sum", "harmonic", "--sum-cap", str(2**25)],
+    ["frobnicate", "x"],
+)
+
+# (environment variable value, argv): the tau cap and its malformed forms
+CAPPED = (
+    ("64", ["eval", "x", "--tau", "64"]),
+    ("64", ["eval", "x", "--tau", "65"]),
+    ("64", ["check", "grid-independence", "x", "--tau", "16", "--tau2", "128"]),
+    ("sixty-four", ["eval", "x", "--tau", "16"]),
+)
+
+
+def invocations():
+    """The fixed sweep: a list of (env, argv), env a dict of variables set
+    for that invocation only."""
+    out = []
+    for command in ("eval", "diff", "integrate"):
+        for text in EXPRESSIONS:
+            for tau in ("16", "64"):
+                for options in POINT_OPTIONS:
+                    out.append(({}, [command, text, "--tau", tau, *options]))
+    for kind in CHECK_KINDS:
+        for text in CHECK_EXPRESSIONS:
+            for tau, H in (("64", "8"), ("256", "16"), ("1024", "32")):
+                for seed in ("0", "7"):
+                    argv = ["check", kind, text, "--tau", tau, "--H", H, "--seed", seed]
+                    argv += ["--samples", "64"]
+                    if seed == "7":
+                        argv.append("--json")
+                    out.append(({}, argv))
+            out.append(({}, ["check", kind, text, "--tau", "64", "--H", "8", "--tau2", "96"]))
+    for series in SERIES:
+        for H in ("10", "1000"):
+            for cap in ("16", "1024"):
+                for extra in ([], ["--json"]):
+                    out.append(({}, ["sum", series, "--H", H, "--sum-cap", cap, *extra]))
+    out.extend(({}, argv) for argv in ERRORS)
+    out.extend(({"HYPERGRID_MAX_TAU": cap}, argv) for cap, argv in CAPPED)
+    return out
+
+
+def _import_cli(src):
+    root = os.path.abspath(src)
+    if os.path.isfile(os.path.join(root, "src", "hypergrid", "__init__.py")):
+        root = os.path.join(root, "src")
+    if not os.path.isfile(os.path.join(root, "hypergrid", "__init__.py")):
+        raise SystemExit(f"no hypergrid package under {src}")
+    sys.path.insert(0, root)
+    from hypergrid import cli
+
+    if not os.path.abspath(cli.__file__).startswith(root + os.sep):
+        raise SystemExit(f"hypergrid imported from {cli.__file__}, not {root}")
+    return cli
+
+
+def _invoke(cli, env, argv):
+    saved = {key: os.environ.get(key) for key in env}
+    os.environ.update(env)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(list(argv))
+    except (Exception, SystemExit) as exc:
+        # a crash is a recorded outcome; its type and message, not its
+        # traceback, whose file paths differ between checkouts
+        code = "traceback"
+        err.write(f"{type(exc).__name__}: {exc}\n")
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                os.environ.pop(key, None)
+            else:
+                os.environ[key] = value
+    return {
+        "argv": argv,
+        "env": env,
+        "exit": code,
+        "stdout": out.getvalue(),
+        "stderr": err.getvalue(),
+    }
+
+
+def run(src, out_path):
+    cli = _import_cli(src)
+    os.environ.pop("HYPERGRID_MAX_TAU", None)  # only the CAPPED cases set it
+    records = [_invoke(cli, env, argv) for env, argv in invocations()]
+    with open(out_path, "w", encoding="utf-8") as handle:
+        json.dump(records, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    codes = Counter(record["exit"] for record in records)
+    summary = ", ".join(f"exit {code}: {count}" for code, count in sorted(codes.items(), key=str))
+    print(f"{len(records)} invocations ({summary}) -> {out_path}")
+    return 0
+
+
+def _key(record):
+    return json.dumps([record["env"], record["argv"]])
+
+
+def compare(a_path, b_path):
+    with open(a_path, encoding="utf-8") as handle:
+        a = {_key(r): r for r in json.load(handle)}
+    with open(b_path, encoding="utf-8") as handle:
+        b = {_key(r): r for r in json.load(handle)}
+    differing = [key for key in a if a[key] != b.get(key)]
+    differing += [key for key in b if key not in a]
+    for key in differing:
+        env, argv = json.loads(key)
+        prefix = "".join(f"{name}={value} " for name, value in env.items())
+        print(prefix + " ".join(argv))
+    print(f"{len(differing)} of {len(a.keys() | b.keys())} invocations differ")
+    return 1 if differing else 0
+
+
+def main(argv=None):
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) == 3 and args[0] == "run":
+        return run(args[1], args[2])
+    if len(args) == 3 and args[0] == "compare":
+        return compare(args[1], args[2])
+    print("usage: cli_sweep.py run SRC OUT.json | compare A.json B.json", file=sys.stderr)
+    return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())
