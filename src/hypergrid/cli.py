@@ -11,7 +11,8 @@ fixed seed reproduces reports byte for byte.
 ``--domain a b`` lets expressions live on [a, b]: the variable is
 substituted with a + (b-a)x before compilation, evaluation points are
 mapped into [0, 1], and difference quotients / integrals are rescaled
-by the interval length on the way out.
+by the interval length on the way out; an evaluation error names its
+grid point p as a + (b-a)p, in the domain's coordinates.
 
 The environment variable HYPERGRID_MAX_TAU, when set, caps the grid
 resolution any invocation may request.
@@ -35,7 +36,7 @@ from .calculus import (
     secant_check,
 )
 from .context import DEFAULT_K, CheckReport, ObservationContext
-from .errors import DomainError, HypergridError, ResourceLimitError
+from .errors import DomainError, EvaluationError, HypergridError, ResourceLimitError
 from .grid import GridSpec, round_to_grid
 from .gridfun import MATERIALIZE_LIMIT, continuity_check
 from .rational import format_rational, parse_rational, render_decimal
@@ -325,6 +326,13 @@ def run(job: JobConfig):
             "expression nests too deeply to evaluate"
             f" (Python recursion limit {sys.getrecursionlimit()})"
         ) from None
+    except EvaluationError as exc:
+        if job.domain is None or exc.point is None:
+            raise
+        # name the point in the domain's coordinates, a + (b - a) p
+        a, b = job.domain
+        where = a + (b - a) * exc.point.value
+        raise EvaluationError(f"{exc.reason} at grid point {where}") from None
 
 
 def _run(job: JobConfig):

@@ -25,9 +25,11 @@ class NotDifferentiableError(DomainError):
 
 class EvaluationError(HypergridError):
     """A compiled expression failed at a concrete grid point (for example
-    a logarithm of a non-positive value); ``point`` is where it happened."""
+    a logarithm of a non-positive value); ``point`` is where it happened,
+    and ``reason`` is the message without it."""
 
     def __init__(self, message, point=None):
+        self.reason = message
         if point is not None:
             message = f"{message} at grid point {point.value}"
         super().__init__(message)

@@ -17,13 +17,14 @@ Syntax errors carry the offending position.
 
 Compilation turns a tree into a ``GridFunction`` by folding the grid
 function algebra over it, so continuity certificates compose along the
-way, and so do lanes: a tree without exp, log or division by a
-non-constant compiles to a polynomial whose values are read as integer
-numerators over one shared denominator.  Powers fold by repeated
-squaring.  ``exp`` applied to a certified argument gets a
-certificate from the bound 3**ceil(B) (an integer dominating e**B; see
-``functions.exp_of``); ``log`` never gets one and is left to sampling.
-Division certifies only when the divisor folds to a constant.
+way, and so do lanes: a polynomial, a logarithm, and their sums and
+products compile to a lane whose values are read as integer numerators
+over one shared denominator; exp and division by a non-constant give
+value nodes.  Powers fold by repeated squaring.  ``exp`` applied to a
+certified argument gets a certificate from the bound 3**ceil(B) (an
+integer dominating e**B; see ``functions.exp_of``); ``log`` never gets
+one and is left to sampling.  Division certifies only when the divisor
+folds to a constant.
 """
 
 import re

@@ -15,10 +15,12 @@ each an affine (bound, slope, offset) with modulus slope*d + offset:
 The logarithm and the step function carry no certificates: one is
 unbounded near 0, the other is there to be refuted.
 
-Constants, monomials and steps also carry a lane, integer numerators
-over a shared denominator (c over its own, n**k over tau**k, 0 or 1
-over 1), which the grid-function algebra combines into the lanes of
-compiled polynomials.
+Constants, monomials, steps and logarithms also carry a lane, integer
+numerators over a shared denominator (c over its own, n**k over tau**k,
+0 or 1 over 1, the lattice index k over tau), which the grid-function
+algebra combines into the lanes of compiled expressions.  Exp nodes
+keep values, but the series reads an argument's lane as integers: its
+numerator at n over the lane's denominator, with no Fraction formed.
 """
 
 from fractions import Fraction
@@ -26,8 +28,8 @@ from math import ceil
 
 from .errors import DomainError, EvaluationError
 from .grid import GridSpec
-from .gridfun import Certificate, GridFunction, constant_certificate, constant_lane, map_values
-from .series import DEFAULT_POLICY, TruncationPolicy, exp_approx, log_approx
+from .gridfun import Certificate, GridFunction, _memoized, constant_certificate, constant_lane
+from .series import DEFAULT_POLICY, TruncationPolicy, _exp_kernel, _log_index
 
 #: The largest bound B on an exp argument that earns a certificate; past it
 #: 3**ceil(B) is too large to build, and sampling decides instead.
@@ -68,7 +70,9 @@ def _tail_threshold(spec: GridSpec, policy: TruncationPolicy) -> Fraction:
 
 
 def exp_of(g: GridFunction, policy: TruncationPolicy = DEFAULT_POLICY) -> GridFunction:
-    """The truncated exponential of g's values, memoized.
+    """The truncated exponential of g's values, memoized.  The series
+    kernel reads each value as integers, unreduced: a lane's numerator
+    over its denominator, or a value's numerator and denominator.
 
     A certified g with |g| <= B gives a value certificate: exp has
     Lipschitz constant e**B <= 3**ceil(B) on [-B, B], so the modulus is
@@ -83,7 +87,14 @@ def exp_of(g: GridFunction, policy: TruncationPolicy = DEFAULT_POLICY) -> GridFu
         lip = Fraction(3 ** max(1, ceil(inner.bound)))
         wobble = 2 * _tail_threshold(spec, policy)
         cert = Certificate(lip, lip * inner.slope, lip * inner.offset + wobble)
-    return map_values(g, lambda v, n: exp_approx(v, spec.tau, policy), cert)
+    at, den, tau = g.at, g.den or 1, spec.tau
+
+    def exp_at(n):
+        v = at(n)
+        s, d, _ = _exp_kernel(v.numerator, v.denominator * den, tau, policy)
+        return Fraction(s, d)
+
+    return GridFunction(spec, _memoized(exp_at), cert)
 
 
 def exp_fn(
@@ -103,16 +114,22 @@ def exp_fn(
 
 
 def log_of(g: GridFunction, policy: TruncationPolicy = DEFAULT_POLICY) -> GridFunction:
-    """The lattice logarithm of g's values, memoized; a non-positive
-    value raises ``EvaluationError`` at its point.  No certificate."""
+    """The lattice logarithm of g's values, memoized: a lane over tau
+    whose numerator at n is the integer k of ``series._log_index``.  A
+    non-positive value raises ``EvaluationError`` at its point.  No
+    certificate."""
     spec = g.spec
+    at, den, tau = g.at, g.den or 1, spec.tau
 
-    def op(v, n):
-        if v <= 0:
-            raise EvaluationError(f"log of non-positive value {v}", point=spec.point(n))
-        return log_approx(v, spec.tau, policy)
+    def log_at(n):
+        v = at(n)
+        a, b = v.numerator, v.denominator * den
+        if a <= 0:
+            value = Fraction(a, b)
+            raise EvaluationError(f"log of non-positive value {value}", point=spec.point(n))
+        return _log_index(a, b, tau, policy)
 
-    return map_values(g, op)
+    return GridFunction(spec, _memoized(log_at), den=tau)
 
 
 def log_fn(

@@ -5,7 +5,7 @@ resolutions where materialization is impossible, and rules scale where
 tables do not.  Every node is one function of the grid index, ``at(n)``,
 and is built one way, ``GridFunction(spec, at, certificate,
 quotient_certificate, den)``.  Rules must be pure; the memo that exp and
-log nodes keep (``map_values``) is the only mutable state and behaves as
+log nodes keep (``_memoized``) is the only mutable state and behaves as
 a write-once-per-key map (duplicate computation is allowed, divergent
 results are not).
 
@@ -13,8 +13,8 @@ Point evaluation and the whole-grid read run that same function:
 ``materialize()`` maps ``at`` over the indices left to right into a
 fresh list of all tau + 1 values (the caller owns it; no node keeps a
 table), so a failure is the one point-by-point evaluation meets first.
-Constants, monomials and steps carry a lane: ``at(n)`` is then an
-integer numerator over one shared denominator ``den``.  The algebra
+Constants, monomials, steps and logarithms carry a lane: ``at(n)`` is
+then an integer numerator over one shared denominator ``den``.  The algebra
 combines lanes alongside the certificates (sums over the lcm of the
 denominators, products over their product), so a polynomial costs one
 Fraction per value and ``numerators`` keeps prefix sums in integers.

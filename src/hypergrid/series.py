@@ -5,15 +5,21 @@ The exponential here is literally the partial sum of q^i/i! through
 i = tau.  Two truncation policies exist because exactness and cost pull
 in opposite directions:
 
-* ``full``: every term through i = tau.  This is the reference value;
-  it is computed with an integer Horner recurrence (one normalization
-  at the end) but still becomes expensive for large tau.
+* ``full``: every term through i = tau.  This is the reference value,
+  and it becomes expensive for large tau.
 * ``tail-bounded``: stop once the remaining tail is provably below
   1/(tau * 2**guard).  Past i >= 2|q| the term ratio is at most 1/2, so
   twice the next term bounds the whole tail.  The result differs from
   the full sum by less than the threshold, which is far below any
   observation tolerance in use; when the threshold is never reached
-  (tiny tau), the loop runs to tau and the result is the full sum.
+  (tiny tau), the sum runs to tau and the result is the full sum.
+
+One integer kernel, ``_exp_kernel``, serves every caller.  It takes a
+numerator and a positive denominator, not necessarily in lowest terms,
+so a lane's numerator over its denominator goes in as it is.  It finds
+the stop index first, by the tail test alone, without summing; then it
+sums top-down by Horner over b**s * s!, two big multiplications per
+term.  Nothing is normalized until a caller forms a Fraction.
 
 The logarithm inverts the truncated exponential over the lattice
 k/tau: it returns the largest lattice point whose exponential does not
@@ -26,7 +32,9 @@ lattice point without evaluating E at all, and a rational upper bound
 gives a candidate overshoot that one evaluation confirms.  Monotonicity
 makes the largest admissible point unique, so the answer does not
 depend on how the bracket was found; only the cost does (one to three
-evaluations of E, each compared with the argument in integers).
+evaluations of E, each compared with the argument in integers).  Its
+integer entry point, ``_log_index``, takes a numerator and a
+denominator and returns the lattice index k itself.
 
 ``countable_sum`` evaluates partial sums at doubling lengths and issues
 a verdict: a value once the partials settle, an infinity once they
@@ -36,6 +44,7 @@ budget ends with the partials still moving.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import Callable, Iterator, Optional, Union
 
 from .context import ObservationContext
@@ -69,6 +78,9 @@ class TruncationPolicy:
 
 DEFAULT_POLICY = TruncationPolicy()
 FULL_POLICY = TruncationPolicy(mode="full")
+#: The log search's first try at an overshoot: its tail threshold
+#: 1/(64 tau) is usually far below q's distance from E one lattice step up.
+_COARSE = TruncationPolicy(guard=6)
 
 
 @dataclass(frozen=True)
@@ -91,44 +103,47 @@ def _require_grid(tau: int, policy: TruncationPolicy):
         )
 
 
-def _exp_loop(q: Fraction, tau: int, policy: TruncationPolicy):
-    """Shared core: returns (numerator, denominator, stop_index) with
-    numerator/denominator equal to the partial sum through stop_index.
+def _exp_kernel(a: int, b: int, tau: int, policy: TruncationPolicy):
+    """The truncated exponential at a/b (b > 0, not necessarily in lowest
+    terms) in integers: (numerator, b**stop * stop!, stop), the partial
+    sum through the stop index over its denominator.
 
-    The recurrence keeps everything in integers over the running
-    denominator b**i * i!: S_i = S_{i-1} * (b*i) + a**i.
+    The stop index comes first, from powers and factorials alone: tau
+    under the full policy, else the first i >= 2(floor|q| + 1) whose
+    tail test holds, or tau.  The sum then runs top-down by Horner,
+    1 + (a/(b i)) (1 + (a/(b (i+1))) (...)), one multiplication of the
+    numerator by a and one of the denominator by b i per term.
     """
     _require_grid(tau, policy)
-    a, b = q.numerator, q.denominator
-    if abs(a) > EXP_ARGUMENT_LIMIT * b:
+    m = abs(a)
+    if m > EXP_ARGUMENT_LIMIT * b:
         raise ResourceLimitError(
             f"exp argument exceeds the magnitude limit {EXP_ARGUMENT_LIMIT}"
         )
-    check_tail = policy.mode == "tail-bounded"
-    # tail bound is valid once the term ratio |q|/(i+1) is at most 1/2
-    ratio_floor = 2 * (abs(a) // b + 1)
-    tail_factor = tau << policy.guard
-
-    s = 1
-    den = 1
-    a_pow = 1
-    stop = 0
-    for i in range(1, tau + 1):
-        a_pow *= a
+    # the tail bound is valid once the term ratio |q|/(i+1) is at most 1/2
+    stop = 2 * (m // b + 1)
+    if policy.mode == "full" or stop >= tau:
+        stop = tau
+    else:
+        # whole tail <= 2 |t_(stop+1)|; compare over b**(stop+1) (stop+1)!
+        lhs = 2 * m ** (stop + 1) * (tau << policy.guard)
+        rhs = b ** (stop + 1) * factorial(stop + 1)
+        while not lhs < rhs and stop < tau:
+            stop += 1
+            lhs *= m
+            rhs *= b * (stop + 1)
+    num = den = 1
+    for i in range(stop, 0, -1):
         den *= b * i
-        s = s * (b * i) + a_pow
-        stop = i
-        if check_tail and i >= ratio_floor:
-            # whole tail <= 2 |t_{i+1}|; compare over the denominator den*b*(i+1)
-            if 2 * abs(a_pow * a) * tail_factor < den * b * (i + 1):
-                break
-    return s, den, stop
+        num = num * a + den
+    return num, den, stop
 
 
 def exp_series(q: Fraction, tau: int, policy: TruncationPolicy = DEFAULT_POLICY):
     """Partial sum of exp at q through tau, plus the index of the last
     term actually added.  Returns (value, stop_index)."""
-    s, den, stop = _exp_loop(Fraction(q), tau, policy)
+    q = Fraction(q)
+    s, den, stop = _exp_kernel(q.numerator, q.denominator, tau, policy)
     return Fraction(s, den), stop
 
 
@@ -148,7 +163,7 @@ def series_states(
     term = Fraction(1)
     partial = Fraction(1)
     yield SeriesState(0, term, partial)
-    _, _, stop = _exp_loop(q, tau, policy)
+    stop = _exp_kernel(q.numerator, q.denominator, tau, policy)[2]
     for i in range(1, stop + 1):
         term = term * q / i
         partial += term
@@ -191,19 +206,18 @@ def _ln_bounds(a: int, b: int, m: int, bits: int):
     return lo, hi
 
 
-def log_approx(
-    q: Fraction, tau: int, policy: TruncationPolicy = DEFAULT_POLICY
-) -> Fraction:
-    """Lattice inverse of the truncated exponential: the largest k/tau
-    with exp_approx(k/tau, tau) <= q, searched over |k| <= tau**2.
+def _log_index(a: int, b: int, tau: int, policy: TruncationPolicy) -> int:
+    """The lattice logarithm of q = a/b (a, b > 0, not necessarily in
+    lowest terms) as an integer: the largest k with E(k/tau) <= q, where
+    E is the policy's truncated exponential, searched over |k| <= tau**2.
 
-    Arguments in (0, 1) are evaluated as -log_approx(1/q), which stays
+    Arguments in (0, 1) are evaluated as -_log_index(b, a), which stays
     on the nonnegative half of the lattice; the two readings differ by
     at most one lattice step.
 
-    The search is bracketed without evaluating E = exp_approx.  For
-    x >= 0 every series term is positive, so 1 + x <= E(x) <= e^x under
-    either policy.  Hence floor(tau * L) is admissible for any rational
+    The search is bracketed without evaluating E.  For x >= 0 every
+    series term is positive, so 1 + x <= E(x) <= e^x under either
+    policy.  Hence floor(tau * L) is admissible for any rational
     L <= ln q, and e^(k/tau) > q at k = floor(tau * U) + 1 for any
     rational U >= ln q.  L and U come from fixed-point integers with
     directed rounding, a few lattice steps apart.  One evaluation
@@ -212,23 +226,27 @@ def log_approx(
     that is itself a lattice value of E); bisection closes the gap.
     E is strictly increasing in k >= 0 under either policy, so the
     largest admissible k is unique and any valid bracket yields it.
-    Each evaluation compares E's integer numerator and denominator with
-    q's, so no Fraction is normalized per evaluation.
+    Each evaluation compares the kernel's integers with a and b, so no
+    Fraction is normalized per evaluation.  An evaluation first sums at
+    guard 6 when the policy's guard is larger: that sum stops no later,
+    so at k >= 0 it is at most E(k/tau), and when it already exceeds q
+    the overshoot is proven in about half the terms.  Otherwise, and
+    for every lattice point at or below the answer, E itself decides.
 
     SearchRangeError is raised when the answer is at least the smallest
     power of two above tau**2, where a doubling search from k = 1
     leaves the lattice.
     """
-    q = Fraction(q)
-    if q <= 0:
-        raise DomainError("log_approx needs a positive argument")
-    if q < 1:
-        return -log_approx(1 / q, tau, policy)
+    if a < b:
+        return -_log_index(b, a, tau, policy)
     _require_grid(tau, policy)
-    a, b = q.numerator, q.denominator
 
     def overshoots(k: int) -> bool:
-        s, den, _ = _exp_loop(Fraction(k, tau), tau, policy)
+        if policy.guard > _COARSE.guard:
+            s, den, _ = _exp_kernel(k, tau, tau, _COARSE)
+            if s * b > a * den:
+                return True
+        s, den, _ = _exp_kernel(k, tau, tau, policy)
         return s * b > a * den
 
     limit = tau * tau
@@ -248,7 +266,7 @@ def log_approx(
         step *= 2
     if lo >= ceiling:
         raise SearchRangeError(
-            f"log search left the lattice (|k| <= {limit}) for argument {q}"
+            f"log search left the lattice (|k| <= {limit}) for argument {Fraction(a, b)}"
         )
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -256,7 +274,18 @@ def log_approx(
             hi = mid
         else:
             lo = mid
-    return Fraction(lo, tau)
+    return lo
+
+
+def log_approx(
+    q: Fraction, tau: int, policy: TruncationPolicy = DEFAULT_POLICY
+) -> Fraction:
+    """Lattice inverse of the truncated exponential: the largest k/tau
+    with exp_approx(k/tau, tau) <= q, for q > 0 (see ``_log_index``)."""
+    q = Fraction(q)
+    if q <= 0:
+        raise DomainError("log_approx needs a positive argument")
+    return Fraction(_log_index(q.numerator, q.denominator, tau, policy), tau)
 
 
 class _Unstable:

@@ -210,6 +210,19 @@ def test_points_outside_the_domain_are_rejected(capsys):
     assert "outside" in err
 
 
+def test_evaluation_errors_name_the_point_in_domain_coordinates(capsys):
+    # the zero of x + 1 is at x = -1, the left end of [-1, 2]
+    code, out, err = invoke(capsys, "integrate", "1/(x+1)", "--tau", "16", "--domain", "-1", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: division by zero at grid point -1\n"
+    # --at 0 rounds to the unit point 5/16, which is -1 + 3 * 5/16 = -1/16
+    code, out, err = invoke(
+        capsys, "eval", "log(x)", "--tau", "16", "--domain", "-1", "2", "--at", "0"
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: log of non-positive value -1/16 at grid point -1/16\n"
+
+
 def test_empty_domains_are_rejected(capsys):
     code, _, err = invoke(capsys, "eval", "x", "--domain", "2", "2")
     assert code == 1

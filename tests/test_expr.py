@@ -16,7 +16,7 @@ from hypergrid import (
     cumulative_values,
     integral,
 )
-from hypergrid.errors import EvaluationError
+from hypergrid.errors import EvaluationError, HypergridError
 from hypergrid.expr import (
     BinOp,
     Call,
@@ -361,6 +361,37 @@ def test_polynomial_lane_equals_direct_fraction_evaluation(tree, tau):
     sums = list(accumulate(expected))
     assert cumulative_values(f) == sums
     assert cumulative_values(f, workers=3) == sums
+
+
+def _read_or_error(read):
+    try:
+        return read()
+    except HypergridError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _polynomial_trees(),
+    st.integers(min_value=2, max_value=64),
+    st.sampled_from([DEFAULT_POLICY, FULL_POLICY]),
+)
+@example(parse("x^3 - x/2"), 64, DEFAULT_POLICY)
+@example(parse("(x + 1/3)^5 - 2*x^2 + 7"), 37, FULL_POLICY)
+def test_exp_and_log_of_a_lane_equal_the_series_on_its_values(tree, tau, policy):
+    # exp reads the lane's numerators over its denominator, and log of
+    # 1 + tree^2 is a lane over tau; both equal the series on the values
+    assume(_degree(tree) <= 24)
+    spec = GridSpec(tau)
+    values = [_direct(tree, Fraction(n, tau)) for n in range(tau + 1)]
+    exp_f = compile(Call("exp", tree), spec, policy)
+    log_f = compile(Call("log", BinOp("+", Literal(Fraction(1)), Pow(tree, 2))), spec, policy)
+    assert exp_f.den is None and log_f.den == tau
+    for p, v in zip(spec.points(), values):
+        assert _read_or_error(lambda: exp_f(p)) == _read_or_error(lambda: exp_approx(v, tau, policy))
+        assert _read_or_error(lambda: log_f(p)) == _read_or_error(
+            lambda: log_approx(1 + v * v, tau, policy)
+        )
 
 
 def _small_literals():

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hypergrid import series
@@ -252,19 +252,123 @@ def test_full_policy_limit_is_checked_before_the_search():
 def test_log_evaluates_the_exponential_a_few_times_per_call(monkeypatch):
     tau = 2**17
     calls = []
-    exp_loop = series._exp_loop
+    kernel = series._exp_kernel
 
-    def counted(q, tau, policy):
-        calls.append(q)
-        return exp_loop(q, tau, policy)
+    def counted(a, b, tau, policy):
+        calls.append(Fraction(a, b))
+        return kernel(a, b, tau, policy)
 
-    monkeypatch.setattr(series, "_exp_loop", counted)
+    monkeypatch.setattr(series, "_exp_kernel", counted)
     args = [1 + Fraction(k, 64) for k in range(65)]
     args += [exp_approx(Fraction(k, tau), tau) for k in (1, 777, 90_000)]
     for q in args:
         calls.clear()
         log_approx(q, tau)
         assert 1 <= len(calls) <= 6
+
+
+def _reference_exp_loop(q: Fraction, tau: int, policy: TruncationPolicy):
+    """The fused summation loop the integer kernel replaced, kept here
+    verbatim as its reference: (numerator, denominator, stop_index)."""
+    series._require_grid(tau, policy)
+    a, b = q.numerator, q.denominator
+    if abs(a) > EXP_ARGUMENT_LIMIT * b:
+        raise ResourceLimitError(
+            f"exp argument exceeds the magnitude limit {EXP_ARGUMENT_LIMIT}"
+        )
+    check_tail = policy.mode == "tail-bounded"
+    # tail bound is valid once the term ratio |q|/(i+1) is at most 1/2
+    ratio_floor = 2 * (abs(a) // b + 1)
+    tail_factor = tau << policy.guard
+
+    s = 1
+    den = 1
+    a_pow = 1
+    stop = 0
+    for i in range(1, tau + 1):
+        a_pow *= a
+        den *= b * i
+        s = s * (b * i) + a_pow
+        stop = i
+        if check_tail and i >= ratio_floor:
+            # whole tail <= 2 |t_{i+1}|; compare over the denominator den*b*(i+1)
+            if 2 * abs(a_pow * a) * tail_factor < den * b * (i + 1):
+                break
+    return s, den, stop
+
+
+KERNEL_POLICIES = st.sampled_from(
+    [FULL_POLICY] + [TruncationPolicy("tail-bounded", guard=g) for g in (1, 3, 64, 1024)]
+)
+
+
+@st.composite
+def kernel_arguments(draw):
+    """(q, c, tau, policy): q zero, on the lattice, off it, or at and
+    beside an integer (where the ratio floor steps), either sign; c
+    scales q's numerator and denominator out of lowest terms."""
+    tau = draw(TAUS)
+    policy = draw(KERNEL_POLICIES)
+    if policy.mode == "full":
+        tau = min(tau, draw(st.integers(min_value=2, max_value=600)))
+    kind = draw(st.sampled_from(["zero", "lattice", "rational", "floor"]))
+    if kind == "zero":
+        q = Fraction(0)
+    elif kind == "lattice":
+        q = Fraction(draw(st.integers(min_value=0, max_value=8 * tau)), tau)
+    elif kind == "rational":
+        q = Fraction(draw(st.integers(0, 10**6)), draw(st.integers(1, 10**5)))
+    else:
+        nudge = draw(st.sampled_from([0, Fraction(1, tau), Fraction(1, 10**12)]))
+        q = draw(st.integers(min_value=0, max_value=40)) + draw(st.sampled_from([-1, 0, 1])) * nudge
+    if draw(st.booleans()):
+        q = -q
+    return q, draw(st.sampled_from([1, 2, 3, 7, 2**40 + 1])), tau, policy
+
+
+def _kernel_outcome(run):
+    try:
+        return run()
+    except ResourceLimitError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(kernel_arguments())
+# the tail test's two sides are equal at i = 4: 2 * 30 * 2**1 == 5!
+@example((Fraction(1), 1, 30, TruncationPolicy("tail-bounded", guard=1)))
+@example((Fraction(-1), 6, 30, TruncationPolicy("tail-bounded", guard=1)))
+@example((Fraction(EXP_ARGUMENT_LIMIT * 64 + 1, 64), 3, 64, DEFAULT_POLICY))
+def test_exp_kernel_matches_the_fused_reference_loop(case):
+    q, c, tau, policy = case
+    expected = _kernel_outcome(lambda: _reference_exp_loop(q, tau, policy))
+    got = _kernel_outcome(lambda: series._exp_kernel(q.numerator * c, q.denominator * c, tau, policy))
+    if isinstance(expected[0], type):
+        assert got == expected
+        return
+    num, den, stop = got
+    assert stop == expected[2]
+    # over b**stop * stop!, so the unreduced pair scales both by c**stop
+    assert (num, den) == (expected[0] * c**stop, expected[1] * c**stop)
+    assert exp_series(q, tau, policy) == (Fraction(num, den), stop)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=10**6),
+    st.integers(min_value=1, max_value=10**6),
+    st.sampled_from([2, 3, 64, 2**40 + 1]),
+    st.integers(min_value=2, max_value=4096),
+    POLICIES,
+)
+def test_log_index_ignores_a_common_factor(a, b, c, tau, policy):
+    def log_index(pair, tau, policy):
+        return series._log_index(*pair, tau, policy)
+
+    k = _outcome(log_index, (a, b), tau, policy)
+    assert _outcome(log_index, (a * c, b * c), tau, policy) == k
+    expected = k if isinstance(k, tuple) else Fraction(k, tau)
+    assert _outcome(log_approx, Fraction(a, b), tau, policy) == expected
 
 
 def test_countable_sum_of_zeros_is_exactly_zero():

@@ -1,0 +1,199 @@
+"""Mutation checks: each listed mutant must fail the tests named for it.
+
+    python3 tools/mutants.py run      # every mutant, in a temporary copy
+    python3 tools/mutants.py drift    # only check that every mutant applies
+
+A mutant is a file, an exact old text, a new text, and the pytest ids
+of the tests that must fail once the old text is replaced by the new
+(DeMillo, Lipton & Sayward, "Hints on test data selection", 1978).
+``run`` copies the tree to a temporary directory for each mutant,
+applies it there, and runs only its named tests, with a fixed hypothesis
+seed; a mutant whose tests all pass has survived.  It prints one line
+per mutant and exits 1 if any survived.
+
+Both modes first check for drift: every old text must occur exactly once
+in its file at the checked-out tree, and every named test must still be
+defined in its test file.  A refactor that moves mutated code must
+update its mutants, so drift fails loudly (exit 1) instead of letting a
+mutant apply to nothing.  New mutants are appended to ``MUTANTS``.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple
+
+
+MUTANTS = (
+    # the integer exp and log kernels
+    Mutant(
+        "Horner factor b*(i+1) instead of b*i",
+        "src/hypergrid/series.py",
+        "        den *= b * i\n",
+        "        den *= b * (i + 1)\n",
+        ("tests/test_series.py::test_exp_kernel_matches_the_fused_reference_loop",),
+    ),
+    Mutant(
+        "stop test with <= instead of <",
+        "src/hypergrid/series.py",
+        "        while not lhs < rhs and stop < tau:\n",
+        "        while not lhs <= rhs and stop < tau:\n",
+        ("tests/test_series.py::test_exp_kernel_matches_the_fused_reference_loop",),
+    ),
+    Mutant(
+        "ratio floor one index early",
+        "src/hypergrid/series.py",
+        "    stop = 2 * (m // b + 1)\n",
+        "    stop = 2 * (m // b + 1) - 1\n",
+        ("tests/test_series.py::test_exp_kernel_matches_the_fused_reference_loop",),
+    ),
+    Mutant(
+        "log lane over tau + 1",
+        "src/hypergrid/functions.py",
+        "    return GridFunction(spec, _memoized(log_at), den=tau)\n",
+        "    return GridFunction(spec, _memoized(log_at), den=tau + 1)\n",
+        (
+            "tests/test_expr.py::test_compile_log_matches_the_lattice_inverse",
+            "tests/test_expr.py::test_exp_and_log_of_a_lane_equal_the_series_on_its_values",
+        ),
+    ),
+    Mutant(
+        "reciprocal branch without its sign",
+        "src/hypergrid/series.py",
+        "        return -_log_index(b, a, tau, policy)\n",
+        "        return _log_index(b, a, tau, policy)\n",
+        (
+            "tests/test_series.py::test_log_below_one_is_negative_and_near_inverse",
+            "tests/test_series.py::test_bracketed_log_matches_the_doubling_search",
+        ),
+    ),
+    Mutant(
+        "coarse overshoot probe under a finer policy",
+        "src/hypergrid/series.py",
+        "        if policy.guard > _COARSE.guard:\n",
+        "        if True:\n",
+        ("tests/test_series.py::test_bracketed_log_matches_the_doubling_search",),
+    ),
+    # one constructor for every node
+    Mutant(
+        "step threshold as a floor",
+        "src/hypergrid/functions.py",
+        "    jump = ceil(Fraction(at) * spec.tau)\n",
+        "    jump = Fraction(at) * spec.tau // 1\n",
+        ("tests/test_gridfun.py::test_step_is_the_threshold_rule",),
+    ),
+    Mutant(
+        "quotient function without the right-endpoint clamp",
+        "src/hypergrid/calculus.py",
+        "        m = min(n, last)\n",
+        "        m = n\n",
+        ("tests/test_calculus.py::test_quotient_function_extends_at_the_right_endpoint",),
+    ),
+    Mutant(
+        "quotient function drops the lane's denominator",
+        "src/hypergrid/calculus.py",
+        "    return GridFunction(f.spec, quotient_at, f.quotient_certificate, den=f.den)\n",
+        "    return GridFunction(f.spec, quotient_at, f.quotient_certificate)\n",
+        ("tests/test_calculus.py::test_quotient_function_of_a_polynomial_is_an_integer_lane",),
+    ),
+    Mutant(
+        "numerators(indices) without the range check",
+        "src/hypergrid/gridfun.py",
+        "        if order and (order[0] < 0 or order[-1] > self.spec.tau):\n",
+        "        if False:\n",
+        ("tests/test_gridfun.py::test_off_grid_index_reads_are_refused",),
+    ),
+    Mutant(
+        "workers below one taken as one",
+        "src/hypergrid/calculus.py",
+        "    if workers < 1:\n"
+        '        raise DomainError(f"workers must be at least 1, got {workers}")\n',
+        "    workers = max(1, workers)\n",
+        ("tests/test_calculus.py::test_workers_below_one_are_refused",),
+    ),
+)
+
+
+def drift(root=ROOT, mutants=MUTANTS) -> list:
+    """One line per problem: an old text that does not occur exactly once
+    in its file, or a named test its test file no longer defines."""
+    problems = []
+    for m in mutants:
+        count = (Path(root) / m.path).read_text().count(m.old)
+        if count != 1:
+            problems.append(f"{m.name}: old text occurs {count} times in {m.path}")
+        for test in m.tests:
+            path, _, func = test.partition("::")
+            if f"def {func}(" not in (Path(root) / path).read_text():
+                problems.append(f"{m.name}: {path} defines no {func}")
+    return problems
+
+
+def _copy_tree(root: Path, dest: Path):
+    skip = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", "results")
+    for name in ("src", "tests", "tools", "bench", "demos", "pyproject.toml"):
+        src = root / name
+        if src.is_dir():
+            shutil.copytree(src, dest / name, ignore=skip)
+        elif src.exists():
+            shutil.copy2(src, dest / name)
+
+
+def killed(m: Mutant, root=ROOT) -> bool:
+    """Apply ``m`` to a temporary copy of the tree and run its tests
+    there; True when at least one of them fails."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        tmp = Path(tmp)
+        _copy_tree(Path(root), tmp)
+        target = tmp / m.path
+        target.write_text(target.read_text().replace(m.old, m.new))
+        env = dict(os.environ, PYTHONPATH=str(tmp / "src"), PYTHONDONTWRITEBYTECODE="1")
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             "--hypothesis-seed=0", *m.tests],
+            cwd=tmp, env=env, capture_output=True, text=True,
+        )
+    if done.returncode not in (0, 1):
+        raise SystemExit(f"{m.name}: pytest exited {done.returncode}\n{done.stdout}{done.stderr}")
+    return done.returncode == 1
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if args not in (["run"], ["drift"]):
+        print(__doc__.strip().splitlines()[0], file=sys.stderr)
+        print("usage: mutants.py run | drift", file=sys.stderr)
+        return 2
+    problems = drift()
+    for line in problems:
+        print(f"drift: {line}")
+    if problems:
+        return 1
+    if args == ["drift"]:
+        print(f"{len(MUTANTS)} mutants apply")
+        return 0
+    survivors = 0
+    for m in MUTANTS:
+        ok = killed(m)
+        survivors += not ok
+        print(f"{'killed' if ok else 'SURVIVED'}: {m.name}", flush=True)
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
