@@ -37,7 +37,7 @@ from .gridfun import (
     grid_maps,
     transport,
 )
-from .sampling import SamplingPlan, sample_unit_fractions
+from .sampling import SamplingPlan, weyl_units
 
 
 class RealFunctionRepr:
@@ -205,6 +205,13 @@ def grid_independence_check(
     first, by transporting one onto the other's grid and comparing
     values; a failure there is reported as a precondition failure rather
     than a quotient gap.
+
+    The quotients are read by index: for each sampled point a = u / 2**64
+    (``weyl_units``) the index n_i = floor(a * tau_i), reading g1 at n1 + 1
+    and n1, then g2 at n2 + 1 and n2.  Gaps are numerators over
+    den1 * den2, compared in integers for two lanes; the witness is the
+    first sample whose gap exceeds 2/H, and one Fraction, the report's
+    max_gap, is formed at the end.
     """
     if samples < 1:
         raise DomainError(f"grid independence check needs at least one sample, got {samples}")
@@ -233,16 +240,22 @@ def grid_independence_check(
             precondition="representations disagree before quotients were compared",
         )
 
-    max_gap = Fraction(0)
+    at1, den1, tau1 = g1.at, g1.den or 1, g1.spec.tau
+    at2, den2, tau2 = g2.at, g2.den or 1, g2.spec.tau
+    w1, w2 = tau1 * den2, tau2 * den1
+    scale = den1 * den2  # the gaps' common denominator
+    worst = 0
     witness = None
-    for a in sample_unit_fractions(samples, seed):
-        u1 = round_to_grid(a, g1.spec)
-        u2 = round_to_grid(a, g2.spec)
-        gap = abs(g1.quotient(u1) - g2.quotient(u2))
-        if gap > max_gap:
-            max_gap = gap
-            if gap > tol and witness is None:
-                witness = f"a={a}"
+    for u in weyl_units(samples, seed):
+        n1, n2 = (u * tau1) >> 64, (u * tau2) >> 64
+        d1 = at1(n1 + 1) - at1(n1)
+        d2 = at2(n2 + 1) - at2(n2)
+        gap = abs(d1 * w1 - d2 * w2)
+        if gap > worst:
+            worst = gap
+            if witness is None and gap * ctx.H > 2 * scale:  # gap / scale > 2/H
+                witness = f"a={Fraction(u, 1 << 64)}"
+    max_gap = Fraction(worst, scale)
     return _report(
         "grid-independence",
         grids,
@@ -323,30 +336,32 @@ def _band_offsets(f: GridFunction, seq: ConvergentSequence, budget: int) -> list
     return offsets
 
 
-def _probe_quotients(
-    f: GridFunction, x: GridPoint, offsets: list, tol: Fraction
-) -> LimitQuotientResult:
-    """Difference quotients from x to round(x + t) for each offset t,
-    read against the quotient at x with tolerance ``tol``.  f(x+) and
-    f(x) are read once, in the order ``quotient`` reads them."""
-    after, fx = f(successor(x)), f(x)
-    reference = (after - fx) * f.spec.tau
-    probes = []
-    max_gap = Fraction(0)
-    for t in offsets:
-        target = x.value + t
-        if not 0 <= target <= 1:
-            raise DomainError(f"probe point {target} leaves [0, 1]")
-        y = round_to_grid(target, f.spec)
-        step = y.value - x.value
-        if step == 0:
-            continue
-        q = (f(y) - fx) / step
-        gap = abs(q - reference)
-        probes.append(LimitProbe(t, q, gap))
-        max_gap = max(max_gap, gap)
-    verdict = "pass" if max_gap <= tol else "fail"
-    return LimitQuotientResult(reference, verdict, tuple(probes), max_gap, tol)
+def _probe_walk(f: GridFunction, x: int, steps: list):
+    """The reads of the limit probes at the grid index x, in order:
+    at(x + 1), at(x), then at(x + k) for each step (t, k), where
+    k = floor(t * tau) because x/tau + t rounds down to x + k.  Before
+    each read the probe point x/tau + t must lie in [0, 1], tested in
+    integers; a step with k = 0 reads nothing.  Returns D = N[x+1] - N[x]
+    and, per read, (t, k, N[x+k] - N[x]), with N = f.at over f's den:
+    the probe's quotient is rise * tau / (den * k), and its gap to the
+    quotient at x is tau * |rise - k * D| / (den * |k|)."""
+    at, tau = f.at, f.spec.tau
+    after = at(x + 1)
+    fx = at(x)
+    rises = []
+    for t, k in steps:
+        lhs, span = x * t.denominator + t.numerator * tau, tau * t.denominator
+        if not 0 <= lhs <= span:  # x/tau + t == lhs/span
+            raise DomainError(f"probe point {Fraction(lhs, span)} leaves [0, 1]")
+        if k:
+            rises.append((t, k, at(x + k) - fx))
+    return after - fx, rises
+
+
+def _limit_steps(f: GridFunction, seq: ConvergentSequence, budget: int) -> list:
+    """(t, floor(t * tau)) for each offset of ``_band_offsets``."""
+    tau = f.spec.tau
+    return [(t, (t.numerator * tau) // t.denominator) for t in _band_offsets(f, seq, budget)]
 
 
 def limit_quotient(
@@ -362,11 +377,22 @@ def limit_quotient(
     is realized on the grid (the probe runs between the grid points x and
     round(x + t), and the quotient divides by their exact gap, which is
     where an off-grid t lands once rounded).  Every surviving probe must
-    land within 2/H of the difference quotient at x.
+    land within 2/H of the difference quotient at x.  The probes are
+    ``limit_check``'s walk (``_probe_walk``), read as Fractions.
     """
     f = _as_grid_function(fr)
-    offsets = _band_offsets(f, seq, budget)
-    return _probe_quotients(f, x, offsets, 2 * seq.context.infinitesimal_scale)
+    steps = _limit_steps(f, seq, budget)
+    n = f._index(successor(x)) - 1  # x has a successor on f's grid
+    tau, den = f.spec.tau, f.den or 1
+    d, rises = _probe_walk(f, n, steps)
+    probes = []
+    for t, k, rise in rises:
+        gap = Fraction(abs(rise - k * d) * tau, den * abs(k))
+        probes.append(LimitProbe(t, Fraction(rise * tau, den * k), gap))
+    max_gap = max((probe.gap for probe in probes), default=Fraction(0))
+    tol = 2 * seq.context.infinitesimal_scale
+    verdict = "pass" if max_gap <= tol else "fail"
+    return LimitQuotientResult(Fraction(d * tau, den), verdict, tuple(probes), max_gap, tol)
 
 
 def limit_check(
@@ -375,31 +401,45 @@ def limit_check(
     points: Sequence[Fraction],
     budget: int = 64,
 ) -> CheckReport:
-    """Run limit_quotient with the halving sequence t_i = 2**-i at each
-    given point; pass iff every probe at every point lands within 2/H.
-    The sequence is verified, and its in-band offsets listed, once."""
+    """Run limit_quotient's probes with the halving sequence t_i = 2**-i
+    at each given point, rounded down to the grid and kept below its
+    right end; pass iff every probe at every point lands within 2/H.
+    The sequence is verified, and its in-band offsets listed, once.
+
+    The walk is ``_probe_walk``'s, in integers for a lane.  Every point
+    takes the same steps k, so each step keeps its peak deviation
+    |rise - k * D| over the points; the witness, the first point with a
+    probe above 2/H, can only be found where a peak rises.  The worst
+    peak over its step is chosen cross-multiplied, and one Fraction, the
+    report's max_gap, is formed at the end."""
     f = _as_grid_function(fr)
     if not points:
         raise DomainError("limit check needs at least one point")
     seq = ConvergentSequence(lambda i: Fraction(1, 2**i), Fraction(0), ctx)
-    max_gap = Fraction(0)
+    steps = _limit_steps(f, seq, budget)
+    tau, den = f.spec.tau, f.den or 1
+    ks = [abs(k) for _, k in steps if k]  # the steps every walk reads, in order
+    peaks = [0] * len(ks)
+    limits = [2 * den * k for k in ks]  # a probe's gap exceeds 2/H iff dev * tau * H > limit
+    tau_h = tau * ctx.H
     witness = None
-    count = 0
-    tol = 2 * ctx.infinitesimal_scale
-    offsets = _band_offsets(f, seq, budget)
     for s in points:
-        x = round_to_grid(Fraction(s), f.spec)
-        if x.index >= f.spec.tau:
-            x = f.spec.point(f.spec.tau - 1)
-        result = _probe_quotients(f, x, offsets, tol)
-        count += len(result.probes)
-        if result.max_gap > max_gap:
-            max_gap = result.max_gap
-            if not result and witness is None:
-                witness = f"x={x.value}"
-    return _report(
-        "limit", [f.spec.tau], ctx, count, max_gap, tol, max_gap <= tol, "sampled", witness
-    )
+        x = min(round_to_grid(Fraction(s), f.spec).index, tau - 1)
+        d, rises = _probe_walk(f, x, steps)
+        for j, (_, k, rise) in enumerate(rises):
+            dev = abs(rise - k * d)
+            if dev > peaks[j]:
+                peaks[j] = dev
+                if witness is None and dev * tau_h > limits[j]:
+                    witness = f"x={Fraction(x, tau)}"
+    worst, worst_k = 0, 1
+    for peak, k in zip(peaks, ks):
+        if peak * worst_k > worst * k:
+            worst, worst_k = peak, k
+    max_gap = Fraction(worst * tau, den * worst_k)
+    tol = 2 * ctx.infinitesimal_scale
+    count = len(points) * len(ks)
+    return _report("limit", [tau], ctx, count, max_gap, tol, max_gap <= tol, "sampled", witness)
 
 
 def cumulative_values(f: GridFunction, workers: int = 1) -> list:

@@ -64,12 +64,18 @@ class GridPoint:
 def round_to_grid(s: Fraction, spec: GridSpec) -> GridPoint:
     """Round s in [0, 1] down to the grid: index = integer part of s*tau.
 
-    The defect s - value(result) is exact and lies in [0, epsilon).
+    The defect s - value(result) is exact and lies in [0, epsilon).  A
+    rational (int, Fraction) is read as its numerator and denominator, in
+    integers; anything else (float, Decimal) is converted to a Fraction.
     """
-    if not 0 <= s <= 1:
+    if not hasattr(s, "denominator"):  # compared as given; a str raises TypeError
+        if not 0 <= s <= 1:
+            raise DomainError(f"cannot round {s}: outside [0, 1]")
+        s = Fraction(s)
+    num, den = s.numerator, s.denominator
+    if num < 0 or num > den:
         raise DomainError(f"cannot round {s}: outside [0, 1]")
-    s = Fraction(s)
-    return GridPoint((s.numerator * spec.tau) // s.denominator, spec)
+    return GridPoint((num * spec.tau) // den, spec)
 
 
 def successor(x: GridPoint) -> GridPoint:

@@ -30,9 +30,12 @@ Certificates compose when a node is built: sums add moduli, products use
 the bounded-factor rule, scaling scales, so a read is O(1).
 
 Function-level indiscernibility (``fn_indiscernible``, also a
-``CheckReport``) compares |f - g| pointwise against 1/H.  (The absolute
-difference is used even where a one-sided gap would do; the relation is
-treated as a symmetric distance throughout.)
+``CheckReport``) compares |f - g| pointwise against 1/H, cross-multiplied:
+each side's ``at`` over its ``den``, so two lanes are compared in
+integers.  (The absolute difference is used even where a one-sided gap
+would do; the relation is treated as a symmetric distance throughout.)
+``transport`` carries a function to another grid through the index of
+each rounded point, and keeps its lane.
 """
 
 from dataclasses import dataclass, replace
@@ -170,12 +173,16 @@ class GridFunction:
         self.quotient_certificate = quotient_certificate
 
     def __call__(self, x: GridPoint) -> Fraction:
+        v = self.at(self._index(x))
+        return v if self.den is None else Fraction(v, self.den)
+
+    def _index(self, x: GridPoint) -> int:
+        """x's grid index, once x is found to lie on this function's grid."""
         if x.spec != self.spec:
             raise GridMismatchError(
                 f"point on grid tau={x.spec.tau} given to function on tau={self.spec.tau}"
             )
-        v = self.at(x.index)
-        return v if self.den is None else Fraction(v, self.den)
+        return x.index
 
     def quotient(self, x: GridPoint) -> Fraction:
         """The difference quotient (f(x+) - f(x)) / epsilon; undefined at
@@ -302,21 +309,6 @@ class GridFunction:
     __rmul__ = __mul__
 
 
-def map_values(
-    g: GridFunction,
-    op: Callable[[Fraction, int], Fraction],
-    certificate: Optional[Certificate] = None,
-    quotient_certificate: Optional[Certificate] = None,
-) -> GridFunction:
-    """The memoized node x -> op(g(x), index of x): its index function
-    reads g's value at the same index, for a point and for the whole
-    grid alike."""
-    value = g._value_at()
-    return GridFunction(
-        g.spec, _memoized(lambda n: op(value(n), n)), certificate, quotient_certificate
-    )
-
-
 def fn_indiscernible(
     f: GridFunction,
     g: GridFunction,
@@ -325,21 +317,30 @@ def fn_indiscernible(
 ) -> CheckReport:
     """Compare two functions on the same grid at context ``ctx``: their
     values must stay within 1/H at every probed point.  The report's
-    witness is the first probed point where they do not."""
+    witness is the first probed point where they do not.
+
+    At each index f is read before g, by ``at``.  With f = Nf / df and
+    g = Ng / dg (a value node's den is 1), the gap is
+    |Nf * dg - Ng * df| over df * dg, so gaps are compared by their
+    numerators and the tolerance cross-multiplied; one Fraction is formed,
+    for the report's max_gap."""
     if f.spec != g.spec:
         raise GridMismatchError("cannot compare functions on different grids")
     tau = f.spec.tau
-    tol = ctx.infinitesimal_scale
+    at_f, df = f.at, f.den or 1
+    at_g, dg = g.at, g.den or 1
+    scale = df * dg
     indices = plan.indices(tau)
-    max_gap = Fraction(0)
+    worst = 0
     witness = None
     for n in indices:
-        p = f.spec.point(n)
-        gap = abs(f(p) - g(p))
-        if gap > max_gap:
-            max_gap = gap
-            if gap > tol and witness is None:
-                witness = str(p.value)
+        gap = abs(at_f(n) * dg - at_g(n) * df)
+        if gap > worst:
+            worst = gap
+            if gap * ctx.H > scale and witness is None:  # gap / scale > 1/H
+                witness = str(Fraction(n, tau))
+    max_gap = Fraction(worst, scale)
+    tol = ctx.infinitesimal_scale
     return _report(
         "indiscernible",
         [tau],
@@ -374,7 +375,9 @@ def transport(
     from_b: Callable[[GridPoint], GridPoint],
 ) -> GridFunction:
     """Carry ``f`` along a grid equivalence: the result on the target grid
-    is y -> f(from_b(y)), with values untouched.
+    is y -> f(from_b(y)), with values untouched.  Its index function reads
+    ``f.at`` at the index of from_b(y), checked to lie on f's grid at
+    every read, and it keeps f's ``den``, so a lane stays a lane.
 
     ``to_b``/``from_b`` must be an almost-inverse pair (``grid_maps`` builds
     the canonical one); that obligation is the caller's, and violations
@@ -389,8 +392,8 @@ def transport(
         # rounding both arguments back can stretch a gap by one source mesh
         cert = replace(cert, offset=cert.modulus(f.spec.epsilon))
 
-    point = target_spec.point
-    return GridFunction(target_spec, lambda n: f(from_b(point(n))), cert)
+    at, index, point = f.at, f._index, target_spec.point
+    return GridFunction(target_spec, lambda n: at(index(from_b(point(n)))), cert, den=f.den)
 
 
 def continuity_check(

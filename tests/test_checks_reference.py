@@ -1,7 +1,11 @@
-"""``secant_check`` and ``continuity_check`` against the point-by-point
-implementations they replaced, kept here as the reference: on random
-polynomial and exp trees the reports (verdict, max_gap, pair or sample
-count, witness) and the errors raised must be equal."""
+"""The checks that read grid functions by index against the point-by-point
+implementations they replaced, kept here as the reference: ``secant_check``
+and ``continuity_check`` on random polynomial and exp trees; ``limit_check``,
+``limit_quotient``, ``grid_independence_check``, ``fn_indiscernible`` and
+``transport`` on polynomial and quotient lanes, log(1+x), exp(x), x*exp(x),
+1/(x - 1/2) and log(x - 1/2).  The reports (verdict, max_gap, pair or
+sample count, witness), the limit results and the errors raised must be
+equal."""
 
 import copy
 from dataclasses import replace
@@ -11,17 +15,31 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hypergrid import (
+    ConvergentSequence,
     DomainError,
     EvaluationError,
+    GridFunction,
     GridSpec,
     HypergridError,
     ObservationContext,
     SamplingPlan,
     continuity_check,
+    fn_indiscernible,
+    grid_independence_check,
+    grid_maps,
+    identity,
+    limit_check,
+    limit_quotient,
+    quotient_function,
+    round_to_grid,
     secant_check,
+    successor,
+    transport,
 )
-from hypergrid.calculus import _band
+from hypergrid.calculus import LimitProbe, LimitQuotientResult, _band, _band_offsets
 from hypergrid.context import _report
+from hypergrid.errors import GridMismatchError
+from hypergrid.sampling import sample_unit_fractions
 from hypergrid.expr import compile, parse
 from test_expr import _degree, _exp_arguments, _exp_trees, _polynomial_trees, _sup
 
@@ -122,9 +140,9 @@ def reference_continuity_check(f, ctx, plan):
     return verdict("sampled-ok", len(indices))
 
 
-def _outcome(check, f, ctx, plan):
+def _outcome(check, *args):
     try:
-        return check(f, ctx, plan)
+        return check(*args)
     except HypergridError as exc:
         return type(exc), str(exc)
 
@@ -197,3 +215,301 @@ def test_continuity_names_the_first_point_the_walk_reads():
     outcome = _outcome(continuity_check, f, ObservationContext(H=4, K=10**6), EXHAUSTIVE)
     assert outcome[0] is EvaluationError
     assert "at grid point 1/64" in outcome[1]
+
+
+# --- limits, grid independence, indiscernibility, transport -----------------
+
+
+def reference_probe_quotients(f, x, offsets, tol):
+    """Difference quotients from x to round(x + t), each read through a
+    GridPoint and divided as Fractions; f(x+) and f(x) read once."""
+    after, fx = f(successor(x)), f(x)
+    reference = (after - fx) * f.spec.tau
+    probes = []
+    max_gap = Fraction(0)
+    for t in offsets:
+        target = x.value + t
+        if not 0 <= target <= 1:
+            raise DomainError(f"probe point {target} leaves [0, 1]")
+        y = round_to_grid(target, f.spec)
+        step = y.value - x.value
+        if step == 0:
+            continue
+        q = (f(y) - fx) / step
+        gap = abs(q - reference)
+        probes.append(LimitProbe(t, q, gap))
+        max_gap = max(max_gap, gap)
+    verdict = "pass" if max_gap <= tol else "fail"
+    return LimitQuotientResult(reference, verdict, tuple(probes), max_gap, tol)
+
+
+def reference_limit_quotient(f, x, seq, budget=64):
+    offsets = _band_offsets(f, seq, budget)
+    return reference_probe_quotients(f, x, offsets, 2 * seq.context.infinitesimal_scale)
+
+
+def reference_limit_check(f, ctx, points, budget=64):
+    if not points:
+        raise DomainError("limit check needs at least one point")
+    seq = ConvergentSequence(lambda i: Fraction(1, 2**i), Fraction(0), ctx)
+    max_gap = Fraction(0)
+    witness = None
+    count = 0
+    tol = 2 * ctx.infinitesimal_scale
+    offsets = _band_offsets(f, seq, budget)
+    for s in points:
+        x = round_to_grid(Fraction(s), f.spec)
+        if x.index >= f.spec.tau:
+            x = f.spec.point(f.spec.tau - 1)
+        result = reference_probe_quotients(f, x, offsets, tol)
+        count += len(result.probes)
+        if result.max_gap > max_gap:
+            max_gap = result.max_gap
+            if not result and witness is None:
+                witness = f"x={x.value}"
+    return _report(
+        "limit", [f.spec.tau], ctx, count, max_gap, tol, max_gap <= tol, "sampled", witness
+    )
+
+
+def reference_fn_indiscernible(f, g, ctx, plan):
+    if f.spec != g.spec:
+        raise GridMismatchError("cannot compare functions on different grids")
+    tau = f.spec.tau
+    tol = ctx.infinitesimal_scale
+    indices = plan.indices(tau)
+    max_gap = Fraction(0)
+    witness = None
+    for n in indices:
+        p = f.spec.point(n)
+        gap = abs(f(p) - g(p))
+        if gap > max_gap:
+            max_gap = gap
+            if gap > tol and witness is None:
+                witness = str(p.value)
+    return _report(
+        "indiscernible", [tau], ctx, len(indices), max_gap, tol, max_gap <= tol,
+        plan.mode(tau), witness,
+    )
+
+
+def reference_transport(f, to_b, from_b):
+    """The carried function as a value node that reads f through a GridPoint."""
+    target_spec = to_b(f.spec.point(0)).spec
+    if from_b(target_spec.point(0)).spec != f.spec:
+        raise GridMismatchError("from_b does not land on the source grid")
+    cert = f.certificate
+    if cert is not None:
+        cert = replace(cert, offset=cert.modulus(f.spec.epsilon))
+    point = target_spec.point
+    return GridFunction(target_spec, lambda n: f(from_b(point(n))), cert)
+
+
+def reference_grid_independence_check(g1, g2, ctx, samples, seed):
+    if samples < 1:
+        raise DomainError(f"grid independence check needs at least one sample, got {samples}")
+    tol = 2 * ctx.infinitesimal_scale
+    grids = [g1.spec.tau, g2.spec.tau]
+    to_b, from_b = grid_maps(g1.spec, g2.spec)
+    carried = reference_transport(g1, to_b, from_b)
+    pre_plan = SamplingPlan(
+        seed=seed, random_points=min(samples, 256), dyadic_depth=8, exhaustive_limit=1
+    )
+    agreement = reference_fn_indiscernible(carried, g2, ctx, pre_plan)
+    if not agreement:
+        return _report(
+            "grid-independence", grids, ctx, agreement.samples, agreement.max_gap,
+            ctx.infinitesimal_scale, False, "sampled",
+            witness=f"values differ at {agreement.witness}",
+            precondition="representations disagree before quotients were compared",
+        )
+    max_gap = Fraction(0)
+    witness = None
+    for a in sample_unit_fractions(samples, seed):
+        u1 = round_to_grid(a, g1.spec)
+        u2 = round_to_grid(a, g2.spec)
+        gap = abs(g1.quotient(u1) - g2.quotient(u2))
+        if gap > max_gap:
+            max_gap = gap
+            if gap > tol and witness is None:
+                witness = f"a={a}"
+    return _report(
+        "grid-independence", grids, ctx, samples, max_gap, tol, max_gap <= tol, "sampled",
+        witness,
+    )
+
+
+_SOURCES = ("log(1+x)", "exp(x)", "x*exp(x)", "1/(x - 1/2)", "log(x - 1/2)")
+# a scale above 1 makes probes fail, so that witnesses are compared
+_SCALES = (Fraction(1), Fraction(3), Fraction(50))
+
+
+@st.composite
+def _functions(draw):
+    """(kind, tree, scale): a polynomial lane, the quotient lane of one,
+    or one of ``_SOURCES``, times scale; ``_build`` compiles it."""
+    kind = draw(st.sampled_from(("polynomial", "quotient", *_SOURCES)))
+    if kind in ("polynomial", "quotient"):
+        tree = draw(_polynomial_trees().filter(lambda t: _degree(t) <= 8))
+    else:
+        tree = parse(kind)
+    return kind, tree, draw(st.sampled_from(_SCALES))
+
+
+def _build(choice, tau):
+    kind, tree, scale = choice
+    f = compile(tree, GridSpec(tau))
+    if kind == "quotient":
+        f = quotient_function(f)
+    return f * scale
+
+
+_TAUS = st.integers(min_value=2, max_value=10**6)
+_POINTS = st.lists(
+    st.fractions(min_value=0, max_value=1, max_denominator=10**4), min_size=1, max_size=6
+)
+
+
+@st.composite
+def _grid_and_context(draw):
+    """(tau, H) with H <= tau/8 where it can be, so that the probe band
+    (max(4/tau, 1/H**2), 1/H] holds a power of 1/2."""
+    tau = draw(_TAUS)
+    return tau, draw(st.integers(min_value=2, max_value=max(2, min(4096, tau // 8))))
+
+_CUBIC = ("polynomial", parse("x^3"), Fraction(50))
+_SQUARE = ("polynomial", parse("x^2"), Fraction(1))
+_EXP = ("exp(x)", parse("exp(x)"), Fraction(1))
+_LOG_HALF = ("log(x - 1/2)", parse("log(x - 1/2)"), Fraction(1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_functions(), _grid_and_context(), _POINTS)
+# every point fails, the later ones by more: the witness is the first
+@example(_CUBIC, (10**4, 100), [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
+# t * tau is not an integer, so the step is floor(t * tau), not its ceiling
+@example(_SQUARE, (10**4, 100), [Fraction(1, 10), Fraction(7, 10), Fraction(1)])
+# log(x - 1/2) fails at every point read below 1/2, so read order shows
+@example(_LOG_HALF, (64, 8), [Fraction(3, 4), Fraction(25, 64)])
+@example(_LOG_HALF, (1024, 32), [Fraction(1, 2)])
+@example(_EXP, (10**6, 1000), [Fraction(1, 3)])
+def test_limit_check_equals_the_reference(choice, grid, points):
+    tau, H = grid
+    f = _build(choice, tau)
+    ctx = ObservationContext(H=H, K=10**6)
+    assert _outcome(limit_check, f, ctx, points) == _outcome(
+        reference_limit_check, f, ctx, points
+    )
+
+
+_SEQUENCES = {
+    "halving": lambda i: Fraction(1, 2**i),
+    "negative": lambda i: Fraction(-1, 2**i),
+    "alternating": lambda i: Fraction((-1) ** i, 2**i),
+    "thirds": lambda i: Fraction(1, 3 * 2**i),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _functions(),
+    _grid_and_context(),
+    st.fractions(min_value=0, max_value=1, max_denominator=10**4),
+    st.sampled_from(sorted(_SEQUENCES)),
+)
+@example(_CUBIC, (10**4, 100), Fraction(1, 2), "thirds")
+@example(_SQUARE, (10**4, 100), Fraction(0), "negative")
+@example(_SQUARE, (10**4, 100), Fraction(1), "halving")
+@example(_LOG_HALF, (64, 8), Fraction(1, 4), "alternating")
+def test_limit_quotient_equals_the_reference(choice, grid, s, sequence):
+    tau, H = grid
+    f = _build(choice, tau)
+    x = round_to_grid(s, f.spec)
+    seq = ConvergentSequence(_SEQUENCES[sequence], Fraction(0), ObservationContext(H=H, K=10**6))
+    assert _outcome(limit_quotient, f, x, seq) == _outcome(reference_limit_quotient, f, x, seq)
+
+
+def test_limit_quotient_refuses_a_point_of_another_grid_like_the_reference():
+    f = _build(_SQUARE, 10**4)
+    seq = ConvergentSequence(_SEQUENCES["halving"], Fraction(0), ObservationContext(H=100, K=10**6))
+    for x in (GridSpec(10**3).point(10), GridSpec(10**3).point(10**3)):
+        outcome = _outcome(limit_quotient, f, x, seq)
+        assert outcome[0] in (GridMismatchError, DomainError)
+        assert outcome == _outcome(reference_limit_quotient, f, x, seq)
+
+
+def _tilted(g, H, tilt):
+    """g plus tilt/H times (x - 1/2): a quotient gap of tilt/H that moves
+    values by at most tilt/(2H)."""
+    return g + (identity(g.spec) - Fraction(1, 2)) * Fraction(tilt, H)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    _functions(),
+    _TAUS,
+    _TAUS,
+    st.integers(min_value=2, max_value=4096),
+    st.integers(min_value=1, max_value=32),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=3),
+)
+# two lanes over different denominators
+@example(_SQUARE, 10**4, 3 * 10**4, 1000, 32, 0, 0)
+@example(_SQUARE, 10**4, 3 * 10**4, 1000, 32, 0, 3)
+@example(_EXP, 10**4, 3 * 10**4, 1000, 16, 1, 3)
+@example(_LOG_HALF, 64, 192, 8, 8, 0, 0)
+def test_grid_independence_check_equals_the_reference(choice, tau1, tau2, H, samples, seed, tilt):
+    g1 = _build(choice, tau1)
+    g2 = _tilted(_build(choice, tau2), H, tilt)
+    ctx = ObservationContext(H=H, K=10**6)
+    assert _outcome(grid_independence_check, g1, g2, ctx, samples, seed) == _outcome(
+        reference_grid_independence_check, g1, g2, ctx, samples, seed
+    )
+
+
+def _plan(seed):
+    if seed is None:  # every point while tau < 256
+        return SamplingPlan(random_points=8, dyadic_depth=3, exhaustive_limit=2**8)
+    return _sampled(seed)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    _functions(),
+    _TAUS,
+    st.integers(min_value=2, max_value=4096),
+    st.integers(min_value=0, max_value=2),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
+)
+# a gap of exactly 1/H, at x = 1, is indiscernible
+@example(_SQUARE, 100, 64, 1, None)
+@example(_CUBIC, 100, 64, 2, 1)
+@example(_LOG_HALF, 64, 8, 0, None)
+def test_fn_indiscernible_equals_the_reference(choice, tau, H, tilt, seed):
+    f = _build(choice, tau)
+    g = f + identity(f.spec) * Fraction(tilt, H)  # a gap of tilt * x / H
+    ctx = ObservationContext(H=H, K=10**6)
+    plan = _plan(seed)
+    assert _outcome(fn_indiscernible, f, g, ctx, plan) == _outcome(
+        reference_fn_indiscernible, f, g, ctx, plan
+    )
+
+
+def _carried_reads(carry, f, spec_b, plan):
+    """The carried function's certificate, grid and values at the plan's indices."""
+    to_b, from_b = grid_maps(f.spec, spec_b)
+    g = carry(f, to_b, from_b)
+    return g.certificate, g.spec, [g(spec_b.point(n)) for n in plan.indices(spec_b.tau)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(_functions(), _TAUS, _TAUS, st.one_of(st.none(), st.integers(min_value=0, max_value=3)))
+@example(_SQUARE, 100, 300, None)
+@example(_LOG_HALF, 64, 96, None)
+def test_transport_equals_the_reference(choice, tau_a, tau_b, seed):
+    f = _build(choice, tau_a)
+    spec_b, plan = GridSpec(tau_b), _plan(seed)
+    assert _outcome(_carried_reads, transport, f, spec_b, plan) == _outcome(
+        _carried_reads, reference_transport, f, spec_b, plan
+    )

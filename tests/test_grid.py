@@ -1,13 +1,16 @@
 """The grid, its rounding map, and the successor step."""
 
+from decimal import Decimal
 from fractions import Fraction
+from operator import add
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypergrid import (
     DomainError,
+    HypergridError,
     GridPoint,
     GridSpec,
     quasi_identity_defect,
@@ -70,6 +73,45 @@ def test_rounding_defect_is_in_the_half_open_mesh_cell(s, tau):
     defect = quasi_identity_defect(s, spec)
     assert 0 <= defect < spec.epsilon
     assert round_to_grid(s, spec).value + defect == s
+
+
+def _reference_round_to_grid(s, spec):
+    """The rounding map as it compared its argument before reading
+    integers: the comparison first, then a Fraction of the argument."""
+    if not 0 <= s <= 1:
+        raise DomainError(f"cannot round {s}: outside [0, 1]")
+    s = Fraction(s)
+    return GridPoint((s.numerator * spec.tau) // s.denominator, spec)
+
+
+def _rounding(round_, s, tau):
+    try:
+        return round_(s, GridSpec(tau))
+    except (HypergridError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+_TINY = Fraction(1, 10**12)
+_ROUNDING_INPUTS = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.booleans(),
+    st.fractions(min_value=-2, max_value=2, max_denominator=10**9),
+    # the ends 0 and 1, and just inside and outside them
+    st.builds(add, st.sampled_from([0, 1]), st.sampled_from([-_TINY, Fraction(0), _TINY])),
+    st.floats(min_value=-2, max_value=2),
+    st.sampled_from([0.0, 1.0, -0.0, float("inf"), float("-inf"), float("nan")]),
+    st.decimals(min_value=-2, max_value=2, places=12),
+    st.sampled_from([Decimal(0), Decimal(1), Decimal("1.0000000000001"), Decimal("-1E-30")]),
+)
+
+
+@settings(max_examples=400)
+@given(_ROUNDING_INPUTS, taus)
+@example("1/2", 10)
+@example(Fraction(1), 10**6)
+@example(Fraction(-1, 10**9), 3)
+def test_rounding_reads_integers_like_the_reference_rule(s, tau):
+    assert _rounding(round_to_grid, s, tau) == _rounding(_reference_round_to_grid, s, tau)
 
 
 @given(taus, st.integers(min_value=0, max_value=10**6))

@@ -30,16 +30,16 @@ from hypergrid import (
     transport,
 )
 from hypergrid.calculus import _antiderivative
+from hypergrid import functions
 from hypergrid.functions import exp_of
 from hypergrid.gridfun import (
     _quotient_product_certificate,
     add_certificates,
     constant_certificate,
-    map_values,
     multiply_certificates,
     scale_certificate,
 )
-from hypergrid.series import DEFAULT_POLICY, FULL_POLICY
+from hypergrid.series import DEFAULT_POLICY, FULL_POLICY, exp_approx
 
 CTX = ObservationContext(H=1000, K=10**6)
 PLAN = SamplingPlan(random_points=64, dyadic_depth=6, exhaustive_limit=4097)
@@ -58,13 +58,26 @@ def test_points_from_other_grids_are_rejected():
         f(GridSpec(11).point(3))
 
 
-def test_memoized_rules_are_evaluated_once_per_point():
-    spec = GridSpec(16)
+def _count_exp_kernel(monkeypatch) -> list:
+    """Record the argument of every exp node's kernel call, n/tau as (n, tau)."""
     calls = []
-    f = map_values(identity(spec), lambda v, n: (calls.append(n), v)[1])
+    kernel = functions._exp_kernel
+
+    def counting(a, b, tau, policy):
+        calls.append((a, b))
+        return kernel(a, b, tau, policy)
+
+    monkeypatch.setattr(functions, "_exp_kernel", counting)
+    return calls
+
+
+def test_memoized_rules_are_evaluated_once_per_point(monkeypatch):
+    spec = GridSpec(16)
+    calls = _count_exp_kernel(monkeypatch)
+    f = exp_fn(spec)
     p = spec.point(5)
-    assert f(p) == f(p) == Fraction(5, 16)
-    assert calls == [5]
+    assert f(p) == f(p) == exp_approx(Fraction(5, 16), 16)
+    assert calls == [(5, 16)]
 
 
 def test_off_grid_index_reads_are_refused():
@@ -110,15 +123,14 @@ def test_materialize_small_grids():
     assert identity(spec).materialize() == [Fraction(n, 4) for n in range(5)]
 
 
-def test_materialize_returns_a_new_list_and_reuses_the_memo():
+def test_materialize_returns_a_new_list_and_reuses_the_memo(monkeypatch):
     spec = GridSpec(16)
-    calls = []
-    base = GridFunction(spec, lambda n: (calls.append(n), Fraction(n, 16))[1])
-    f = map_values(base, lambda v, n: v + n) * 2 + square(spec)
-    expected = [2 * (Fraction(n, 16) + n) + Fraction(n, 16) ** 2 for n in range(17)]
+    calls = _count_exp_kernel(monkeypatch)
+    f = exp_fn(spec) * 2 + square(spec)
+    expected = [2 * exp_approx(Fraction(n, 16), 16) + Fraction(n, 16) ** 2 for n in range(17)]
     first = f.materialize()
     assert first == expected
-    assert sorted(calls) == list(range(17))
+    assert calls == [(n, 16) for n in range(17)]
     first[3] = None  # the caller owns the list
     calls.clear()
     assert f.materialize() == expected
@@ -223,6 +235,15 @@ def test_fn_indiscernible_accepts_identical_functions():
     assert result.witness is None
 
 
+def test_fn_indiscernible_accepts_a_gap_of_exactly_one_over_h():
+    spec = GridSpec(200)
+    shifted = square(spec) + Fraction(1, CTX.H)
+    result = fn_indiscernible(square(spec), shifted, CTX, PLAN)
+    assert result
+    assert result.max_gap == CTX.infinitesimal_scale
+    assert result.witness is None
+
+
 def test_fn_indiscernible_reports_a_witness():
     spec = GridSpec(200)
     result = fn_indiscernible(square(spec), identity(spec), CTX, PLAN)
@@ -255,6 +276,16 @@ def test_transport_carries_values_along_the_equivalence():
     g = transport(square(a), to_b, from_b)
     assert g.spec == b
     assert g(b.point(9)) == Fraction(3, 10) ** 2
+
+
+def test_transport_keeps_the_lane():
+    a, b = GridSpec(10), GridSpec(30)
+    to_b, from_b = grid_maps(a, b)
+    f = square(a)
+    g = transport(f, to_b, from_b)
+    assert g.den == f.den == 100
+    assert g.numerators() == ([(n // 3) ** 2 for n in range(31)], 100)
+    assert transport(exp_fn(a), to_b, from_b).den is None
 
 
 def test_transport_rejects_maps_landing_off_the_source_grid():

@@ -68,6 +68,19 @@ CHECK_EXPRESSIONS = (
 
 CHECK_KINDS = ("ftc", "grid-independence", "secant", "limit", "continuity")
 
+# sampled checks at the benchmark's sizes, and on a function that fails at
+# many points, so the order in which a check reads points shows
+SAMPLED_CHECKS = (
+    ["check", "limit", "x*exp(x)", "--tau", "1000000", "--H", "1000", "--samples", "128"],
+    ["check", "grid-independence", "exp(x)", "--tau", "10000", "--tau2", "30000",
+     "--H", "1000", "--samples", "256"],
+    *(
+        ["check", kind, "log(x - 1/2)", "--tau", tau, "--H", H]
+        for kind in ("limit", "grid-independence")
+        for tau, H in (("64", "8"), ("1024", "32"))
+    ),
+)
+
 SERIES = ("zeros", "harmonic", "inverse-squares", "geometric:1/2", "geometric:2")
 
 ERRORS = (
@@ -138,6 +151,7 @@ def invocations():
                         argv.append("--json")
                     out.append(({}, argv))
             out.append(({}, ["check", kind, text, "--tau", "64", "--H", "8", "--tau2", "96"]))
+    out.extend(({}, argv) for argv in SAMPLED_CHECKS)
     for series in SERIES:
         for H in ("10", "1000"):
             for cap in ("16", "1024"):

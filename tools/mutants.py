@@ -125,6 +125,114 @@ MUTANTS = (
         "    workers = max(1, workers)\n",
         ("tests/test_calculus.py::test_workers_below_one_are_refused",),
     ),
+    # sampled checks read integer indices and compare cross-multiplied
+    Mutant(
+        "limit step as the ceiling of t * tau",
+        "src/hypergrid/calculus.py",
+        "    return [(t, (t.numerator * tau) // t.denominator)"
+        " for t in _band_offsets(f, seq, budget)]\n",
+        "    return [(t, -((-t.numerator * tau) // t.denominator))"
+        " for t in _band_offsets(f, seq, budget)]\n",
+        (
+            "tests/test_checks_reference.py::test_limit_check_equals_the_reference",
+            "tests/test_checks_reference.py::test_limit_quotient_equals_the_reference",
+        ),
+    ),
+    Mutant(
+        "limit witness at the last failing point",
+        "src/hypergrid/calculus.py",
+        "                if witness is None and dev * tau_h > limits[j]:\n",
+        "                if dev * tau_h > limits[j]:\n",
+        ("tests/test_checks_reference.py::test_limit_check_equals_the_reference",),
+    ),
+    Mutant(
+        "grid-independence gap with tau1 * den1",
+        "src/hypergrid/calculus.py",
+        "    w1, w2 = tau1 * den2, tau2 * den1\n",
+        "    w1, w2 = tau1 * den1, tau2 * den1\n",
+        ("tests/test_checks_reference.py::test_grid_independence_check_equals_the_reference",),
+    ),
+    Mutant(
+        "indiscernibility tolerance test with >=",
+        "src/hypergrid/gridfun.py",
+        "            if gap * ctx.H > scale and witness is None:  # gap / scale > 1/H\n",
+        "            if gap * ctx.H >= scale and witness is None:  # gap / scale > 1/H\n",
+        (
+            "tests/test_gridfun.py::test_fn_indiscernible_accepts_a_gap_of_exactly_one_over_h",
+            "tests/test_checks_reference.py::test_fn_indiscernible_equals_the_reference",
+        ),
+    ),
+    Mutant(
+        "transport drops the lane's denominator",
+        "src/hypergrid/gridfun.py",
+        "    return GridFunction(target_spec, lambda n: at(index(from_b(point(n)))),"
+        " cert, den=f.den)\n",
+        "    return GridFunction(target_spec, lambda n: at(index(from_b(point(n)))), cert)\n",
+        (
+            "tests/test_gridfun.py::test_transport_keeps_the_lane",
+            "tests/test_checks_reference.py::test_transport_equals_the_reference",
+        ),
+    ),
+    Mutant(
+        "rounding range test with >=",
+        "src/hypergrid/grid.py",
+        "    if num < 0 or num > den:\n",
+        "    if num < 0 or num >= den:\n",
+        (
+            "tests/test_grid.py::test_round_floors_onto_the_grid",
+            "tests/test_grid.py::test_rounding_reads_integers_like_the_reference_rule",
+        ),
+    ),
+    # one read per grid point in the secant, continuity and limit checks
+    Mutant(
+        "secant witness taken offset-major",
+        "src/hypergrid/calculus.py",
+        "        n, k = min(failing)  # the least anchor, then the earliest offset\n",
+        "        n, k = failing[0]  # the least anchor, then the earliest offset\n",
+        ("tests/test_checks_reference.py::test_secant_check_equals_the_reference",),
+    ),
+    Mutant(
+        "sampled secant ladder without its repeated top offset",
+        "src/hypergrid/calculus.py",
+        "        offsets.append(hi_steps)\n",
+        "",
+        (
+            "tests/test_calculus.py::test_sampled_checks_read_each_needed_point_once",
+            "tests/test_checks_reference.py::test_secant_check_equals_the_reference",
+        ),
+    ),
+    Mutant(
+        "secant witness limit without den",
+        "src/hypergrid/calculus.py",
+        "        limit = bound * den * k / tau\n",
+        "        limit = bound * k / tau\n",
+        ("tests/test_checks_reference.py::test_secant_check_equals_the_reference",),
+    ),
+    Mutant(
+        "continuity reuses the upper end after a gap",
+        "src/hypergrid/gridfun.py",
+        "            lo_value = upper if lo == prev + 1 else at(lo)\n",
+        "            lo_value = upper if upper is not None else at(lo)\n",
+        ("tests/test_checks_reference.py::test_continuity_check_equals_the_reference",),
+    ),
+    Mutant(
+        "continuity reads the whole plan first",
+        "src/hypergrid/gridfun.py",
+        "    at, den, tau = f.at, f.den or 1, spec.tau\n",
+        "    f.numerators({m for n in indices for m in (n - 1, n, n + 1) if 0 <= m <= spec.tau})\n"
+        "    at, den, tau = f.at, f.den or 1, spec.tau\n",
+        (
+            "tests/test_calculus.py::test_continuity_refutes_before_reading_a_later_point",
+            "tests/test_checks_reference.py::test_continuity_check_equals_the_reference",
+        ),
+    ),
+    Mutant(
+        "limit walk reads f(x) again per offset",
+        "src/hypergrid/calculus.py",
+        "            rises.append((t, k, at(x + k) - fx))\n",
+        "            rises.append((t, k, at(x + k) - at(x)))\n",
+        ("tests/test_calculus.py::test_limit_quotient_reads_each_point_once",),
+    ),
 )
 
 
