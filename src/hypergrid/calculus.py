@@ -208,10 +208,11 @@ def grid_independence_check(
 
     The quotients are read by index: for each sampled point a = u / 2**64
     (``weyl_units``) the index n_i = floor(a * tau_i), reading g1 at n1 + 1
-    and n1, then g2 at n2 + 1 and n2.  Gaps are numerators over
-    den1 * den2, compared in integers for two lanes; the witness is the
-    first sample whose gap exceeds 2/H, and one Fraction, the report's
-    max_gap, is formed at the end.
+    and n1, then g2 at n2 + 1 and n2, each as an integer pair
+    (``_pair_at``).  Each quotient is a numerator over a denominator, the
+    gaps and their running maximum are compared cross-multiplied, and the
+    witness is the first sample whose gap exceeds 2/H; one Fraction, the
+    report's max_gap, is formed at the end.
     """
     if samples < 1:
         raise DomainError(f"grid independence check needs at least one sample, got {samples}")
@@ -240,20 +241,20 @@ def grid_independence_check(
             precondition="representations disagree before quotients were compared",
         )
 
-    at1, den1, tau1 = g1.at, g1.den or 1, g1.spec.tau
-    at2, den2, tau2 = g2.at, g2.den or 1, g2.spec.tau
-    w1, w2 = tau1 * den2, tau2 * den1
-    scale = den1 * den2  # the gaps' common denominator
-    worst = 0
+    pair1, tau1 = g1._pair_at(), g1.spec.tau
+    pair2, tau2 = g2._pair_at(), g2.spec.tau
+    worst, scale = 0, 1  # the largest gap so far, worst / scale
     witness = None
     for u in weyl_units(samples, seed):
         n1, n2 = (u * tau1) >> 64, (u * tau2) >> 64
-        d1 = at1(n1 + 1) - at1(n1)
-        d2 = at2(n2 + 1) - at2(n2)
-        gap = abs(d1 * w1 - d2 * w2)
-        if gap > worst:
-            worst = gap
-            if witness is None and gap * ctx.H > 2 * scale:  # gap / scale > 2/H
+        (a1, b1), (c1, d1) = pair1(n1 + 1), pair1(n1)
+        (a2, b2), (c2, d2) = pair2(n2 + 1), pair2(n2)
+        e1, e2 = b1 * d1, b2 * d2  # quotient i is (ai * di - ci * bi) * tau_i / ei
+        den = e1 * e2
+        gap = abs((a1 * d1 - c1 * b1) * tau1 * e2 - (a2 * d2 - c2 * b2) * tau2 * e1)
+        if gap * scale > worst * den:
+            worst, scale = gap, den
+            if witness is None and gap * ctx.H > 2 * den:  # gap / den > 2/H
                 witness = f"a={Fraction(u, 1 << 64)}"
     max_gap = Fraction(worst, scale)
     return _report(
@@ -283,20 +284,17 @@ class ConvergentSequence:
 
     def verify(self, budget: int = 128) -> bool:
         """Emulated convergence: for every probe q in 1/2, 1/4, ... down
-        to 1/H, some sampled tail stays within q of the declared limit."""
-        gaps = [abs(t - self.declared_limit) for t in self.terms(budget)]
-        tol = self.context.infinitesimal_scale
-        q = Fraction(1, 2)
-        while True:
-            last_bad = -1
-            for i, g in enumerate(gaps):
-                if g > q:
-                    last_bad = i
-            if last_bad >= budget - 1:
-                return False
-            if q <= tol:
-                return True
-            q = max(q / 2, tol)
+        to 1/H, some sampled tail of the first ``budget`` terms stays
+        within q of the declared limit.  Every rung is decided by the
+        last term alone, and the finest rung, 1/H, by itself, so what is
+        checked is: budget >= 1 and |term(budget - 1) - limit| <= 1/H.
+        All ``budget`` terms are still built, so a rule that raises
+        raises here."""
+        return self._settles(self.terms(budget))
+
+    def _settles(self, terms: list) -> bool:
+        """``verify``'s test on the terms it built."""
+        return bool(terms) and abs(terms[-1] - self.declared_limit) * self.context.H <= 1
 
 
 @dataclass(frozen=True)
@@ -327,35 +325,44 @@ def _band_offsets(f: GridFunction, seq: ConvergentSequence, budget: int) -> list
     first ``budget`` terms that fall in the probe band."""
     if seq.declared_limit != 0:
         raise DomainError("offset sequence must converge to 0")
-    if not seq.verify(budget):
+    terms = seq.terms(budget)
+    if not seq._settles(terms):
         raise DomainError("sequence does not meet its own convergence claim")
     band_lo, band_hi = _band(f.spec, seq.context)
-    offsets = [t for t in seq.terms(budget) if t != 0 and band_lo < abs(t) <= band_hi]
+    offsets = [t for t in terms if t != 0 and band_lo < abs(t) <= band_hi]
     if not offsets:
         raise DomainError(f"band is empty: no offset of the sequence in ({band_lo}, {band_hi}]")
     return offsets
 
 
 def _probe_walk(f: GridFunction, x: int, steps: list):
-    """The reads of the limit probes at the grid index x, in order:
-    at(x + 1), at(x), then at(x + k) for each step (t, k), where
-    k = floor(t * tau) because x/tau + t rounds down to x + k.  Before
-    each read the probe point x/tau + t must lie in [0, 1], tested in
-    integers; a step with k = 0 reads nothing.  Returns D = N[x+1] - N[x]
-    and, per read, (t, k, N[x+k] - N[x]), with N = f.at over f's den:
-    the probe's quotient is rise * tau / (den * k), and its gap to the
-    quotient at x is tau * |rise - k * D| / (den * |k|)."""
-    at, tau = f.at, f.spec.tau
-    after = at(x + 1)
-    fx = at(x)
-    rises = []
+    """The reads of the limit probes at the grid index x, in order: f at
+    x + 1, at x, then at x + k for each step (t, k), where
+    k = floor(t * tau) because x/tau + t rounds down to x + k, each read
+    as an integer pair (``_pair_at``).  Before each read the probe point
+    x/tau + t must lie in [0, 1], tested in integers; a step with k = 0
+    reads nothing.  Returns the pairs of f(x) and f(x + 1), and per read
+    (t, k, yn, yd) with f(x + k) == yn / yd."""
+    pair, tau = f._pair_at(), f.spec.tau
+    after = pair(x + 1)
+    fx = pair(x)
+    reads = []
     for t, k in steps:
         lhs, span = x * t.denominator + t.numerator * tau, tau * t.denominator
         if not 0 <= lhs <= span:  # x/tau + t == lhs/span
             raise DomainError(f"probe point {Fraction(lhs, span)} leaves [0, 1]")
         if k:
-            rises.append((t, k, at(x + k) - fx))
-    return after - fx, rises
+            reads.append((t, k, *pair(x + k)))
+    return fx, after, reads
+
+
+def _deviations(fx, after, reads) -> list:
+    """Per read of ``_probe_walk``, (dev, den) with
+    |f(x+k) - f(x) - k (f(x+1) - f(x))| == dev / den, over yd * xd * ad:
+    the probe's gap to the quotient at x is tau * dev / (den * |k|)."""
+    (xn, xd), (an, ad) = fx, after
+    xa, ax, base = xn * ad, an * xd, xd * ad
+    return [(abs(yn * base + yd * ((k - 1) * xa - k * ax)), yd * base) for _, k, yn, yd in reads]
 
 
 def _limit_steps(f: GridFunction, seq: ConvergentSequence, budget: int) -> list:
@@ -378,21 +385,25 @@ def limit_quotient(
     round(x + t), and the quotient divides by their exact gap, which is
     where an off-grid t lands once rounded).  Every surviving probe must
     land within 2/H of the difference quotient at x.  The probes are
-    ``limit_check``'s walk (``_probe_walk``), read as Fractions.
+    ``limit_check``'s walk (``_probe_walk``) and deviations
+    (``_deviations``), in integer pairs; each probe's quotient and gap
+    become one Fraction each.
     """
     f = _as_grid_function(fr)
     steps = _limit_steps(f, seq, budget)
     n = f._index(successor(x)) - 1  # x has a successor on f's grid
-    tau, den = f.spec.tau, f.den or 1
-    d, rises = _probe_walk(f, n, steps)
+    tau = f.spec.tau
+    fx, after, reads = _probe_walk(f, n, steps)
+    (xn, xd), (an, ad) = fx, after
     probes = []
-    for t, k, rise in rises:
-        gap = Fraction(abs(rise - k * d) * tau, den * abs(k))
-        probes.append(LimitProbe(t, Fraction(rise * tau, den * k), gap))
+    for (t, k, yn, yd), (dev, den) in zip(reads, _deviations(fx, after, reads)):
+        quotient = Fraction((yn * xd - xn * yd) * tau, yd * xd * k)
+        probes.append(LimitProbe(t, quotient, Fraction(dev * tau, den * abs(k))))
     max_gap = max((probe.gap for probe in probes), default=Fraction(0))
     tol = 2 * seq.context.infinitesimal_scale
     verdict = "pass" if max_gap <= tol else "fail"
-    return LimitQuotientResult(Fraction(d * tau, den), verdict, tuple(probes), max_gap, tol)
+    value = Fraction((an * xd - xn * ad) * tau, xd * ad)
+    return LimitQuotientResult(value, verdict, tuple(probes), max_gap, tol)
 
 
 def limit_check(
@@ -406,37 +417,36 @@ def limit_check(
     right end; pass iff every probe at every point lands within 2/H.
     The sequence is verified, and its in-band offsets listed, once.
 
-    The walk is ``_probe_walk``'s, in integers for a lane.  Every point
-    takes the same steps k, so each step keeps its peak deviation
-    |rise - k * D| over the points; the witness, the first point with a
-    probe above 2/H, can only be found where a peak rises.  The worst
-    peak over its step is chosen cross-multiplied, and one Fraction, the
+    The walk is ``_probe_walk``'s, in integer pairs.  Every point takes
+    the same steps k, so each step keeps its peak deviation dev / den
+    (``_deviations``) over the points as a numerator and a denominator,
+    compared cross-multiplied; the witness, the first point with a probe
+    above 2/H, can only be found where a peak rises.  The worst peak over
+    its step is chosen cross-multiplied too, and one Fraction, the
     report's max_gap, is formed at the end."""
     f = _as_grid_function(fr)
     if not points:
         raise DomainError("limit check needs at least one point")
     seq = ConvergentSequence(lambda i: Fraction(1, 2**i), Fraction(0), ctx)
     steps = _limit_steps(f, seq, budget)
-    tau, den = f.spec.tau, f.den or 1
+    tau = f.spec.tau
     ks = [abs(k) for _, k in steps if k]  # the steps every walk reads, in order
-    peaks = [0] * len(ks)
-    limits = [2 * den * k for k in ks]  # a probe's gap exceeds 2/H iff dev * tau * H > limit
-    tau_h = tau * ctx.H
+    peaks = [(0, 1)] * len(ks)
+    tau_h = tau * ctx.H  # a probe's gap exceeds 2/H iff dev * tau * H > 2 * k * den
     witness = None
     for s in points:
         x = min(round_to_grid(Fraction(s), f.spec).index, tau - 1)
-        d, rises = _probe_walk(f, x, steps)
-        for j, (_, k, rise) in enumerate(rises):
-            dev = abs(rise - k * d)
-            if dev > peaks[j]:
-                peaks[j] = dev
-                if witness is None and dev * tau_h > limits[j]:
+        for j, (dev, den) in enumerate(_deviations(*_probe_walk(f, x, steps))):
+            peak, peak_den = peaks[j]
+            if dev * peak_den > peak * den:
+                peaks[j] = dev, den
+                if witness is None and dev * tau_h > 2 * ks[j] * den:
                     witness = f"x={Fraction(x, tau)}"
-    worst, worst_k = 0, 1
-    for peak, k in zip(peaks, ks):
-        if peak * worst_k > worst * k:
-            worst, worst_k = peak, k
-    max_gap = Fraction(worst * tau, den * worst_k)
+    worst, worst_den = 0, 1
+    for (peak, peak_den), k in zip(peaks, ks):
+        if peak * worst_den > worst * peak_den * k:
+            worst, worst_den = peak, peak_den * k
+    max_gap = Fraction(worst * tau, worst_den)
     tol = 2 * ctx.infinitesimal_scale
     count = len(points) * len(ks)
     return _report("limit", [tau], ctx, count, max_gap, tol, max_gap <= tol, "sampled", witness)

@@ -20,7 +20,10 @@ numerators over a shared denominator (c over its own, n**k over tau**k,
 0 or 1 over 1, the lattice index k over tau), which the grid-function
 algebra combines into the lanes of compiled expressions.  Exp nodes
 keep values, but the series reads an argument's lane as integers: its
-numerator at n over the lane's denominator, with no Fraction formed.
+numerator at n over the lane's denominator, with no Fraction formed,
+through one ``series._exp_reader`` per node, which learns the stop
+segments of that denominator once.  A lattice-log node likewise keeps
+two readers over tau, one per truncation its search evaluates.
 """
 
 from fractions import Fraction
@@ -29,7 +32,14 @@ from math import ceil
 from .errors import DomainError, EvaluationError
 from .grid import GridSpec
 from .gridfun import Certificate, GridFunction, _memoized, constant_certificate, constant_lane
-from .series import DEFAULT_POLICY, TruncationPolicy, _exp_kernel, _log_index
+from .series import (
+    _COARSE,
+    DEFAULT_POLICY,
+    TruncationPolicy,
+    _exp_kernel,
+    _exp_reader,
+    _log_index,
+)
 
 #: The largest bound B on an exp argument that earns a certificate; past it
 #: 3**ceil(B) is too large to build, and sampling decides instead.
@@ -71,8 +81,11 @@ def _tail_threshold(spec: GridSpec, policy: TruncationPolicy) -> Fraction:
 
 def exp_of(g: GridFunction, policy: TruncationPolicy = DEFAULT_POLICY) -> GridFunction:
     """The truncated exponential of g's values, memoized.  The series
-    kernel reads each value as integers, unreduced: a lane's numerator
-    over its denominator, or a value's numerator and denominator.
+    reads each value as integers, unreduced: a lane's numerator over its
+    denominator, through one reader over that denominator built with the
+    node (``series._exp_reader``); a value's numerator and denominator,
+    or a lane's Fraction numerator over its denominator, through the
+    kernel at each read.
 
     A certified g with |g| <= B gives a value certificate: exp has
     Lipschitz constant e**B <= 3**ceil(B) on [-B, B], so the modulus is
@@ -87,11 +100,15 @@ def exp_of(g: GridFunction, policy: TruncationPolicy = DEFAULT_POLICY) -> GridFu
         lip = Fraction(3 ** max(1, ceil(inner.bound)))
         wobble = 2 * _tail_threshold(spec, policy)
         cert = Certificate(lip, lip * inner.slope, lip * inner.offset + wobble)
-    at, den, tau = g.at, g.den or 1, spec.tau
+    at, den, tau = g.at, g.den, spec.tau
+    read = None if den is None else _exp_reader(den, tau, policy)
 
     def exp_at(n):
         v = at(n)
-        s, d, _ = _exp_kernel(v.numerator, v.denominator * den, tau, policy)
+        if v.__class__ is int and read is not None:
+            s, d, _ = read(v)
+        else:  # a value, or a lane's Fraction numerator (see calculus._antiderivative)
+            s, d, _ = _exp_kernel(v.numerator, v.denominator * (den or 1), tau, policy)
         return Fraction(s, d)
 
     return GridFunction(spec, _memoized(exp_at), cert)
@@ -115,11 +132,13 @@ def exp_fn(
 
 def log_of(g: GridFunction, policy: TruncationPolicy = DEFAULT_POLICY) -> GridFunction:
     """The lattice logarithm of g's values, memoized: a lane over tau
-    whose numerator at n is the integer k of ``series._log_index``.  A
-    non-positive value raises ``EvaluationError`` at its point.  No
+    whose numerator at n is the integer k of ``series._log_index``, its
+    search evaluating E through two readers over tau built with the node.
+    A non-positive value raises ``EvaluationError`` at its point.  No
     certificate."""
     spec = g.spec
     at, den, tau = g.at, g.den or 1, spec.tau
+    exps = (_exp_reader(tau, tau, _COARSE), _exp_reader(tau, tau, policy))
 
     def log_at(n):
         v = at(n)
@@ -127,7 +146,7 @@ def log_of(g: GridFunction, policy: TruncationPolicy = DEFAULT_POLICY) -> GridFu
         if a <= 0:
             value = Fraction(a, b)
             raise EvaluationError(f"log of non-positive value {value}", point=spec.point(n))
-        return _log_index(a, b, tau, policy)
+        return _log_index(a, b, tau, policy, exps)
 
     return GridFunction(spec, _memoized(log_at), den=tau)
 

@@ -31,8 +31,9 @@ the bounded-factor rule, scaling scales, so a read is O(1).
 
 Function-level indiscernibility (``fn_indiscernible``, also a
 ``CheckReport``) compares |f - g| pointwise against 1/H, cross-multiplied:
-each side's ``at`` over its ``den``, so two lanes are compared in
-integers.  (The absolute difference is used even where a one-sided gap
+each side is read as an integer pair (N, D), a lane's numerator over its
+``den`` or a value's numerator and denominator, so no Fraction is formed
+per read.  (The absolute difference is used even where a one-sided gap
 would do; the relation is treated as a symmetric distance throughout.)
 ``transport`` carries a function to another grid through the index of
 each rounded point, and keeps its lane.
@@ -222,6 +223,20 @@ class GridFunction:
             )
         return list(map(self.at, range(size)))
 
+    def _pair_at(self):
+        """n -> (N, D) with f(n/tau) == N / D, the read of a sampled check:
+        (at(n), den) for a lane, else the value's numerator and
+        denominator, so no Fraction is formed or normalized per read."""
+        at, den = self.at, self.den
+        if den is not None:
+            return lambda n: (at(n), den)
+
+        def pair(n):
+            v = at(n)
+            return v.numerator, v.denominator
+
+        return pair
+
     def _value_at(self):
         """n -> f(n/tau), the index function of a node built over this one."""
         at, den = self.at, self.den
@@ -319,25 +334,27 @@ def fn_indiscernible(
     values must stay within 1/H at every probed point.  The report's
     witness is the first probed point where they do not.
 
-    At each index f is read before g, by ``at``.  With f = Nf / df and
-    g = Ng / dg (a value node's den is 1), the gap is
-    |Nf * dg - Ng * df| over df * dg, so gaps are compared by their
-    numerators and the tolerance cross-multiplied; one Fraction is formed,
-    for the report's max_gap."""
+    At each index f is read before g, as integer pairs (``_pair_at``):
+    with f = Nf / df and g = Ng / dg, the gap is |Nf * dg - Ng * df| over
+    df * dg.  Gaps, the running maximum (a numerator and a denominator)
+    and the tolerance are compared cross-multiplied; one Fraction is
+    formed, for the report's max_gap."""
     if f.spec != g.spec:
         raise GridMismatchError("cannot compare functions on different grids")
     tau = f.spec.tau
-    at_f, df = f.at, f.den or 1
-    at_g, dg = g.at, g.den or 1
-    scale = df * dg
+    pair_f, pair_g = f._pair_at(), g._pair_at()
+    H = ctx.H
     indices = plan.indices(tau)
-    worst = 0
+    worst, scale = 0, 1  # the largest gap so far, worst / scale
     witness = None
     for n in indices:
-        gap = abs(at_f(n) * dg - at_g(n) * df)
-        if gap > worst:
-            worst = gap
-            if gap * ctx.H > scale and witness is None:  # gap / scale > 1/H
+        nf, df = pair_f(n)
+        ng, dg = pair_g(n)
+        den = df * dg
+        gap = abs(nf * dg - ng * df)
+        if gap * scale > worst * den:
+            worst, scale = gap, den
+            if gap * H > den and witness is None:  # gap / den > 1/H
                 witness = str(Fraction(n, tau))
     max_gap = Fraction(worst, scale)
     tol = ctx.infinitesimal_scale

@@ -14,12 +14,17 @@ in opposite directions:
   observation tolerance in use; when the threshold is never reached
   (tiny tau), the sum runs to tau and the result is the full sum.
 
-One integer kernel, ``_exp_kernel``, serves every caller.  It takes a
+One summation serves every caller, reached two ways.  Both take a
 numerator and a positive denominator, not necessarily in lowest terms,
-so a lane's numerator over its denominator goes in as it is.  It finds
-the stop index first, by the tail test alone, without summing; then it
-sums top-down by Horner over b**s * s!, two big multiplications per
-term.  Nothing is normalized until a caller forms a Fraction.
+so a lane's numerator over its denominator goes in as it is, and both
+find the stop index first (``_stop_index``), by the tail test alone,
+without summing; then they sum top-down by Horner (``_horner``) over the
+coefficients b**(s-i+1) s!/(i-1)! (``_horner_coefficients``), the last of
+which is the denominator b**s * s!.  ``_exp_kernel`` does all three per
+call.  ``_exp_reader`` fixes b: the stop index is non-decreasing in |a|,
+so the reader learns each stop index's segment of |a| once, with its
+coefficients, and a later read in that segment is one Horner sum.
+Nothing is normalized until a caller forms a Fraction.
 
 The logarithm inverts the truncated exponential over the lattice
 k/tau: it returns the largest lattice point whose exponential does not
@@ -42,6 +47,7 @@ leave the bounded range, or the ``UNSTABLE`` sentinel when the probe
 budget ends with the partials still moving.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -103,40 +109,140 @@ def _require_grid(tau: int, policy: TruncationPolicy):
         )
 
 
+def _stop_index(m: int, b: int, tau: int, policy: TruncationPolicy) -> int:
+    """The index of the last term summed for |q| = m/b (b > 0), from
+    powers and factorials alone: tau under the full policy, else the first
+    i >= 2(floor|q| + 1) whose tail test holds, or tau.  Non-decreasing
+    in m: the start index grows with m, and so does the test's left side."""
+    # the tail bound is valid once the term ratio |q|/(i+1) is at most 1/2
+    stop = 2 * (m // b + 1)
+    if policy.mode == "full" or stop >= tau:
+        return tau
+    # whole tail <= 2 |t_(stop+1)|; compare over b**(stop+1) (stop+1)!
+    lhs = 2 * m ** (stop + 1) * (tau << policy.guard)
+    rhs = b ** (stop + 1) * factorial(stop + 1)
+    while not lhs < rhs and stop < tau:
+        stop += 1
+        lhs *= m
+        rhs *= b * (stop + 1)
+    return stop
+
+
+def _horner_coefficients(b: int, stop: int) -> list:
+    """The Horner sum's denominators b**(s-i+1) s!/(i-1)! for i = s, ..., 1
+    (s = stop), in the order the sum uses them; the last is b**s * s!."""
+    coefficients = []
+    den = 1
+    for i in range(stop, 0, -1):
+        den *= b * i
+        coefficients.append(den)
+    return coefficients
+
+
+def _horner(a: int, coefficients: list) -> int:
+    """The numerator of the partial sum at a/b over its last coefficient:
+    1 + (a/(b i)) (1 + (a/(b (i+1))) (...)) from the top term down."""
+    num = 1
+    for c in coefficients:
+        num = num * a + c
+    return num
+
+
+def _exp_guard(m: int, b: int, tau: int, policy: TruncationPolicy):
+    """The kernel's refusals, in order: the grid under the policy, then
+    |q| = m/b past ``EXP_ARGUMENT_LIMIT``."""
+    _require_grid(tau, policy)
+    if m > EXP_ARGUMENT_LIMIT * b:
+        raise ResourceLimitError(
+            f"exp argument exceeds the magnitude limit {EXP_ARGUMENT_LIMIT}"
+        )
+
+
 def _exp_kernel(a: int, b: int, tau: int, policy: TruncationPolicy):
     """The truncated exponential at a/b (b > 0, not necessarily in lowest
     terms) in integers: (numerator, b**stop * stop!, stop), the partial
     sum through the stop index over its denominator.
 
-    The stop index comes first, from powers and factorials alone: tau
-    under the full policy, else the first i >= 2(floor|q| + 1) whose
-    tail test holds, or tau.  The sum then runs top-down by Horner,
-    1 + (a/(b i)) (1 + (a/(b (i+1))) (...)), one multiplication of the
-    numerator by a and one of the denominator by b i per term.
+    The stop index comes first (``_stop_index``); the sum then runs
+    top-down by Horner over the coefficients of ``_horner_coefficients``,
+    one multiplication of the numerator by a per term.
     """
-    _require_grid(tau, policy)
     m = abs(a)
-    if m > EXP_ARGUMENT_LIMIT * b:
-        raise ResourceLimitError(
-            f"exp argument exceeds the magnitude limit {EXP_ARGUMENT_LIMIT}"
-        )
-    # the tail bound is valid once the term ratio |q|/(i+1) is at most 1/2
-    stop = 2 * (m // b + 1)
-    if policy.mode == "full" or stop >= tau:
-        stop = tau
-    else:
-        # whole tail <= 2 |t_(stop+1)|; compare over b**(stop+1) (stop+1)!
-        lhs = 2 * m ** (stop + 1) * (tau << policy.guard)
-        rhs = b ** (stop + 1) * factorial(stop + 1)
-        while not lhs < rhs and stop < tau:
-            stop += 1
-            lhs *= m
-            rhs *= b * (stop + 1)
-    num = den = 1
-    for i in range(stop, 0, -1):
-        den *= b * i
-        num = num * a + den
-    return num, den, stop
+    _exp_guard(m, b, tau, policy)
+    stop = _stop_index(m, b, tau, policy)
+    coefficients = _horner_coefficients(b, stop)
+    return _horner(a, coefficients), coefficients[-1], stop
+
+
+#: The most bits a reader keeps for one segment's coefficients, estimated
+#: as stop**2 * (bits of b + bits of stop); a segment past it (the full
+#: policy at large tau, or |q| in the thousands) is summed per read.
+SEGMENT_BITS_LIMIT = 2**22
+
+
+def _exp_reader(b: int, tau: int, policy: TruncationPolicy):
+    """a -> ``_exp_kernel(a, b, tau, policy)`` for one fixed b > 0, which
+    learns the kernel's stop segments as it reads.
+
+    The stop index is non-decreasing in m = |a|, so the m with one stop
+    index form a segment [lo, hi].  A read whose m lies in a known
+    segment is one bisection over the segments' lower ends and one Horner
+    sum over their cached coefficients.  Any other read checks the grid
+    and the magnitude limit like the kernel, takes m's stop index, and
+    finds that index's whole segment: it gallops away from m, then
+    bisects, with ``_stop_index``, never past the neighbouring known
+    segments, 0, or the magnitude limit.  The reader starts empty and
+    holds one entry per segment it met, (lo, hi, stop, coefficients), in
+    ``segments``; reads themselves are not remembered.  A segment whose
+    coefficients would pass ``SEGMENT_BITS_LIMIT`` is not learned, and a
+    read in it sums like the kernel.
+    """
+    top = EXP_ARGUMENT_LIMIT * b
+    los = []  # the segments' lower ends, increasing
+    segments = []
+
+    def stop_at(m):
+        return _stop_index(m, b, tau, policy)
+
+    def end(m, s, bound, direction):
+        """The farthest m' from m toward ``bound`` (included) with stop s."""
+        inside, step = m, direction
+        while inside != bound:
+            probe = inside + step
+            if (bound - probe) * direction < 0:
+                probe = bound
+            if stop_at(probe) != s:
+                break
+            inside, step = probe, 2 * step
+        else:
+            return inside
+        while abs(probe - inside) > 1:
+            mid = (inside + probe) // 2
+            if stop_at(mid) == s:
+                inside = mid
+            else:
+                probe = mid
+        return inside
+
+    def read(a):
+        m = -a if a < 0 else a
+        j = bisect_right(los, m) - 1
+        if j < 0 or m > segments[j][1]:
+            _exp_guard(m, b, tau, policy)
+            s = stop_at(m)
+            if s * s * (b.bit_length() + s.bit_length()) > SEGMENT_BITS_LIMIT:
+                coefficients = _horner_coefficients(b, s)
+                return _horner(a, coefficients), coefficients[-1], s
+            j += 1  # m's segment goes between segments j - 1 and j
+            lo = end(m, s, segments[j - 1][1] + 1 if j else 0, -1)
+            hi = end(m, s, los[j] - 1 if j < len(los) else top, 1)
+            los.insert(j, lo)
+            segments.insert(j, (lo, hi, s, _horner_coefficients(b, s)))
+        _, _, s, coefficients = segments[j]
+        return _horner(a, coefficients), coefficients[-1], s
+
+    read.segments = segments
+    return read
 
 
 def exp_series(q: Fraction, tau: int, policy: TruncationPolicy = DEFAULT_POLICY):
@@ -206,7 +312,7 @@ def _ln_bounds(a: int, b: int, m: int, bits: int):
     return lo, hi
 
 
-def _log_index(a: int, b: int, tau: int, policy: TruncationPolicy) -> int:
+def _log_index(a: int, b: int, tau: int, policy: TruncationPolicy, exps=None) -> int:
     """The lattice logarithm of q = a/b (a, b > 0, not necessarily in
     lowest terms) as an integer: the largest k with E(k/tau) <= q, where
     E is the policy's truncated exponential, searched over |k| <= tau**2.
@@ -233,20 +339,29 @@ def _log_index(a: int, b: int, tau: int, policy: TruncationPolicy) -> int:
     the overshoot is proven in about half the terms.  Otherwise, and
     for every lattice point at or below the answer, E itself decides.
 
+    ``exps``, when given, is the pair of readers that evaluate E under
+    ``_COARSE`` and under the policy (``_exp_reader`` over tau, as a
+    lattice-log node keeps them); without it each evaluation calls the
+    kernel.
+
     SearchRangeError is raised when the answer is at least the smallest
     power of two above tau**2, where a doubling search from k = 1
     leaves the lattice.
     """
     if a < b:
-        return -_log_index(b, a, tau, policy)
+        return -_log_index(b, a, tau, policy, exps)
     _require_grid(tau, policy)
+    coarse, fine = exps or (
+        lambda k: _exp_kernel(k, tau, tau, _COARSE),
+        lambda k: _exp_kernel(k, tau, tau, policy),
+    )
 
     def overshoots(k: int) -> bool:
         if policy.guard > _COARSE.guard:
-            s, den, _ = _exp_kernel(k, tau, tau, _COARSE)
+            s, den, _ = coarse(k)
             if s * b > a * den:
                 return True
-        s, den, _ = _exp_kernel(k, tau, tau, policy)
+        s, den, _ = fine(k)
         return s * b > a * den
 
     limit = tau * tau

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hypergrid import (
     Certificate,
@@ -223,6 +225,65 @@ def test_convergent_sequence_rejects_a_false_limit():
     assert not stuck.verify()
     slow = ConvergentSequence(lambda i: Fraction(1, i + 1), Fraction(0), CTX)
     assert not slow.verify(budget=128)
+
+
+def _ladder_verify(seq, budget):
+    """``ConvergentSequence.verify`` as it walked its ladder of probes
+    1/2, 1/4, ... down to 1/H over every gap, kept as the reference."""
+    gaps = [abs(t - seq.declared_limit) for t in seq.terms(budget)]
+    tol = seq.context.infinitesimal_scale
+    q = Fraction(1, 2)
+    while True:
+        last_bad = -1
+        for i, g in enumerate(gaps):
+            if g > q:
+                last_bad = i
+        if last_bad >= budget - 1:
+            return False
+        if q <= tol:
+            return True
+        q = max(q / 2, tol)
+
+
+@st.composite
+def _sequences(draw):
+    """A ConvergentSequence whose terms halve, fall like 1/i, cycle
+    through a random table, sit within a hair of 1/H from the limit, or
+    raise at one index."""
+    H = draw(st.integers(min_value=2, max_value=1000))
+    limit = draw(st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(-2)]))
+    c = draw(st.fractions(min_value=-3, max_value=3, max_denominator=50))
+    kind = draw(st.sampled_from(["halving", "harmonic", "table", "edge", "raises"]))
+    if kind == "halving":
+        rule = lambda i: limit + c / 2**i
+    elif kind == "harmonic":
+        rule = lambda i: limit + c / (i + 1)
+    elif kind == "table":
+        table = draw(st.lists(st.fractions(min_value=-1, max_value=1), min_size=1, max_size=8))
+        rule = lambda i: limit + table[i % len(table)]
+    elif kind == "edge":
+        hair = draw(st.sampled_from([Fraction(0), Fraction(1, 10**9), -Fraction(1, 10**9)]))
+        sign = draw(st.sampled_from([1, -1]))
+        rule = lambda i: limit + sign * (Fraction(1, H) + hair)
+    else:
+        bad = draw(st.integers(min_value=0, max_value=70))
+        rule = lambda i: limit + Fraction(1, i - bad)
+    return ConvergentSequence(rule, limit, ObservationContext(H=H, K=10**6))
+
+
+def _verdict(verify, seq, budget):
+    try:
+        return verify(seq, budget)
+    except ZeroDivisionError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_sequences(), st.integers(min_value=0, max_value=70))
+# the last term is exactly 1/H from the limit
+@example(ConvergentSequence(lambda i: Fraction(1, 2**i), Fraction(0), ObservationContext(H=64)), 7)
+def test_verify_reads_the_last_term_like_the_ladder(seq, budget):
+    assert _verdict(ConvergentSequence.verify, seq, budget) == _verdict(_ladder_verify, seq, budget)
 
 
 def test_limit_quotient_probes_the_band_and_passes():

@@ -3,9 +3,9 @@ implementations they replaced, kept here as the reference: ``secant_check``
 and ``continuity_check`` on random polynomial and exp trees; ``limit_check``,
 ``limit_quotient``, ``grid_independence_check``, ``fn_indiscernible`` and
 ``transport`` on polynomial and quotient lanes, log(1+x), exp(x), x*exp(x),
-1/(x - 1/2) and log(x - 1/2).  The reports (verdict, max_gap, pair or
-sample count, witness), the limit results and the errors raised must be
-equal."""
+exp(2*x - 1), exp(x^2), exp(x)^3*x, 1/(x - 1/2) and log(x - 1/2).  The
+reports (verdict, max_gap, pair or sample count, witness), the limit
+results and the errors raised must be equal."""
 
 import copy
 from dataclasses import replace
@@ -339,7 +339,17 @@ def reference_grid_independence_check(g1, g2, ctx, samples, seed):
     )
 
 
-_SOURCES = ("log(1+x)", "exp(x)", "x*exp(x)", "1/(x - 1/2)", "log(x - 1/2)")
+# exp(2*x - 1), exp(x^2) and exp(x)^3*x have values over large denominators
+_SOURCES = (
+    "log(1+x)",
+    "exp(x)",
+    "x*exp(x)",
+    "exp(2*x - 1)",
+    "exp(x^2)",
+    "exp(x)^3*x",
+    "1/(x - 1/2)",
+    "log(x - 1/2)",
+)
 # a scale above 1 makes probes fail, so that witnesses are compared
 _SCALES = (Fraction(1), Fraction(3), Fraction(50))
 
@@ -380,6 +390,9 @@ def _grid_and_context(draw):
 _CUBIC = ("polynomial", parse("x^3"), Fraction(50))
 _SQUARE = ("polynomial", parse("x^2"), Fraction(1))
 _EXP = ("exp(x)", parse("exp(x)"), Fraction(1))
+_X_EXP = ("x*exp(x)", parse("x*exp(x)"), Fraction(1))
+_EXP_SQUARE = ("exp(x^2)", parse("exp(x^2)"), Fraction(50))
+_EXP_CUBE = ("exp(x)^3*x", parse("exp(x)^3*x"), Fraction(3))
 _LOG_HALF = ("log(x - 1/2)", parse("log(x - 1/2)"), Fraction(1))
 
 
@@ -393,6 +406,9 @@ _LOG_HALF = ("log(x - 1/2)", parse("log(x - 1/2)"), Fraction(1))
 @example(_LOG_HALF, (64, 8), [Fraction(3, 4), Fraction(25, 64)])
 @example(_LOG_HALF, (1024, 32), [Fraction(1, 2)])
 @example(_EXP, (10**6, 1000), [Fraction(1, 3)])
+# value nodes: each point's gaps have their own denominators
+@example(_X_EXP, (10**6, 1000), [Fraction(k, 7) for k in range(7)])
+@example(_EXP_CUBE, (10**5, 300), [Fraction(9, 10), Fraction(1, 10), Fraction(1, 2)])
 def test_limit_check_equals_the_reference(choice, grid, points):
     tau, H = grid
     f = _build(choice, tau)
@@ -458,6 +474,7 @@ def _tilted(g, H, tilt):
 @example(_SQUARE, 10**4, 3 * 10**4, 1000, 32, 0, 0)
 @example(_SQUARE, 10**4, 3 * 10**4, 1000, 32, 0, 3)
 @example(_EXP, 10**4, 3 * 10**4, 1000, 16, 1, 3)
+@example(_EXP_SQUARE, 10**4, 3 * 10**4, 1000, 32, 2, 1)
 @example(_LOG_HALF, 64, 192, 8, 8, 0, 0)
 def test_grid_independence_check_equals_the_reference(choice, tau1, tau2, H, samples, seed, tilt):
     g1 = _build(choice, tau1)
@@ -486,6 +503,7 @@ def _plan(seed):
 @example(_SQUARE, 100, 64, 1, None)
 @example(_CUBIC, 100, 64, 2, 1)
 @example(_LOG_HALF, 64, 8, 0, None)
+@example(_EXP_CUBE, 10**6, 4096, 1, 2)
 def test_fn_indiscernible_equals_the_reference(choice, tau, H, tilt, seed):
     f = _build(choice, tau)
     g = f + identity(f.spec) * Fraction(tilt, H)  # a gap of tilt * x / H

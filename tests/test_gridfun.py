@@ -24,6 +24,7 @@ from hypergrid import (
     fn_indiscernible,
     grid_maps,
     identity,
+    integral,
     monomial,
     square,
     step,
@@ -58,26 +59,46 @@ def test_points_from_other_grids_are_rejected():
         f(GridSpec(11).point(3))
 
 
-def _count_exp_kernel(monkeypatch) -> list:
-    """Record the argument of every exp node's kernel call, n/tau as (n, tau)."""
+def _count_exp_reads(monkeypatch) -> list:
+    """Record the argument of every read of an exp node's series reader,
+    n/tau as (n, tau)."""
     calls = []
-    kernel = functions._exp_kernel
+    make_reader = functions._exp_reader
 
-    def counting(a, b, tau, policy):
-        calls.append((a, b))
-        return kernel(a, b, tau, policy)
+    def counting_reader(b, tau, policy):
+        read = make_reader(b, tau, policy)
 
-    monkeypatch.setattr(functions, "_exp_kernel", counting)
+        def counted(a):
+            calls.append((a, b))
+            return read(a)
+
+        return counted
+
+    monkeypatch.setattr(functions, "_exp_reader", counting_reader)
     return calls
 
 
 def test_memoized_rules_are_evaluated_once_per_point(monkeypatch):
     spec = GridSpec(16)
-    calls = _count_exp_kernel(monkeypatch)
+    calls = _count_exp_reads(monkeypatch)
     f = exp_fn(spec)
     p = spec.point(5)
     assert f(p) == f(p) == exp_approx(Fraction(5, 16), 16)
     assert calls == [(5, 16)]
+
+
+def test_exp_of_a_lane_with_fraction_numerators_sums_like_the_kernel():
+    # the integral of an integrand without a lane: Fraction numerators over tau
+    spec = GridSpec(32)
+    anti = integral(exp_fn(spec)).f
+    assert anti.den == 32 and type(anti.at(5)) is Fraction
+    values = anti.materialize()
+    for policy in (DEFAULT_POLICY, FULL_POLICY):
+        expected = [exp_approx(v, 32, policy) for v in values]
+        assert exp_of(anti, policy).materialize() == expected
+        assert exp_of(anti * 3, policy).materialize() == [
+            exp_approx(3 * v, 32, policy) for v in values
+        ]
 
 
 def test_off_grid_index_reads_are_refused():
@@ -125,7 +146,7 @@ def test_materialize_small_grids():
 
 def test_materialize_returns_a_new_list_and_reuses_the_memo(monkeypatch):
     spec = GridSpec(16)
-    calls = _count_exp_kernel(monkeypatch)
+    calls = _count_exp_reads(monkeypatch)
     f = exp_fn(spec) * 2 + square(spec)
     expected = [2 * exp_approx(Fraction(n, 16), 16) + Fraction(n, 16) ** 2 for n in range(17)]
     first = f.materialize()

@@ -353,6 +353,92 @@ def test_exp_kernel_matches_the_fused_reference_loop(case):
     assert exp_series(q, tau, policy) == (Fraction(num, den), stop)
 
 
+@st.composite
+def reader_cases(draw):
+    """(b, tau, policy, reads, order, shuffle): b in {tau, tau**2, 7 tau,
+    1}; reads of either sign at magnitudes up to 8b, up to 64, and at the
+    magnitude limit (only its far side at tau = 10**6, where a read at
+    the limit sums thousands of terms), in random, increasing or
+    decreasing order of magnitude; the later reads at segment ends follow
+    the same order, ``shuffle`` drawing the random one."""
+    policy = draw(KERNEL_POLICIES)
+    tau = draw(st.one_of(TAUS, st.just(10**6)))
+    if policy.mode == "full" and tau < 10**6:  # 10**6 is past the full policy's limit
+        tau = min(tau, draw(st.integers(min_value=2, max_value=600)))
+    b = draw(st.sampled_from([tau, tau * tau, 7 * tau, 1]))
+    top = EXP_ARGUMENT_LIMIT * b
+    at_limit = [top + 1] if tau == 10**6 else [top - 1, top, top + 1]
+    magnitudes = st.one_of(
+        st.integers(min_value=0, max_value=8 * b),
+        st.integers(min_value=0, max_value=64),
+        st.sampled_from(at_limit),
+    )
+    ms = draw(st.lists(magnitudes, min_size=1, max_size=12))
+    order = draw(st.sampled_from(["random", "increasing", "decreasing"]))
+    if order != "random":
+        ms.sort(reverse=order == "decreasing")
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=len(ms), max_size=len(ms)))
+    shuffle = draw(st.randoms(use_true_random=False)).shuffle if order == "random" else None
+    return b, tau, policy, [sign * m for sign, m in zip(signs, ms)], order, shuffle
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(reader_cases())
+@example((64, 64, DEFAULT_POLICY, [1, 2, 3, 64, 4096 * 64 + 1, 5], "random", None))
+def test_exp_reader_equals_the_kernel(case):
+    b, tau, policy, reads, order, shuffle = case
+
+    def same_as_kernel(read, a):
+        expected = _kernel_outcome(lambda: series._exp_kernel(a, b, tau, policy))
+        assert _kernel_outcome(lambda: read(a)) == expected
+
+    read = series._exp_reader(b, tau, policy)
+    for a in reads:
+        same_as_kernel(read, a)
+
+    # each learned segment is one stop index's whole run of magnitudes
+    def stop(m):
+        return series._stop_index(m, b, tau, policy)
+
+    top = EXP_ARGUMENT_LIMIT * b
+    ends = []
+    for lo, hi, s, coefficients in read.segments:
+        assert stop(lo) == stop(hi) == s == len(coefficients)
+        assert lo == 0 or stop(lo - 1) < s
+        assert hi == top or stop(hi + 1) > s
+        ends += [m for m in (lo - 1, lo, hi, hi + 1) if m >= 0]
+    if shuffle is not None:
+        shuffle(ends)
+    elif order == "decreasing":
+        ends.reverse()
+    fresh = series._exp_reader(b, tau, policy)
+    for m in ends:
+        same_as_kernel(fresh, m)
+        same_as_kernel(fresh, -m)
+
+
+def test_exp_reader_learns_each_segment_once(monkeypatch):
+    tau = 2**14
+    calls = []
+    stop_index = series._stop_index
+
+    def counted(m, b, tau, policy):
+        calls.append(m)
+        return stop_index(m, b, tau, policy)
+
+    monkeypatch.setattr(series, "_stop_index", counted)
+    read = series._exp_reader(tau, tau, DEFAULT_POLICY)
+    stops = [read(n)[2] for n in range(tau + 1)]
+    segments = read.segments
+    # one entry per stop index met, and the entries tile [0, tau] in order
+    assert [s for _, _, s, _ in segments] == sorted(set(stops))
+    assert segments[0][0] == 0 and segments[-1][1] >= tau
+    assert all(left[1] + 1 == right[0] for left, right in zip(segments, segments[1:]))
+    assert 15 <= len(segments) <= 30
+    # a few stop tests per segment per bit of tau, not one per read
+    assert len(calls) <= 2 * len(segments) * tau.bit_length()
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.integers(min_value=1, max_value=10**6),

@@ -79,6 +79,14 @@ SAMPLED_CHECKS = (
         for kind in ("limit", "grid-independence")
         for tau, H in (("64", "8"), ("1024", "32"))
     ),
+    # exp values over large denominators, a coarse guard, and the full policy
+    ["check", "limit", "exp(2*x - 1)", "--tau", "1000000", "--H", "1000", "--samples", "128"],
+    ["check", "grid-independence", "exp(x^2)", "--tau", "10000", "--tau2", "30000",
+     "--samples", "256"],
+    ["check", "grid-independence", "x*exp(x)", "--guard", "1"],
+    ["check", "limit", "x*exp(x)", "--tau", "4096", "--exp-mode", "full"],
+    ["check", "limit", "x*exp(x)", "--tau", "256", "--exp-mode", "full", "--H", "16",
+     "--samples", "64"],
 )
 
 SERIES = ("zeros", "harmonic", "inverse-squares", "geometric:1/2", "geometric:2")

@@ -50,8 +50,8 @@ MUTANTS = (
     Mutant(
         "stop test with <= instead of <",
         "src/hypergrid/series.py",
-        "        while not lhs < rhs and stop < tau:\n",
-        "        while not lhs <= rhs and stop < tau:\n",
+        "    while not lhs < rhs and stop < tau:\n",
+        "    while not lhs <= rhs and stop < tau:\n",
         ("tests/test_series.py::test_exp_kernel_matches_the_fused_reference_loop",),
     ),
     Mutant(
@@ -74,8 +74,8 @@ MUTANTS = (
     Mutant(
         "reciprocal branch without its sign",
         "src/hypergrid/series.py",
-        "        return -_log_index(b, a, tau, policy)\n",
-        "        return _log_index(b, a, tau, policy)\n",
+        "        return -_log_index(b, a, tau, policy, exps)\n",
+        "        return _log_index(b, a, tau, policy, exps)\n",
         (
             "tests/test_series.py::test_log_below_one_is_negative_and_near_inverse",
             "tests/test_series.py::test_bracketed_log_matches_the_doubling_search",
@@ -141,22 +141,22 @@ MUTANTS = (
     Mutant(
         "limit witness at the last failing point",
         "src/hypergrid/calculus.py",
-        "                if witness is None and dev * tau_h > limits[j]:\n",
-        "                if dev * tau_h > limits[j]:\n",
+        "                if witness is None and dev * tau_h > 2 * ks[j] * den:\n",
+        "                if dev * tau_h > 2 * ks[j] * den:\n",
         ("tests/test_checks_reference.py::test_limit_check_equals_the_reference",),
     ),
     Mutant(
         "grid-independence gap with tau1 * den1",
         "src/hypergrid/calculus.py",
-        "    w1, w2 = tau1 * den2, tau2 * den1\n",
-        "    w1, w2 = tau1 * den1, tau2 * den1\n",
+        "        gap = abs((a1 * d1 - c1 * b1) * tau1 * e2 - (a2 * d2 - c2 * b2) * tau2 * e1)\n",
+        "        gap = abs((a1 * d1 - c1 * b1) * tau1 * e1 - (a2 * d2 - c2 * b2) * tau2 * e1)\n",
         ("tests/test_checks_reference.py::test_grid_independence_check_equals_the_reference",),
     ),
     Mutant(
         "indiscernibility tolerance test with >=",
         "src/hypergrid/gridfun.py",
-        "            if gap * ctx.H > scale and witness is None:  # gap / scale > 1/H\n",
-        "            if gap * ctx.H >= scale and witness is None:  # gap / scale > 1/H\n",
+        "            if gap * H > den and witness is None:  # gap / den > 1/H\n",
+        "            if gap * H >= den and witness is None:  # gap / den > 1/H\n",
         (
             "tests/test_gridfun.py::test_fn_indiscernible_accepts_a_gap_of_exactly_one_over_h",
             "tests/test_checks_reference.py::test_fn_indiscernible_equals_the_reference",
@@ -229,9 +229,53 @@ MUTANTS = (
     Mutant(
         "limit walk reads f(x) again per offset",
         "src/hypergrid/calculus.py",
-        "            rises.append((t, k, at(x + k) - fx))\n",
-        "            rises.append((t, k, at(x + k) - at(x)))\n",
+        "            reads.append((t, k, *pair(x + k)))\n",
+        "            pair(x)\n            reads.append((t, k, *pair(x + k)))\n",
         ("tests/test_calculus.py::test_limit_quotient_reads_each_point_once",),
+    ),
+    # exp readers learn their stop segments; sampled checks read integer pairs
+    Mutant(
+        "reader segment upper end one too far",
+        "src/hypergrid/series.py",
+        "            hi = end(m, s, los[j] - 1 if j < len(los) else top, 1)\n",
+        "            hi = end(m, s, los[j] - 1 if j < len(los) else top, 1) + 1\n",
+        ("tests/test_series.py::test_exp_reader_equals_the_kernel",),
+    ),
+    Mutant(
+        "reader sums with a neighbouring segment's coefficients",
+        "src/hypergrid/series.py",
+        "        _, _, s, coefficients = segments[j]\n",
+        "        _, _, s, coefficients = segments[j]\n"
+        "        coefficients = segments[j - 1][3] if j else coefficients\n",
+        ("tests/test_series.py::test_exp_reader_equals_the_kernel",),
+    ),
+    Mutant(
+        "reader without its magnitude guard",
+        "src/hypergrid/series.py",
+        "            _exp_guard(m, b, tau, policy)\n",
+        "            _require_grid(tau, policy)\n",
+        ("tests/test_series.py::test_exp_reader_equals_the_kernel",),
+    ),
+    Mutant(
+        "indiscernibility pair gap over dg * dg",
+        "src/hypergrid/gridfun.py",
+        "        den = df * dg\n",
+        "        den = dg * dg\n",
+        ("tests/test_checks_reference.py::test_fn_indiscernible_equals_the_reference",),
+    ),
+    Mutant(
+        "limit peak compared without cross-multiplying",
+        "src/hypergrid/calculus.py",
+        "            if dev * peak_den > peak * den:\n",
+        "            if dev > peak:\n",
+        ("tests/test_checks_reference.py::test_limit_check_equals_the_reference",),
+    ),
+    Mutant(
+        "verify's last-term test with <",
+        "src/hypergrid/calculus.py",
+        "        return bool(terms) and abs(terms[-1] - self.declared_limit) * self.context.H <= 1\n",
+        "        return bool(terms) and abs(terms[-1] - self.declared_limit) * self.context.H < 1\n",
+        ("tests/test_calculus.py::test_verify_reads_the_last_term_like_the_ladder",),
     ),
 )
 
