@@ -247,11 +247,10 @@ def grid_independence_check(
     witness = None
     for u in weyl_units(samples, seed):
         n1, n2 = (u * tau1) >> 64, (u * tau2) >> 64
-        (a1, b1), (c1, d1) = pair1(n1 + 1), pair1(n1)
-        (a2, b2), (c2, d2) = pair2(n2 + 1), pair2(n2)
-        e1, e2 = b1 * d1, b2 * d2  # quotient i is (ai * di - ci * bi) * tau_i / ei
+        r1, e1 = _difference(*pair1(n1 + 1), *pair1(n1))  # quotient i is r_i * tau_i / e_i
+        r2, e2 = _difference(*pair2(n2 + 1), *pair2(n2))
         den = e1 * e2
-        gap = abs((a1 * d1 - c1 * b1) * tau1 * e2 - (a2 * d2 - c2 * b2) * tau2 * e1)
+        gap = abs(r1 * tau1 * e2 - r2 * tau2 * e1)
         if gap * scale > worst * den:
             worst, scale = gap, den
             if witness is None and gap * ctx.H > 2 * den:  # gap / den > 2/H
@@ -338,31 +337,42 @@ def _band_offsets(f: GridFunction, seq: ConvergentSequence, budget: int) -> list
 def _probe_walk(f: GridFunction, x: int, steps: list):
     """The reads of the limit probes at the grid index x, in order: f at
     x + 1, at x, then at x + k for each step (t, k), where
-    k = floor(t * tau) because x/tau + t rounds down to x + k, each read
-    as an integer pair (``_pair_at``).  Before each read the probe point
-    x/tau + t must lie in [0, 1], tested in integers; a step with k = 0
-    reads nothing.  Returns the pairs of f(x) and f(x + 1), and per read
-    (t, k, yn, yd) with f(x + k) == yn / yd."""
-    pair, tau = f._pair_at(), f.spec.tau
-    after = pair(x + 1)
-    fx = pair(x)
+    k = floor(t * tau) because x/tau + t rounds down to x + k.  A lane is
+    read as its numerators over ``f.den``, any other node as integer
+    pairs (``_pair_at``).  Before each read the probe point x/tau + t
+    must lie in [0, 1], tested in integers; a step with k = 0 reads
+    nothing.  Returns the reads of f(x) and f(x + 1), and per read
+    (t, k, y) with y the read of f(x + k)."""
+    read, tau = f.at if f.den is not None else f._pair_at(), f.spec.tau
+    after = read(x + 1)
+    fx = read(x)
     reads = []
     for t, k in steps:
         lhs, span = x * t.denominator + t.numerator * tau, tau * t.denominator
         if not 0 <= lhs <= span:  # x/tau + t == lhs/span
             raise DomainError(f"probe point {Fraction(lhs, span)} leaves [0, 1]")
         if k:
-            reads.append((t, k, *pair(x + k)))
+            reads.append((t, k, read(x + k)))
     return fx, after, reads
 
 
-def _deviations(fx, after, reads) -> list:
+def _difference(a: int, b: int, c: int, d: int):
+    """a/b - c/d as (numerator, denominator): over b alone when d == b,
+    as for two reads of one lane, else over b * d."""
+    return (a - c, b) if b == d else (a * d - c * b, b * d)
+
+
+def _deviations(f: GridFunction, fx, after, reads) -> list:
     """Per read of ``_probe_walk``, (dev, den) with
-    |f(x+k) - f(x) - k (f(x+1) - f(x))| == dev / den, over yd * xd * ad:
-    the probe's gap to the quotient at x is tau * dev / (den * |k|)."""
+    |f(x+k) - f(x) - k (f(x+1) - f(x))| == dev / den: the probe's gap to
+    the quotient at x is tau * dev / (den * |k|).  For a lane den is the
+    lane's, and dev is |N[x+k] - N[x] - k (N[x+1] - N[x])|."""
+    if f.den is not None:
+        rise = after - fx
+        return [(abs(y - fx - k * rise), f.den) for _, k, y in reads]
     (xn, xd), (an, ad) = fx, after
     xa, ax, base = xn * ad, an * xd, xd * ad
-    return [(abs(yn * base + yd * ((k - 1) * xa - k * ax)), yd * base) for _, k, yn, yd in reads]
+    return [(abs(yn * base + yd * ((k - 1) * xa - k * ax)), yd * base) for _, k, (yn, yd) in reads]
 
 
 def _limit_steps(f: GridFunction, seq: ConvergentSequence, budget: int) -> list:
@@ -386,23 +396,25 @@ def limit_quotient(
     where an off-grid t lands once rounded).  Every surviving probe must
     land within 2/H of the difference quotient at x.  The probes are
     ``limit_check``'s walk (``_probe_walk``) and deviations
-    (``_deviations``), in integer pairs; each probe's quotient and gap
-    become one Fraction each.
+    (``_deviations``), in integers; each probe's quotient and gap become
+    one Fraction each.
     """
     f = _as_grid_function(fr)
     steps = _limit_steps(f, seq, budget)
     n = f._index(successor(x)) - 1  # x has a successor on f's grid
     tau = f.spec.tau
     fx, after, reads = _probe_walk(f, n, steps)
-    (xn, xd), (an, ad) = fx, after
+    pair = (lambda y: (y, f.den)) if f.den is not None else (lambda y: y)
     probes = []
-    for (t, k, yn, yd), (dev, den) in zip(reads, _deviations(fx, after, reads)):
-        quotient = Fraction((yn * xd - xn * yd) * tau, yd * xd * k)
+    for (t, k, y), (dev, den) in zip(reads, _deviations(f, fx, after, reads)):
+        rise, rise_den = _difference(*pair(y), *pair(fx))
+        quotient = Fraction(rise * tau, rise_den * k)
         probes.append(LimitProbe(t, quotient, Fraction(dev * tau, den * abs(k))))
     max_gap = max((probe.gap for probe in probes), default=Fraction(0))
     tol = 2 * seq.context.infinitesimal_scale
     verdict = "pass" if max_gap <= tol else "fail"
-    value = Fraction((an * xd - xn * ad) * tau, xd * ad)
+    rise, rise_den = _difference(*pair(after), *pair(fx))
+    value = Fraction(rise * tau, rise_den)
     return LimitQuotientResult(value, verdict, tuple(probes), max_gap, tol)
 
 
@@ -417,7 +429,7 @@ def limit_check(
     right end; pass iff every probe at every point lands within 2/H.
     The sequence is verified, and its in-band offsets listed, once.
 
-    The walk is ``_probe_walk``'s, in integer pairs.  Every point takes
+    The walk is ``_probe_walk``'s, in integers.  Every point takes
     the same steps k, so each step keeps its peak deviation dev / den
     (``_deviations``) over the points as a numerator and a denominator,
     compared cross-multiplied; the witness, the first point with a probe
@@ -436,7 +448,7 @@ def limit_check(
     witness = None
     for s in points:
         x = min(round_to_grid(Fraction(s), f.spec).index, tau - 1)
-        for j, (dev, den) in enumerate(_deviations(*_probe_walk(f, x, steps))):
+        for j, (dev, den) in enumerate(_deviations(f, *_probe_walk(f, x, steps))):
             peak, peak_den = peaks[j]
             if dev * peak_den > peak * den:
                 peaks[j] = dev, den

@@ -22,9 +22,12 @@ without summing; then they sum top-down by Horner (``_horner``) over the
 coefficients b**(s-i+1) s!/(i-1)! (``_horner_coefficients``), the last of
 which is the denominator b**s * s!.  ``_exp_kernel`` does all three per
 call.  ``_exp_reader`` fixes b: the stop index is non-decreasing in |a|,
-so the reader learns each stop index's segment of |a| once, with its
-coefficients, and a later read in that segment is one Horner sum.
-Nothing is normalized until a caller forms a Fraction.
+and the last |a| at or below a given stop index is an integer root
+(``_stop_bound``), so the reader learns each stop index's segment of |a|
+once, and a later read in that segment skips the stop test; it keeps a
+segment's coefficients too while the lists it holds stay within the
+denominators it has returned.  Nothing is normalized until a caller
+forms a Fraction.
 
 The logarithm inverts the truncated exponential over the lattice
 k/tau: it returns the largest lattice point whose exponential does not
@@ -50,7 +53,7 @@ budget ends with the partials still moving.
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import exp, factorial, lgamma, log
 from typing import Callable, Iterator, Optional, Union
 
 from .context import ObservationContext
@@ -174,10 +177,52 @@ def _exp_kernel(a: int, b: int, tau: int, policy: TruncationPolicy):
     return _horner(a, coefficients), coefficients[-1], stop
 
 
-#: The most bits a reader keeps for one segment's coefficients, estimated
-#: as stop**2 * (bits of b + bits of stop); a segment past it (the full
-#: policy at large tau, or |q| in the thousands) is summed per read.
-SEGMENT_BITS_LIMIT = 2**22
+def _stop_bound(t: int, b: int, tau: int, policy: TruncationPolicy) -> int:
+    """The largest m with ``_stop_index(m, b, tau, policy) <= t``, for
+    t < tau, or -1 if there is none.
+
+    Under the tail-bounded policy the stop index is at most t exactly
+    when the start index 2(floor(m/b) + 1) is at most t, that is
+    m < b floor(t/2), and the tail test holds at t itself,
+    2 m**(t+1) tau 2**guard < b**(t+1) (t+1)!: past the start the term
+    ratio is below 1/2, so once the test holds it holds at every later
+    index.  Both conditions fail for all larger m, so the answer is an
+    integer root, guessed in floating point and settled by exact tests,
+    a few powers in all.  Under the full policy the stop index is tau.
+    """
+    cap = b * (t // 2) - 1
+    if policy.mode == "full" or cap < 0:
+        return -1
+    scale, rhs = 2 * (tau << policy.guard), b ** (t + 1) * factorial(t + 1)
+
+    def holds(m):
+        return scale * m ** (t + 1) < rhs
+
+    if holds(cap):
+        return cap
+    try:
+        guess = int(exp(log(b) + (lgamma(t + 2) - log(scale)) / (t + 1)))
+    except OverflowError:
+        guess = cap
+    ok, bad = 0, cap  # holds(ok), not holds(bad); the test holds at m = 0
+    m, step = min(max(guess, ok), bad), 1
+    if holds(m):
+        ok = m
+        while ok + step < bad and holds(ok + step):
+            ok, step = ok + step, 2 * step
+        bad = min(bad, ok + step)
+    else:
+        bad = m
+        while bad - step > ok and not holds(bad - step):
+            bad, step = bad - step, 2 * step
+        ok = max(ok, bad - step)
+    while bad - ok > 1:
+        mid = (ok + bad) // 2
+        if holds(mid):
+            ok = mid
+        else:
+            bad = mid
+    return ok
 
 
 def _exp_reader(b: int, tau: int, policy: TruncationPolicy):
@@ -185,60 +230,59 @@ def _exp_reader(b: int, tau: int, policy: TruncationPolicy):
     learns the kernel's stop segments as it reads.
 
     The stop index is non-decreasing in m = |a|, so the m with one stop
-    index form a segment [lo, hi].  A read whose m lies in a known
+    index s form a segment [lo, hi].  A read whose m lies in a learned
     segment is one bisection over the segments' lower ends and one Horner
-    sum over their cached coefficients.  Any other read checks the grid
-    and the magnitude limit like the kernel, takes m's stop index, and
-    finds that index's whole segment: it gallops away from m, then
-    bisects, with ``_stop_index``, never past the neighbouring known
-    segments, 0, or the magnitude limit.  The reader starts empty and
-    holds one entry per segment it met, (lo, hi, stop, coefficients), in
-    ``segments``; reads themselves are not remembered.  A segment whose
-    coefficients would pass ``SEGMENT_BITS_LIMIT`` is not learned, and a
-    read in it sums like the kernel.
+    sum.  Any other read sums like the kernel: it checks the grid and the
+    magnitude limit and takes m's stop index s.  If s was met before, the
+    read also learns s's segment from ``_stop_bound`` at s - 1 and at s,
+    clamped to the magnitude limit: a few powers, about one stop test.
+    So sparse reads, one per stop index (|q| in the hundreds on a coarse
+    grid), cost what the kernel costs plus a set entry, and dense ones pay
+    two stop tests per segment.  The reader keeps [lo, hi, s,
+    coefficients, size] per learned segment, in ``segments``, and the set
+    of stop indices met; reads themselves are not remembered.
+
+    A learned segment's Horner coefficients, ``size`` bits in all, are
+    kept at the first read in the segment after which the lists kept so
+    far would hold no more bits than the denominators the reader has
+    returned; until then each read in it builds them, like the kernel.
+    So the lists never outgrow the reader's output, which a memoized node
+    keeps anyway: with many reads per segment (|q| near 1 on a fine grid)
+    every list read more than once is kept after a few reads; with few
+    (exp(100 x) at tau = 1000, about three reads per segment) few are.
     """
     top = EXP_ARGUMENT_LIMIT * b
     los = []  # the segments' lower ends, increasing
     segments = []
-
-    def stop_at(m):
-        return _stop_index(m, b, tau, policy)
-
-    def end(m, s, bound, direction):
-        """The farthest m' from m toward ``bound`` (included) with stop s."""
-        inside, step = m, direction
-        while inside != bound:
-            probe = inside + step
-            if (bound - probe) * direction < 0:
-                probe = bound
-            if stop_at(probe) != s:
-                break
-            inside, step = probe, 2 * step
-        else:
-            return inside
-        while abs(probe - inside) > 1:
-            mid = (inside + probe) // 2
-            if stop_at(mid) == s:
-                inside = mid
-            else:
-                probe = mid
-        return inside
+    met = set()  # the stop indices read so far
+    returned = held = 0  # bits of the denominators read, of the coefficients kept
 
     def read(a):
+        nonlocal returned, held
         m = -a if a < 0 else a
         j = bisect_right(los, m) - 1
         if j < 0 or m > segments[j][1]:
             _exp_guard(m, b, tau, policy)
-            s = stop_at(m)
-            if s * s * (b.bit_length() + s.bit_length()) > SEGMENT_BITS_LIMIT:
-                coefficients = _horner_coefficients(b, s)
-                return _horner(a, coefficients), coefficients[-1], s
-            j += 1  # m's segment goes between segments j - 1 and j
-            lo = end(m, s, segments[j - 1][1] + 1 if j else 0, -1)
-            hi = end(m, s, los[j] - 1 if j < len(los) else top, 1)
-            los.insert(j, lo)
-            segments.insert(j, (lo, hi, s, _horner_coefficients(b, s)))
-        _, _, s, coefficients = segments[j]
+            s = _stop_index(m, b, tau, policy)
+            if s in met:  # the second read at a stop index learns its segment
+                lo = _stop_bound(s - 1, b, tau, policy) + 1
+                hi = top if s >= tau else min(_stop_bound(s, b, tau, policy), top)
+                los.insert(j + 1, lo)
+                segments.insert(j + 1, [lo, hi, s, None, None])
+            met.add(s)
+            coefficients = _horner_coefficients(b, s)
+            returned += coefficients[-1].bit_length()
+            return _horner(a, coefficients), coefficients[-1], s
+        segment = segments[j]
+        _, _, s, coefficients, size = segment
+        if coefficients is None:
+            coefficients = _horner_coefficients(b, s)
+            if size is None:
+                size = segment[4] = sum(map(int.bit_length, coefficients))
+            if held + size <= returned:
+                held += size
+                segment[3] = coefficients
+        returned += coefficients[-1].bit_length()
         return _horner(a, coefficients), coefficients[-1], s
 
     read.segments = segments

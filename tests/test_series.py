@@ -396,16 +396,20 @@ def test_exp_reader_equals_the_kernel(case):
     for a in reads:
         same_as_kernel(read, a)
 
-    # each learned segment is one stop index's whole run of magnitudes
+    # each learned segment is one stop index's whole run of magnitudes,
+    # and a kept coefficient list is the kernel's
     def stop(m):
         return series._stop_index(m, b, tau, policy)
 
     top = EXP_ARGUMENT_LIMIT * b
     ends = []
-    for lo, hi, s, coefficients in read.segments:
-        assert stop(lo) == stop(hi) == s == len(coefficients)
+    for lo, hi, s, coefficients, size in read.segments:
+        assert stop(lo) == stop(hi) == s
         assert lo == 0 or stop(lo - 1) < s
         assert hi == top or stop(hi + 1) > s
+        assert size in (None, sum(c.bit_length() for c in series._horner_coefficients(b, s)))
+        assert coefficients in (None, series._horner_coefficients(b, s))
+        assert coefficients is None or size is not None
         ends += [m for m in (lo - 1, lo, hi, hi + 1) if m >= 0]
     if shuffle is not None:
         shuffle(ends)
@@ -417,26 +421,69 @@ def test_exp_reader_equals_the_kernel(case):
         same_as_kernel(fresh, -m)
 
 
+@settings(max_examples=200, deadline=None)
+@given(KERNEL_POLICIES, st.integers(min_value=2, max_value=4096), st.data())
+def test_stop_bound_is_the_last_magnitude_at_or_below_a_stop(policy, tau, data):
+    b = data.draw(st.sampled_from([tau, tau * tau, 7 * tau, 1]), label="b")
+    t = data.draw(st.integers(min_value=0, max_value=min(tau - 1, 300)), label="t")
+    bound = series._stop_bound(t, b, tau, policy)
+    assert bound >= -1
+    assert bound == -1 or series._stop_index(bound, b, tau, policy) <= t
+    assert series._stop_index(bound + 1, b, tau, policy) > t
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(series, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(series, name, counted)
+    return calls
+
+
 def test_exp_reader_learns_each_segment_once(monkeypatch):
     tau = 2**14
-    calls = []
-    stop_index = series._stop_index
-
-    def counted(m, b, tau, policy):
-        calls.append(m)
-        return stop_index(m, b, tau, policy)
-
-    monkeypatch.setattr(series, "_stop_index", counted)
+    stops_taken = _counting(monkeypatch, "_stop_index")
+    bounds_taken = _counting(monkeypatch, "_stop_bound")
     read = series._exp_reader(tau, tau, DEFAULT_POLICY)
     stops = [read(n)[2] for n in range(tau + 1)]
     segments = read.segments
-    # one entry per stop index met, and the entries tile [0, tau] in order
-    assert [s for _, _, s, _ in segments] == sorted(set(stops))
-    assert segments[0][0] == 0 and segments[-1][1] >= tau
+    # one entry per stop index read twice (all but m = 0's), in order
+    twice = sorted(s for s in set(stops) if stops.count(s) > 1)
+    assert [s for _, _, s, _, _ in segments] == twice
+    assert segments[0][0] == 1 and segments[-1][1] >= tau
     assert all(left[1] + 1 == right[0] for left, right in zip(segments, segments[1:]))
     assert 15 <= len(segments) <= 30
-    # a few stop tests per segment per bit of tau, not one per read
-    assert len(calls) <= 2 * len(segments) * tau.bit_length()
+    # a stop test at the first read of a stop index, another and two
+    # bounds at the second, none after: not one stop test per read
+    assert len(stops_taken) == len(set(stops)) + len(segments)
+    assert len(bounds_taken) == 2 * len(segments)
+    # many reads per segment: every list read more than once is kept
+    assert all(coefficients is not None for lo, hi, _, coefficients, _ in segments if hi > lo)
+
+
+def test_exp_reader_costs_no_more_than_the_kernel_when_segments_are_short(monkeypatch):
+    # exp(100 x) at tau = 1000: about three reads per stop index
+    tau, scale = 1000, 100
+    stops_taken = _counting(monkeypatch, "_stop_index")
+    bounds_taken = _counting(monkeypatch, "_stop_bound")
+    lists_built = _counting(monkeypatch, "_horner_coefficients")
+    read = series._exp_reader(tau, tau, DEFAULT_POLICY)
+    returned = 0
+    for n in range(tau + 1):
+        returned += read(scale * n)[1].bit_length()
+    segments = read.segments
+    assert len(segments) > 250
+    # the kernel takes one stop test and builds one coefficient list per read
+    assert len(segments) < len(stops_taken) <= tau + 1
+    assert len(bounds_taken) == 2 * len(segments)
+    assert len(lists_built) <= tau + 1
+    # the lists kept hold no more bits than the denominators returned
+    held = sum(size for _, _, _, coefficients, size in segments if coefficients is not None)
+    assert 0 < held <= returned
 
 
 @settings(max_examples=100, deadline=None)

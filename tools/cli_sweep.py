@@ -87,6 +87,10 @@ SAMPLED_CHECKS = (
     ["check", "limit", "x*exp(x)", "--tau", "4096", "--exp-mode", "full"],
     ["check", "limit", "x*exp(x)", "--tau", "256", "--exp-mode", "full", "--H", "16",
      "--samples", "64"],
+    # |q| up to 100 on a coarse grid: a few reads per stop index
+    ["check", "limit", "exp(100*x)", "--tau", "1000", "--H", "16", "--samples", "64"],
+    ["check", "grid-independence", "exp(100*x)", "--tau", "1000", "--tau2", "3000",
+     "--H", "16", "--samples", "64"],
 )
 
 SERIES = ("zeros", "harmonic", "inverse-squares", "geometric:1/2", "geometric:2")

@@ -148,8 +148,8 @@ MUTANTS = (
     Mutant(
         "grid-independence gap with tau1 * den1",
         "src/hypergrid/calculus.py",
-        "        gap = abs((a1 * d1 - c1 * b1) * tau1 * e2 - (a2 * d2 - c2 * b2) * tau2 * e1)\n",
-        "        gap = abs((a1 * d1 - c1 * b1) * tau1 * e1 - (a2 * d2 - c2 * b2) * tau2 * e1)\n",
+        "        gap = abs(r1 * tau1 * e2 - r2 * tau2 * e1)\n",
+        "        gap = abs(r1 * tau1 * e1 - r2 * tau2 * e1)\n",
         ("tests/test_checks_reference.py::test_grid_independence_check_equals_the_reference",),
     ),
     Mutant(
@@ -229,25 +229,32 @@ MUTANTS = (
     Mutant(
         "limit walk reads f(x) again per offset",
         "src/hypergrid/calculus.py",
-        "            reads.append((t, k, *pair(x + k)))\n",
-        "            pair(x)\n            reads.append((t, k, *pair(x + k)))\n",
+        "            reads.append((t, k, read(x + k)))\n",
+        "            read(x)\n            reads.append((t, k, read(x + k)))\n",
         ("tests/test_calculus.py::test_limit_quotient_reads_each_point_once",),
     ),
     # exp readers learn their stop segments; sampled checks read integer pairs
     Mutant(
         "reader segment upper end one too far",
         "src/hypergrid/series.py",
-        "            hi = end(m, s, los[j] - 1 if j < len(los) else top, 1)\n",
-        "            hi = end(m, s, los[j] - 1 if j < len(los) else top, 1) + 1\n",
+        "            hi = top if s >= tau else min(_stop_bound(s, b, tau, policy), top)\n",
+        "            hi = top if s >= tau else min(_stop_bound(s, b, tau, policy) + 1, top)\n",
         ("tests/test_series.py::test_exp_reader_equals_the_kernel",),
     ),
     Mutant(
         "reader sums with a neighbouring segment's coefficients",
         "src/hypergrid/series.py",
-        "        _, _, s, coefficients = segments[j]\n",
-        "        _, _, s, coefficients = segments[j]\n"
-        "        coefficients = segments[j - 1][3] if j else coefficients\n",
+        "        _, _, s, coefficients, size = segment\n",
+        "        _, _, s, coefficients, size = segment\n"
+        "        coefficients = j and segments[j - 1][3] or coefficients\n",
         ("tests/test_series.py::test_exp_reader_equals_the_kernel",),
+    ),
+    Mutant(
+        "stop bound one past its last magnitude",
+        "src/hypergrid/series.py",
+        "    return ok\n",
+        "    return bad\n",
+        ("tests/test_series.py::test_stop_bound_is_the_last_magnitude_at_or_below_a_stop",),
     ),
     Mutant(
         "reader without its magnitude guard",
