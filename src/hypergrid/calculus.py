@@ -191,6 +191,22 @@ def secant_check(
     return _report("secant", [tau], ctx, pairs, worst, Fraction(0), worst <= 0, mode, witness)
 
 
+def _rise(f: GridFunction):
+    """n -> (r, e) with f((n+1)/tau) - f(n/tau) == r / e, reading f at
+    n + 1, then at n: for a lane the numerators' difference over its den,
+    else over the product of the two reads' denominators (``_pair_at``)."""
+    at, den = f.at, f.den
+    if den is not None:
+        return lambda n: (at(n + 1) - at(n), den)
+    pair = f._pair_at()
+
+    def rise(n):
+        (a, b), (c, d) = pair(n + 1), pair(n)
+        return a * d - c * b, b * d
+
+    return rise
+
+
 def grid_independence_check(
     f1,
     f2,
@@ -208,11 +224,11 @@ def grid_independence_check(
 
     The quotients are read by index: for each sampled point a = u / 2**64
     (``weyl_units``) the index n_i = floor(a * tau_i), reading g1 at n1 + 1
-    and n1, then g2 at n2 + 1 and n2, each as an integer pair
-    (``_pair_at``).  Each quotient is a numerator over a denominator, the
-    gaps and their running maximum are compared cross-multiplied, and the
-    witness is the first sample whose gap exceeds 2/H; one Fraction, the
-    report's max_gap, is formed at the end.
+    and n1, then g2 at n2 + 1 and n2 (``_rise``: a lane's numerators, any
+    other node's integer pairs).  Each quotient is a numerator over a
+    denominator, the gaps and their running maximum are compared
+    cross-multiplied, and the witness is the first sample whose gap
+    exceeds 2/H; one Fraction, the report's max_gap, is formed at the end.
     """
     if samples < 1:
         raise DomainError(f"grid independence check needs at least one sample, got {samples}")
@@ -241,14 +257,14 @@ def grid_independence_check(
             precondition="representations disagree before quotients were compared",
         )
 
-    pair1, tau1 = g1._pair_at(), g1.spec.tau
-    pair2, tau2 = g2._pair_at(), g2.spec.tau
+    rise1, tau1 = _rise(g1), g1.spec.tau
+    rise2, tau2 = _rise(g2), g2.spec.tau
     worst, scale = 0, 1  # the largest gap so far, worst / scale
     witness = None
     for u in weyl_units(samples, seed):
         n1, n2 = (u * tau1) >> 64, (u * tau2) >> 64
-        r1, e1 = _difference(*pair1(n1 + 1), *pair1(n1))  # quotient i is r_i * tau_i / e_i
-        r2, e2 = _difference(*pair2(n2 + 1), *pair2(n2))
+        r1, e1 = rise1(n1)  # quotient i is r_i * tau_i / e_i
+        r2, e2 = rise2(n2)
         den = e1 * e2
         gap = abs(r1 * tau1 * e2 - r2 * tau2 * e1)
         if gap * scale > worst * den:
@@ -356,12 +372,6 @@ def _probe_walk(f: GridFunction, x: int, steps: list):
     return fx, after, reads
 
 
-def _difference(a: int, b: int, c: int, d: int):
-    """a/b - c/d as (numerator, denominator): over b alone when d == b,
-    as for two reads of one lane, else over b * d."""
-    return (a - c, b) if b == d else (a * d - c * b, b * d)
-
-
 def _deviations(f: GridFunction, fx, after, reads) -> list:
     """Per read of ``_probe_walk``, (dev, den) with
     |f(x+k) - f(x) - k (f(x+1) - f(x))| == dev / den: the probe's gap to
@@ -396,25 +406,24 @@ def limit_quotient(
     where an off-grid t lands once rounded).  Every surviving probe must
     land within 2/H of the difference quotient at x.  The probes are
     ``limit_check``'s walk (``_probe_walk``) and deviations
-    (``_deviations``), in integers; each probe's quotient and gap become
-    one Fraction each.
+    (``_deviations``), in integers; each probe's gap becomes one
+    Fraction, and its quotient is taken from the reads as Fractions.
     """
     f = _as_grid_function(fr)
     steps = _limit_steps(f, seq, budget)
     n = f._index(successor(x)) - 1  # x has a successor on f's grid
     tau = f.spec.tau
     fx, after, reads = _probe_walk(f, n, steps)
-    pair = (lambda y: (y, f.den)) if f.den is not None else (lambda y: y)
+    value_of = (lambda y: Fraction(y, f.den)) if f.den is not None else (lambda y: Fraction(*y))
+    at_x = value_of(fx)
     probes = []
     for (t, k, y), (dev, den) in zip(reads, _deviations(f, fx, after, reads)):
-        rise, rise_den = _difference(*pair(y), *pair(fx))
-        quotient = Fraction(rise * tau, rise_den * k)
+        quotient = (value_of(y) - at_x) * tau / k
         probes.append(LimitProbe(t, quotient, Fraction(dev * tau, den * abs(k))))
     max_gap = max((probe.gap for probe in probes), default=Fraction(0))
     tol = 2 * seq.context.infinitesimal_scale
     verdict = "pass" if max_gap <= tol else "fail"
-    rise, rise_den = _difference(*pair(after), *pair(fx))
-    value = Fraction(rise * tau, rise_den)
+    value = (value_of(after) - at_x) * tau
     return LimitQuotientResult(value, verdict, tuple(probes), max_gap, tol)
 
 
