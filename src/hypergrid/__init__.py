@@ -60,14 +60,12 @@ from .series import (
     DEFAULT_POLICY,
     FULL_POLICY,
     UNSTABLE,
-    SeriesState,
     TruncationPolicy,
     countable_sum,
     exp_approx,
     exp_series,
     is_unstable,
     log_approx,
-    series_states,
 )
 
 __version__ = "0.1.0"
@@ -100,7 +98,6 @@ __all__ = [
     "ResourceLimitError",
     "SamplingPlan",
     "SearchRangeError",
-    "SeriesState",
     "TruncationPolicy",
     "UNSTABLE",
     "compile",
@@ -137,7 +134,6 @@ __all__ = [
     "sample_unit_fractions",
     "secant_check",
     "secant_deviation",
-    "series_states",
     "square",
     "step",
     "successor",

@@ -475,11 +475,9 @@ def limit_check(
 
 def cumulative_values(f: GridFunction, workers: int = 1) -> list:
     """Prefix sums of f over the whole grid: out[n] = sum(f(i/tau) for
-    i in 0..n).  With workers > 1 the grid is cut into that many chunks,
-    summed one after another and combined in chunk order; exact
-    arithmetic makes the result bit-identical to the one-chunk sum.
-    A lane is summed in integers, and each prefix then becomes one
-    Fraction over its denominator, in place."""
+    i in 0..n), in one serial pass (``_running_sums``; ``workers`` is
+    checked and changes nothing).  A lane is summed in integers, and each
+    prefix then becomes one Fraction over its denominator, in place."""
     numerators, den = _integrand_numerators(f, None)
     sums = _running_sums(numerators, workers)
     if den != 1:
@@ -490,31 +488,29 @@ def cumulative_values(f: GridFunction, workers: int = 1) -> list:
 
 def _running_sums(terms: list, workers: int) -> list:
     """Turn ``terms`` into its inclusive running sums, in place, so that
-    each term is released as its sum replaces it.  With several workers
-    the terms are cut into that many chunks, each summed from its first
-    term and then offset by the total before it, all serially."""
+    each term is released as its sum replaces it.  ``workers`` must be at
+    least 1 and selects nothing: exact addition is associative, so any
+    cut of the pass would give the same sums."""
     if workers < 1:
         raise DomainError(f"workers must be at least 1, got {workers}")
-    chunk = -(-len(terms) // workers)
-    for lo in range(0, len(terms), chunk):
-        acc = terms[lo]
-        for i in range(lo + 1, min(lo + chunk, len(terms))):
-            acc = terms[i] = acc + terms[i]
-    for lo in range(chunk, len(terms), chunk):
-        offset = terms[lo - 1]
-        for i in range(lo, min(lo + chunk, len(terms))):
-            terms[i] = offset + terms[i]
+    acc = terms[0]
+    for i in range(1, len(terms)):
+        acc = terms[i] = acc + terms[i]
     return terms
 
 
 def integral_stream(f: GridFunction):
     """Yield (point, integral value) pairs in grid order without storing
-    the prefix table; the only mode available past the resource limit."""
-    eps = f.spec.epsilon
-    acc = Fraction(0)
-    for p in f.spec.points():
-        acc += f(p)
-        yield p, acc * eps
+    the prefix table; the only mode available past the resource limit.
+    It reads ``f.at`` by index and sums what it returns (a lane's
+    numerators, in integers), so the value at n is the running sum over
+    den * tau, and a failing read is the leftmost."""
+    at, spec = f.at, f.spec
+    den = (f.den or 1) * spec.tau
+    acc = 0
+    for n in range(spec.tau + 1):
+        acc += at(n)
+        yield spec.point(n), Fraction(acc, den)
 
 
 def integral(

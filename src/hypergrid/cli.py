@@ -14,6 +14,9 @@ mapped into [0, 1], and difference quotients / integrals are rescaled
 by the interval length on the way out; an evaluation error names its
 grid point p as a + (b-a)p, in the domain's coordinates.
 
+``--workers`` is checked (at least 1) and changes nothing: every grid
+reduction is one serial running sum.
+
 The environment variable HYPERGRID_MAX_TAU, when set, caps the grid
 resolution any invocation may request.
 """

@@ -54,7 +54,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import exp, factorial, lgamma, log
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Optional, Union
 
 from .context import ObservationContext
 from .errors import DomainError, ResourceLimitError, SearchRangeError
@@ -90,16 +90,6 @@ FULL_POLICY = TruncationPolicy(mode="full")
 #: The log search's first try at an overshoot: its tail threshold
 #: 1/(64 tau) is usually far below q's distance from E one lattice step up.
 _COARSE = TruncationPolicy(guard=6)
-
-
-@dataclass(frozen=True)
-class SeriesState:
-    """One step of a series evaluation: term index, the term itself, and
-    the partial sum through that term."""
-
-    index: int
-    term: Fraction
-    partial: Fraction
 
 
 def _require_grid(tau: int, policy: TruncationPolicy):
@@ -302,22 +292,6 @@ def exp_approx(
 ) -> Fraction:
     """The truncated exponential sum(q**i / i! for i in 0..tau)."""
     return exp_series(q, tau, policy)[0]
-
-
-def series_states(
-    q: Fraction, tau: int, policy: TruncationPolicy = DEFAULT_POLICY
-) -> Iterator[SeriesState]:
-    """Step-by-step view of the exponential evaluation, for inspection.
-    Yields the same terms the fast path sums, in order."""
-    q = Fraction(q)
-    term = Fraction(1)
-    partial = Fraction(1)
-    yield SeriesState(0, term, partial)
-    stop = _exp_kernel(q.numerator, q.denominator, tau, policy)[2]
-    for i in range(1, stop + 1):
-        term = term * q / i
-        partial += term
-        yield SeriesState(i, term, partial)
 
 
 def _atanh_floor(c: int, d: int, bits: int):

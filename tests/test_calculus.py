@@ -1,5 +1,6 @@
 """Derivatives, secants, limits, integrals, and their check reports."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -389,15 +390,47 @@ def test_workers_below_one_are_refused(workers):
         ftc_check(square(spec), CTX, PLAN, workers=workers)
 
 
-def test_integral_stream_matches_the_table():
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-(10**9), 10**9), min_size=1, max_size=64)
+    | st.lists(st.fractions(max_denominator=10**4), min_size=1, max_size=64),
+    st.integers(min_value=1, max_value=4),
+)
+def test_running_sums_accumulate_in_place(terms, workers):
+    expected = list(itertools.accumulate(terms))
+    assert calculus._running_sums(terms, workers) is terms
+    assert terms == expected
+
+
+@pytest.mark.parametrize(
+    "text", ["x^2", "x^3 - x/2", "exp(x)", "x*exp(x)", "integral of x*exp(x)"]
+)
+def test_integral_stream_matches_the_table(text):
     spec = GridSpec(64)
-    f = exp_fn(spec)
-    sums = cumulative_values(f)
+    f = compile(parse(text.removeprefix("integral of ")), spec)
+    if text.startswith("integral of "):
+        f = integral(f).f  # a lane whose numerators are Fractions
+        assert isinstance(f.at(1), Fraction)
+    anti = integral(f).f
     streamed = list(integral_stream(f))
-    assert len(streamed) == 65
-    for (p, v), n in zip(streamed, range(65)):
-        assert p.index == n
-        assert v == sums[n] * spec.epsilon
+    assert [p.index for p, _ in streamed] == list(range(65))
+    assert [v for _, v in streamed] == [anti(p) for p, _ in streamed]
+
+
+def test_integral_stream_is_lazy_and_stops_at_the_leftmost_failure():
+    reads = []
+
+    def at(n):
+        reads.append(n)
+        if n >= 3:
+            raise DomainError(f"no value at {n}")
+        return Fraction(n)
+
+    stream = integral_stream(GridFunction(GridSpec(64), at))
+    assert [v for _, v in itertools.islice(stream, 3)] == [0, Fraction(1, 64), Fraction(3, 64)]
+    assert reads == [0, 1, 2]
+    with pytest.raises(DomainError, match="at 3"):
+        next(stream)
 
 
 def test_cumulative_values_resource_guard_points_to_streaming():

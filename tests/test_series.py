@@ -28,7 +28,6 @@ from hypergrid.series import (
     GUARD_LIMIT,
     UNSTABLE,
     exp_series,
-    series_states,
 )
 
 CTX = ObservationContext(H=1000, K=10**6)
@@ -104,17 +103,6 @@ def test_exp_argument_is_magnitude_guarded():
 def test_tiny_tau_rejected():
     with pytest.raises(DomainError):
         exp_approx(Fraction(1), 1)
-
-
-def test_series_states_replay_the_summation():
-    states = list(series_states(Fraction(1, 2), 30))
-    assert states[0].index == 0 and states[0].partial == 1
-    value, stop = exp_series(Fraction(1, 2), 30)
-    assert states[-1].index == stop
-    assert states[-1].partial == value
-    for a, b in zip(states, states[1:]):
-        assert b.partial == a.partial + b.term
-        assert b.term == a.term * Fraction(1, 2) / b.index
 
 
 def test_exp_is_monotone_on_the_lattice():

@@ -93,6 +93,12 @@ SAMPLED_CHECKS = (
      "--H", "16", "--samples", "64"],
 )
 
+# the prefix sum at the benchmark's size, with more than one worker
+REDUCTIONS = (
+    ["integrate", "x*exp(x)", "--tau", "16384", "--workers", "2"],
+    ["check", "ftc", "x*exp(x)", "--tau", "2048", "--H", "32", "--workers", "4"],
+)
+
 SERIES = ("zeros", "harmonic", "inverse-squares", "geometric:1/2", "geometric:2")
 
 ERRORS = (
@@ -164,6 +170,7 @@ def invocations():
                     out.append(({}, argv))
             out.append(({}, ["check", kind, text, "--tau", "64", "--H", "8", "--tau2", "96"]))
     out.extend(({}, argv) for argv in SAMPLED_CHECKS)
+    out.extend(({}, argv) for argv in REDUCTIONS)
     for series in SERIES:
         for H in ("10", "1000"):
             for cap in ("16", "1024"):

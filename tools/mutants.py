@@ -284,6 +284,34 @@ MUTANTS = (
         "        return bool(terms) and abs(terms[-1] - self.declared_limit) * self.context.H < 1\n",
         ("tests/test_calculus.py::test_verify_reads_the_last_term_like_the_ladder",),
     ),
+    # one serial prefix sum
+    Mutant(
+        "running sum starts one index late",
+        "src/hypergrid/calculus.py",
+        "    for i in range(1, len(terms)):\n",
+        "    for i in range(2, len(terms)):\n",
+        (
+            "tests/test_calculus.py::test_running_sums_accumulate_in_place",
+            "tests/test_calculus.py::test_integral_of_identity_at_one",
+        ),
+    ),
+    Mutant(
+        "integral stream yields before it accumulates",
+        "src/hypergrid/calculus.py",
+        "        acc += at(n)\n        yield spec.point(n), Fraction(acc, den)\n",
+        "        yield spec.point(n), Fraction(acc, den)\n        acc += at(n)\n",
+        (
+            "tests/test_calculus.py::test_integral_stream_matches_the_table",
+            "tests/test_calculus.py::test_integral_stream_is_lazy_and_stops_at_the_leftmost_failure",
+        ),
+    ),
+    Mutant(
+        "integral stream drops the lane's denominator",
+        "src/hypergrid/calculus.py",
+        "    den = (f.den or 1) * spec.tau\n",
+        "    den = spec.tau\n",
+        ("tests/test_calculus.py::test_integral_stream_matches_the_table",),
+    ),
 )
 
 
