@@ -50,7 +50,6 @@ from .gridfun import (
     GridFunction,
     continuity_check,
     fn_indiscernible,
-    grid_maps,
     transport,
 )
 from .rational import Rational, format_rational, parse_rational, render_decimal
@@ -113,7 +112,6 @@ __all__ = [
     "format_rational",
     "ftc_check",
     "grid_independence_check",
-    "grid_maps",
     "identity",
     "integral",
     "integral_stream",

@@ -34,7 +34,6 @@ from .gridfun import (
     GridFunction,
     continuity_check,
     fn_indiscernible,
-    grid_maps,
     transport,
 )
 from .sampling import SamplingPlan, weyl_units
@@ -218,9 +217,10 @@ def grid_independence_check(
     real function, each read on its own grid, at sampled real points.
 
     The claim that they do represent the same function is itself checked
-    first, by transporting one onto the other's grid and comparing
-    values; a failure there is reported as a precondition failure rather
-    than a quotient gap.
+    first, by transporting g1 onto g2's grid (``transport``: the index
+    floor(m * tau1 / tau2), in integers) and comparing values; a failure
+    there is reported as a precondition failure rather than a quotient
+    gap.
 
     The quotients are read by index: for each sampled point a = u / 2**64
     (``weyl_units``) the index n_i = floor(a * tau_i), reading g1 at n1 + 1
@@ -237,8 +237,7 @@ def grid_independence_check(
     tol = 2 * ctx.infinitesimal_scale
     grids = [g1.spec.tau, g2.spec.tau]
 
-    to_b, from_b = grid_maps(g1.spec, g2.spec)
-    carried = transport(g1, to_b, from_b)
+    carried = transport(g1, g2.spec)
     pre_plan = SamplingPlan(
         seed=seed, random_points=min(samples, 256), dyadic_depth=8, exhaustive_limit=1
     )

@@ -37,11 +37,6 @@ class GridSpec:
         for n in range(self.tau + 1):
             yield GridPoint(n, self)
 
-    def interior_points(self):
-        """The grid minus its right endpoint (where successor exists)."""
-        for n in range(self.tau):
-            yield GridPoint(n, self)
-
 
 @dataclass(frozen=True)
 class GridPoint:

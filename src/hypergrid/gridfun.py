@@ -35,8 +35,9 @@ each side is read as an integer pair (N, D), a lane's numerator over its
 ``den`` or a value's numerator and denominator, so no Fraction is formed
 per read.  (The absolute difference is used even where a one-sided gap
 would do; the relation is treated as a symmetric distance throughout.)
-``transport`` carries a function to another grid through the index of
-each rounded point, and keeps its lane.
+``transport`` carries a function to another grid by index: the point
+m/tau_b reads the source at floor(m * tau_a / tau_b), its rounding down,
+and keeps its lane.
 """
 
 from dataclasses import dataclass, replace
@@ -47,7 +48,7 @@ from typing import Callable, Optional
 
 from .context import CheckReport, ObservationContext, _report
 from .errors import DomainError, GridMismatchError, ResourceLimitError
-from .grid import GridPoint, GridSpec, round_to_grid, successor
+from .grid import GridPoint, GridSpec, successor
 from .sampling import SamplingPlan
 
 MATERIALIZE_LIMIT = 2**24
@@ -371,46 +372,21 @@ def fn_indiscernible(
     )
 
 
-def grid_maps(spec_a: GridSpec, spec_b: GridSpec):
-    """The canonical rounding equivalences between two grids, as a pair
-    (a_to_b, b_to_a).  Each direction rounds the point's value onto the
-    other grid, so each is an almost inverse of the other: the roundtrip
-    moves a point by less than epsilon_a + epsilon_b."""
-
-    def a_to_b(x: GridPoint) -> GridPoint:
-        return round_to_grid(x.value, spec_b)
-
-    def b_to_a(y: GridPoint) -> GridPoint:
-        return round_to_grid(y.value, spec_a)
-
-    return a_to_b, b_to_a
-
-
-def transport(
-    f: GridFunction,
-    to_b: Callable[[GridPoint], GridPoint],
-    from_b: Callable[[GridPoint], GridPoint],
-) -> GridFunction:
-    """Carry ``f`` along a grid equivalence: the result on the target grid
-    is y -> f(from_b(y)), with values untouched.  Its index function reads
-    ``f.at`` at the index of from_b(y), checked to lie on f's grid at
-    every read, and it keeps f's ``den``, so a lane stays a lane.
-
-    ``to_b``/``from_b`` must be an almost-inverse pair (``grid_maps`` builds
-    the canonical one); that obligation is the caller's, and violations
-    surface in the roundtrip comparison rather than here.
+def transport(f: GridFunction, spec: GridSpec) -> GridFunction:
+    """Carry ``f``, on the grid tau_a, onto ``spec``, the grid tau_b: the
+    point m/tau_b reads f at its rounding down onto f's grid, the index
+    floor(m * tau_a / tau_b), with values untouched.  Rounding is an almost inverse of the
+    inclusion, so the roundtrip a -> b -> a moves a point by less than
+    epsilon_a + epsilon_b.  The result keeps f's ``den``, so a lane stays
+    a lane, and no point or Fraction is formed per read.
     """
-    target_spec = to_b(GridPoint(0, f.spec)).spec
-    if from_b(GridPoint(0, target_spec)).spec != f.spec:
-        raise GridMismatchError("from_b does not land on the source grid")
-
     cert = f.certificate
     if cert is not None:
         # rounding both arguments back can stretch a gap by one source mesh
         cert = replace(cert, offset=cert.modulus(f.spec.epsilon))
 
-    at, index, point = f.at, f._index, target_spec.point
-    return GridFunction(target_spec, lambda n: at(index(from_b(point(n)))), cert, den=f.den)
+    at, tau_a, tau_b = f.at, f.spec.tau, spec.tau
+    return GridFunction(spec, lambda m: at(m * tau_a // tau_b), cert, den=f.den)
 
 
 def continuity_check(

@@ -6,7 +6,7 @@ and run.  That determinism is load-bearing: check reports must be
 byte-identical for identical job configurations.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 _MASK64 = (1 << 64) - 1
@@ -45,15 +45,14 @@ class SamplingPlan:
     """Where to probe a grid function when the grid cannot be enumerated.
 
     Grids with at most ``exhaustive_limit`` points are enumerated in full;
-    otherwise the plan takes ``random_points`` quasi-random indices, every
-    dyadic point of depth <= ``dyadic_depth`` (these hit the usual
-    breakpoints such as 1/2), and any user-pinned rationals.
+    otherwise the plan takes ``random_points`` quasi-random indices and
+    every dyadic point of depth <= ``dyadic_depth`` (these hit the usual
+    breakpoints such as 1/2).
     """
 
     seed: int = 0
     random_points: int = 2**16
     dyadic_depth: int = 12
-    pinned: tuple = field(default=())
     exhaustive_limit: int = 2**16
 
     def is_exhaustive(self, tau: int) -> bool:
@@ -69,10 +68,6 @@ class SamplingPlan:
             for k in range(step + 1):
                 chosen.add((tau * k) // step)
         chosen.update(weyl_indices(self.random_points, tau + 1, self.seed))
-        for q in self.pinned:
-            s = Fraction(q)
-            if 0 <= s <= 1:
-                chosen.add((s.numerator * tau) // s.denominator)
         return sorted(chosen)
 
     def mode(self, tau: int) -> str:

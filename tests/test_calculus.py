@@ -42,7 +42,6 @@ from hypergrid import (
 )
 from hypergrid import calculus
 from hypergrid.expr import compile, parse
-from hypergrid.gridfun import grid_maps
 
 CTX = ObservationContext(H=1000, K=10**6)
 PLAN = SamplingPlan(random_points=64, dyadic_depth=6, exhaustive_limit=4097)
@@ -584,8 +583,7 @@ def test_flatness_survives_transport_to_a_finer_grid():
     ctx = ObservationContext(H=100, K=10**6)
     center = Fraction(1, 2)
     F = shifted_power(spec_a, center, 3)
-    to_b, from_b = grid_maps(spec_a, spec_b)
-    G = transport(F, to_b, from_b)
+    G = transport(F, spec_b)
     b_center = spec_b.point(spec_b.tau // 2)
     assert order_n_flat(G, b_center, 1, ctx) <= ctx.infinitesimal_scale
 

@@ -39,8 +39,6 @@ def test_points_enumerate_the_grid():
     spec = GridSpec(4)
     values = [p.value for p in spec.points()]
     assert values == [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
-    interior = [p.value for p in spec.interior_points()]
-    assert interior == values[:-1]
 
 
 def test_point_index_bounds():

@@ -57,11 +57,6 @@ def test_sampled_indices_are_sorted_unique_and_in_bounds():
     assert 0 in idx and 10**6 in idx and 500000 in idx
 
 
-def test_pinned_points_are_included():
-    plan = SamplingPlan(random_points=4, dyadic_depth=1, pinned=(Fraction(1, 3),), exhaustive_limit=4)
-    assert (1000 * 1) // 3 in plan.indices(1000)
-
-
 def test_plans_with_equal_configuration_agree():
     a = SamplingPlan(seed=5, random_points=32, dyadic_depth=4, exhaustive_limit=2)
     b = SamplingPlan(seed=5, random_points=32, dyadic_depth=4, exhaustive_limit=2)

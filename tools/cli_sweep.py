@@ -91,6 +91,10 @@ SAMPLED_CHECKS = (
     ["check", "limit", "exp(100*x)", "--tau", "1000", "--H", "16", "--samples", "64"],
     ["check", "grid-independence", "exp(100*x)", "--tau", "1000", "--tau2", "3000",
      "--H", "16", "--samples", "64"],
+    # transport onto a coarser grid, and onto one that does not divide the source
+    ["check", "grid-independence", "x^2", "--tau", "1000", "--tau2", "300"],
+    ["check", "grid-independence", "exp(x)", "--tau", "1000", "--tau2", "2999",
+     "--samples", "64"],
 )
 
 # the prefix sum at the benchmark's size, with more than one worker

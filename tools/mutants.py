@@ -165,9 +165,8 @@ MUTANTS = (
     Mutant(
         "transport drops the lane's denominator",
         "src/hypergrid/gridfun.py",
-        "    return GridFunction(target_spec, lambda n: at(index(from_b(point(n)))),"
-        " cert, den=f.den)\n",
-        "    return GridFunction(target_spec, lambda n: at(index(from_b(point(n)))), cert)\n",
+        "    return GridFunction(spec, lambda m: at(m * tau_a // tau_b), cert, den=f.den)\n",
+        "    return GridFunction(spec, lambda m: at(m * tau_a // tau_b), cert)\n",
         (
             "tests/test_gridfun.py::test_transport_keeps_the_lane",
             "tests/test_checks_reference.py::test_transport_equals_the_reference",
@@ -311,6 +310,29 @@ MUTANTS = (
         "    den = (f.den or 1) * spec.tau\n",
         "    den = spec.tau\n",
         ("tests/test_calculus.py::test_integral_stream_matches_the_table",),
+    ),
+    # transport between grids by index
+    Mutant(
+        "transport rounds up",
+        "src/hypergrid/gridfun.py",
+        "    return GridFunction(spec, lambda m: at(m * tau_a // tau_b), cert, den=f.den)\n",
+        "    return GridFunction(spec, lambda m: at(-(-m * tau_a // tau_b)), cert, den=f.den)\n",
+        (
+            "tests/test_gridfun.py::test_transport_keeps_the_lane",
+            "tests/test_gridfun.py::test_transport_roundtrip_moves_identity_by_less_than_both_meshes",
+            "tests/test_checks_reference.py::test_transport_equals_the_reference",
+        ),
+    ),
+    Mutant(
+        "transport swaps the grids",
+        "src/hypergrid/gridfun.py",
+        "    return GridFunction(spec, lambda m: at(m * tau_a // tau_b), cert, den=f.den)\n",
+        "    return GridFunction(spec, lambda m: at(m * tau_b // tau_a), cert, den=f.den)\n",
+        (
+            "tests/test_gridfun.py::test_transport_carries_values_along_the_equivalence",
+            "tests/test_gridfun.py::test_transport_keeps_the_lane",
+            "tests/test_checks_reference.py::test_transport_equals_the_reference",
+        ),
     ),
 )
 
