@@ -22,6 +22,7 @@ stable JSON shape for the command-line tools.
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import islice
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -232,8 +233,9 @@ def grid_independence_check(
     """
     if samples < 1:
         raise DomainError(f"grid independence check needs at least one sample, got {samples}")
-    g1 = _as_grid_function(f1)
-    g2 = _as_grid_function(f2)
+    # both phases read nearly the same indices: share them for this check only
+    g1, g2 = map(_as_grid_function, (f1, f2))
+    g1, g2 = (GridFunction(g.spec, cache(g.at), den=g.den) for g in (g1, g2))
     tol = 2 * ctx.infinitesimal_scale
     grids = [g1.spec.tau, g2.spec.tau]
 

@@ -18,7 +18,8 @@ grid point p as a + (b-a)p, in the domain's coordinates.
 reduction is one serial running sum.
 
 The environment variable HYPERGRID_MAX_TAU, when set, caps the grid
-resolution any invocation may request.
+resolution any invocation may request, the second grid of a
+grid-independence check (3 * tau unless ``--tau2`` is given) included.
 """
 
 import argparse
@@ -172,9 +173,16 @@ def _enforce_cap(job: JobConfig):
         limit = int(cap)
     except ValueError:
         raise DomainError(f"HYPERGRID_MAX_TAU must be an integer, got {cap!r}") from None
-    for tau in (job.tau, job.tau2):
+    for tau in (job.tau, _tau2(job)):
         if tau is not None and tau > limit:
             raise DomainError(f"tau={tau} exceeds HYPERGRID_MAX_TAU={limit}")
+
+
+def _tau2(job: JobConfig) -> Optional[int]:
+    """The second grid of a grid-independence check, 3 * tau unless given."""
+    if job.tau2 is None and job.check == "grid-independence":
+        return 3 * job.tau
+    return job.tau2
 
 
 def _policy(job: JobConfig) -> TruncationPolicy:
@@ -305,8 +313,7 @@ def _run_check(job: JobConfig, ctx: ObservationContext):
     elif job.check == "secant":
         report = secant_check(f, ctx, plan)
     elif job.check == "grid-independence":
-        tau2 = job.tau2 if job.tau2 is not None else 3 * job.tau
-        f2 = expr_mod.compile(_tree(job), GridSpec(tau2), policy)
+        f2 = expr_mod.compile(_tree(job), GridSpec(_tau2(job)), policy)
         report = grid_independence_check(f, f2, ctx, job.samples, job.seed)
     elif job.check == "limit":
         margin = 2 * ctx.infinitesimal_scale

@@ -20,7 +20,7 @@ function algebra over it, so continuity certificates compose along the
 way, and so do lanes: a polynomial, a logarithm, and their sums and
 products compile to a lane whose values are read as integer numerators
 over one shared denominator; exp and division by a non-constant give
-value nodes.  Powers fold by repeated squaring.  ``exp`` applied to a
+value nodes.  A power reads its base once per point.  ``exp`` applied to a
 certified argument gets a certificate from the bound 3**ceil(B) (an
 integer dominating e**B; see ``functions.exp_of``); ``log`` never gets
 one and is left to sampling.  Division certifies only when the divisor
@@ -32,12 +32,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
-from .errors import DomainError, EvaluationError, ParseError
+from .errors import DomainError, EvaluationError, ParseError, ResourceLimitError
 from .functions import constant, exp_fn, exp_of, identity, log_of
 from .grid import GridSpec
 from .gridfun import GridFunction
 from .rational import parse_rational
 from .series import DEFAULT_POLICY, TruncationPolicy
+
+#: The largest exponent "^" may carry.  A power's values grow with its
+#: exponent (n**k at tau = 64 has 6k bits), so an exponent like 10**9 would
+#: run out of time or memory at its first read rather than fail.
+POWER_LIMIT = 2**12
 
 
 @dataclass(frozen=True)
@@ -219,7 +224,7 @@ def fold_constant(node: Node) -> Optional[Fraction]:
         return {"+": a + b, "-": a - b, "*": a * b, "/": a / b if b else None}[node.op]
     if isinstance(node, Pow):
         v = fold_constant(node.base)
-        return None if v is None else v**node.exponent
+        return None if v is None else v ** _exponent(node)
     return None
 
 
@@ -278,16 +283,25 @@ def pretty(node: Node) -> str:
     return _render(node, 0)
 
 
+def _exponent(node: Pow) -> int:
+    if node.exponent < 0:
+        raise DomainError(f"exponent must be a nonnegative integer, got {node.exponent}")
+    if node.exponent > POWER_LIMIT:
+        raise ResourceLimitError(f"exponent {node.exponent} exceeds the limit {POWER_LIMIT}")
+    return node.exponent
+
+
 def _power(base: GridFunction, k: int) -> GridFunction:
-    """base**k by repeated squaring, so evaluation nests about 2 log2(k)
-    product nodes deep instead of k.  By the product rule every value and
-    certificate reading equals that of the k-fold product."""
+    """base**k as one node that reads base once per point and raises the
+    value (or a lane's numerator) to k.  Its certificates and ``den`` are
+    those of the k-fold product, folded by repeated squaring."""
     if k == 0:
         return constant(base.spec, 1)
-    if k == 1:
-        return base
-    half = _power(base, k // 2)
-    return half * half * base if k % 2 else half * half
+    fold, at = base, base.at
+    for bit in bin(k)[3:]:
+        fold = fold * fold * base if bit == "1" else fold * fold
+    qcert = fold.quotient_certificate
+    return GridFunction(base.spec, lambda n: at(n) ** k, fold.certificate, qcert, fold.den)
 
 
 def on_domain(node: Node, a: Fraction, b: Fraction) -> Node:
@@ -323,7 +337,8 @@ def compile(
     if isinstance(node, Neg):
         return compile(node.child, spec, policy) * Fraction(-1)
     if isinstance(node, Pow):
-        return _power(compile(node.base, spec, policy), node.exponent)
+        k = _exponent(node)
+        return _power(compile(node.base, spec, policy), k)
     if isinstance(node, Call):
         if node.name == "exp" and isinstance(node.arg, Var):
             return exp_fn(spec, policy)

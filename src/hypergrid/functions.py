@@ -19,7 +19,7 @@ Constants, monomials, steps and logarithms also carry a lane, integer
 numerators over a shared denominator (c over its own, n**k over tau**k,
 0 or 1 over 1, the lattice index k over tau), which the grid-function
 algebra combines into the lanes of compiled expressions.  Exp nodes
-keep values, but the series reads an argument's lane as integers: its
+return values, but the series reads an argument's lane as integers: its
 numerator at n over the lane's denominator, with no Fraction formed,
 through one ``series._exp_reader`` per node, which learns the stop
 segments of that denominator once.  A lattice-log node likewise keeps
@@ -31,7 +31,7 @@ from math import ceil
 
 from .errors import DomainError, EvaluationError
 from .grid import GridSpec
-from .gridfun import Certificate, GridFunction, _memoized, constant_certificate, constant_lane
+from .gridfun import Certificate, GridFunction, constant_certificate, constant_lane
 from .series import (
     _COARSE,
     DEFAULT_POLICY,
@@ -80,12 +80,12 @@ def _tail_threshold(spec: GridSpec, policy: TruncationPolicy) -> Fraction:
 
 
 def exp_of(g: GridFunction, policy: TruncationPolicy = DEFAULT_POLICY) -> GridFunction:
-    """The truncated exponential of g's values, memoized.  The series
-    reads each value as integers, unreduced: a lane's numerator over its
-    denominator, through one reader over that denominator built with the
-    node (``series._exp_reader``); a value's numerator and denominator,
-    or a lane's Fraction numerator over its denominator, through the
-    kernel at each read.
+    """The truncated exponential of g's values.  The series reads each
+    value as integers, unreduced: a lane's numerator over its denominator,
+    through one reader over that denominator built with the node
+    (``series._exp_reader``); a value's numerator and denominator, or a
+    lane's Fraction numerator over its denominator, through the kernel at
+    each read.
 
     A certified g with |g| <= B gives a value certificate: exp has
     Lipschitz constant e**B <= 3**ceil(B) on [-B, B], so the modulus is
@@ -111,13 +111,13 @@ def exp_of(g: GridFunction, policy: TruncationPolicy = DEFAULT_POLICY) -> GridFu
             s, d, _ = _exp_kernel(v.numerator, v.denominator * (den or 1), tau, policy)
         return Fraction(s, d)
 
-    return GridFunction(spec, _memoized(exp_at), cert)
+    return GridFunction(spec, exp_at, cert)
 
 
 def exp_fn(
     spec: GridSpec, policy: TruncationPolicy = DEFAULT_POLICY
 ) -> GridFunction:
-    """The truncated exponential as a grid function, memoized.
+    """The truncated exponential as a grid function.
 
     On [0, 1] the partial sums stay below 3, and a termwise bound gives
     |e(x) - e(y)| <= 3 |x - y| for both the values and the quotient; the
@@ -126,15 +126,15 @@ def exp_fn(
     """
     f = exp_of(identity(spec), policy)
     quotient_wobble = 4 * _tail_threshold(spec, policy) * spec.tau
-    f.quotient_certificate = Certificate(Fraction(3), Fraction(3), quotient_wobble)
-    return f
+    qcert = Certificate(Fraction(3), Fraction(3), quotient_wobble)
+    return GridFunction(spec, f.at, f.certificate, qcert)
 
 
 def log_of(g: GridFunction, policy: TruncationPolicy = DEFAULT_POLICY) -> GridFunction:
-    """The lattice logarithm of g's values, memoized: a lane over tau
-    whose numerator at n is the integer k of ``series._log_index``, its
-    search evaluating E through two readers over tau built with the node.
-    A non-positive value raises ``EvaluationError`` at its point.  No
+    """The lattice logarithm of g's values: a lane over tau whose
+    numerator at n is the integer k of ``series._log_index``, its search
+    evaluating E through two readers over tau built with the node.  A
+    non-positive value raises ``EvaluationError`` at its point.  No
     certificate."""
     spec = g.spec
     at, den, tau = g.at, g.den or 1, spec.tau
@@ -148,7 +148,7 @@ def log_of(g: GridFunction, policy: TruncationPolicy = DEFAULT_POLICY) -> GridFu
             raise EvaluationError(f"log of non-positive value {value}", point=spec.point(n))
         return _log_index(a, b, tau, policy, exps)
 
-    return GridFunction(spec, _memoized(log_at), den=tau)
+    return GridFunction(spec, log_at, den=tau)
 
 
 def log_fn(

@@ -4,10 +4,10 @@ A ``GridFunction`` is an evaluation rule, not a table: grids default to
 resolutions where materialization is impossible, and rules scale where
 tables do not.  Every node is one function of the grid index, ``at(n)``,
 and is built one way, ``GridFunction(spec, at, certificate,
-quotient_certificate, den)``.  Rules must be pure; the memo that exp and
-log nodes keep (``_memoized``) is the only mutable state and behaves as
-a write-once-per-key map (duplicate computation is allowed, divergent
-results are not).
+quotient_certificate, den)``, and never changed.  Rules are pure and no
+node keeps state: reading an index twice computes it twice, and a caller
+that reads the same indices often shares its own reads (as
+``calculus.grid_independence_check`` does for the length of one check).
 
 Point evaluation and the whole-grid read run that same function:
 ``materialize()`` maps ``at`` over the indices left to right into a
@@ -129,19 +129,6 @@ def _lane_product(a, den_a, b, den_b):
 
 # lanes combine as their values do: sums over the lcm, products over the product
 _LANE_OPS = {add: _lane_sum, mul: _lane_product}
-
-
-def _memoized(at):
-    """``at`` behind a write-once memo keyed by grid index."""
-    memo = {}
-
-    def read(n):
-        got = memo.get(n)
-        if got is None:
-            got = memo[n] = at(n)
-        return got
-
-    return read
 
 
 class GridFunction:

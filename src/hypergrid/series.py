@@ -236,8 +236,8 @@ def _exp_reader(b: int, tau: int, policy: TruncationPolicy):
     kept at the first read in the segment after which the lists kept so
     far would hold no more bits than the denominators the reader has
     returned; until then each read in it builds them, like the kernel.
-    So the lists never outgrow the reader's output, which a memoized node
-    keeps anyway: with many reads per segment (|q| near 1 on a fine grid)
+    So the lists never outgrow the reader's output, which a caller that
+    keeps its reads holds anyway: with many reads per segment (|q| near 1)
     every list read more than once is kept after a few reads; with few
     (exp(100 x) at tau = 1000, about three reads per segment) few are.
     """

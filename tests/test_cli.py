@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hypergrid.cli import JobConfig, build_job, main, run
+from hypergrid.expr import POWER_LIMIT
 from hypergrid.series import GUARD_LIMIT, exp_approx
 
 
@@ -497,6 +498,15 @@ def test_tau_cap_applies_to_the_second_grid(capsys, monkeypatch):
     assert "HYPERGRID_MAX_TAU" in err
 
 
+def test_tau_cap_applies_to_the_default_second_grid(capsys, monkeypatch):
+    # without --tau2 the second grid is 3 * tau = 300
+    monkeypatch.setenv("HYPERGRID_MAX_TAU", "100")
+    code, out, err = invoke(capsys, "check", "grid-independence", "x^2", "--tau", "100")
+    assert code == 1
+    assert out == ""
+    assert err == "error: tau=300 exceeds HYPERGRID_MAX_TAU=100\n"
+
+
 def test_non_integer_tau_cap_is_an_error(capsys, monkeypatch):
     monkeypatch.setenv("HYPERGRID_MAX_TAU", "abc")
     code, out, err = invoke(capsys, "eval", "x", "--tau", "10")
@@ -520,6 +530,23 @@ def test_deep_nesting_and_huge_values_are_errors_not_tracebacks(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "text, k",
+    [
+        ("x^(10^9)", 10**9),
+        ("exp(x)^(10^6)", 10**6),
+        ("(1+x)^(10^7)", 10**7),
+        ("x/2^(10^9)", 10**9),
+        ("x^4097", 4097),
+    ],
+)
+def test_exponents_above_the_power_limit_are_refused(capsys, text, k):
+    code, out, err = invoke(capsys, "eval", text, "--tau", "64")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: exponent {k} exceeds the limit {POWER_LIMIT}\n"
 
 
 def test_continuity_of_an_exp_past_the_certificate_guard_is_sampled(capsys):
@@ -547,6 +574,9 @@ def test_deep_expressions_within_reach_still_evaluate(capsys):
     code, out, _ = invoke(capsys, "eval", "x^350", "--tau", "64", "--at", "1/2")
     assert code == 0
     assert out.splitlines()[0] == str(Fraction(1, 2**350))
+    code, out, _ = invoke(capsys, "eval", f"x^{POWER_LIMIT}", "--tau", "2", "--at", "1/2")
+    assert code == 0
+    assert out.splitlines()[0] == str(Fraction(1, 2**POWER_LIMIT))
     code, out, _ = invoke(capsys, "eval", "exp(x)^150", "--tau", "64", "--at", "1/2")
     assert code == 0
     assert out.splitlines()[0] == str(exp_approx(Fraction(1, 2), 64) ** 150)

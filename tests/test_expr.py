@@ -16,8 +16,9 @@ from hypergrid import (
     cumulative_values,
     integral,
 )
-from hypergrid.errors import EvaluationError, HypergridError
+from hypergrid.errors import EvaluationError, HypergridError, ResourceLimitError
 from hypergrid.expr import (
+    POWER_LIMIT,
     BinOp,
     Call,
     Literal,
@@ -61,6 +62,15 @@ def test_power_binds_tighter_than_unary_minus():
 def test_power_exponent_folds_right_associatively():
     # x^2^3 parses the exponent as 2^3 and folds it to 8
     assert parse("x^2^3") == Pow(Var(), 8)
+
+
+def test_exponents_outside_zero_to_the_power_limit_are_refused():
+    # a hand-built tree may hold a negative exponent, which the grammar excludes
+    for k, error in ((-1, DomainError), (POWER_LIMIT + 1, ResourceLimitError)):
+        with pytest.raises(error):
+            compile(Pow(Var(), k), GridSpec(4))
+        with pytest.raises(error):
+            fold_constant(Pow(Literal(Fraction(2)), k))
 
 
 def test_decimal_literals_are_exact():
@@ -453,7 +463,7 @@ def test_batch_path_equals_point_by_point_evaluation(tree, tau):
     expected = [per_point(p) for p in spec.points()]
     batched = compile(tree, spec)
     assert batched.materialize() == expected
-    assert batched.materialize() == expected  # again, from the memo
+    assert batched.materialize() == expected  # again
     sums = list(accumulate(expected))
     assert cumulative_values(compile(tree, spec)) == sums
     assert cumulative_values(compile(tree, spec), workers=3) == sums

@@ -18,13 +18,16 @@ from hypergrid import (
     ObservationContext,
     ResourceLimitError,
     SamplingPlan,
+    compile,
     constant,
     continuity_check,
     exp_fn,
     fn_indiscernible,
+    grid_independence_check,
     identity,
     integral,
     monomial,
+    parse,
     square,
     step,
     transport,
@@ -77,13 +80,32 @@ def _count_exp_reads(monkeypatch) -> list:
     return calls
 
 
-def test_memoized_rules_are_evaluated_once_per_point(monkeypatch):
+def test_nodes_keep_no_state_between_reads(monkeypatch):
     spec = GridSpec(16)
     calls = _count_exp_reads(monkeypatch)
     f = exp_fn(spec)
     p = spec.point(5)
     assert f(p) == f(p) == exp_approx(Fraction(5, 16), 16)
-    assert calls == [(5, 16)]
+    assert calls == [(5, 16), (5, 16)]  # each read runs the rule
+
+
+def test_grid_independence_reads_each_index_of_each_operand_once(monkeypatch):
+    # 1024 samples on grids of 100 and 300 points: nearly every index the
+    # quotient walk needs was read by the value comparison already
+    calls = _count_exp_reads(monkeypatch)
+    ctx = ObservationContext(H=16, K=10**6)
+    report = grid_independence_check(exp_fn(GridSpec(100)), exp_fn(GridSpec(300)), ctx, 1024)
+    assert report and report.samples == 1024
+    assert {b for _, b in calls} == {100, 300}
+    assert len(calls) == len(set(calls))
+
+
+def test_a_power_reads_its_base_once_per_point(monkeypatch):
+    spec = GridSpec(16)
+    calls = _count_exp_reads(monkeypatch)
+    values = compile(parse("exp(x)^3"), spec).materialize()
+    assert values == [exp_approx(Fraction(n, 16), 16) ** 3 for n in range(17)]
+    assert calls == [(n, 16) for n in range(17)]
 
 
 def test_exp_of_a_lane_with_fraction_numerators_sums_like_the_kernel():
@@ -143,7 +165,7 @@ def test_materialize_small_grids():
     assert identity(spec).materialize() == [Fraction(n, 4) for n in range(5)]
 
 
-def test_materialize_returns_a_new_list_and_reuses_the_memo(monkeypatch):
+def test_materialize_returns_a_new_list_owned_by_the_caller(monkeypatch):
     spec = GridSpec(16)
     calls = _count_exp_reads(monkeypatch)
     f = exp_fn(spec) * 2 + square(spec)
@@ -152,9 +174,7 @@ def test_materialize_returns_a_new_list_and_reuses_the_memo(monkeypatch):
     assert first == expected
     assert calls == [(n, 16) for n in range(17)]
     first[3] = None  # the caller owns the list
-    calls.clear()
     assert f.materialize() == expected
-    assert calls == []  # the memoized node answered from its memo
 
 
 def test_algebra_carries_lanes():

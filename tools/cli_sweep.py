@@ -95,6 +95,11 @@ SAMPLED_CHECKS = (
     ["check", "grid-independence", "x^2", "--tau", "1000", "--tau2", "300"],
     ["check", "grid-independence", "exp(x)", "--tau", "1000", "--tau2", "2999",
      "--samples", "64"],
+    # many more samples than points, so nearly every read repeats; and a
+    # power of an exp node read at every point
+    ["check", "grid-independence", "exp(x)", "--tau", "100", "--tau2", "300",
+     "--H", "16", "--samples", "1024"],
+    ["check", "ftc", "exp(x)^3*x", "--tau", "1024", "--H", "32"],
 )
 
 # the prefix sum at the benchmark's size, with more than one worker
@@ -121,6 +126,7 @@ ERRORS = (
     ["eval", "1/(x - 1/2)", "--tau", "16", "--at", "1/2"],
     ["eval", "exp(10^9*x)", "--tau", "16", "--at", "1"],
     ["eval", "exp(x)^330", "--tau", "64"],
+    ["eval", "x^5000", "--tau", "2", "--at", "1/2"],
     ["eval", "x/0", "--tau", "16"],
     ["eval", "x", "--tau", "16", "--digits", "-1"],
     ["eval", "x", "--tau", "16", "--guard", str(2**11)],
@@ -150,6 +156,7 @@ CAPPED = (
     ("64", ["eval", "x", "--tau", "64"]),
     ("64", ["eval", "x", "--tau", "65"]),
     ("64", ["check", "grid-independence", "x", "--tau", "16", "--tau2", "128"]),
+    ("64", ["check", "grid-independence", "x", "--tau", "64"]),
     ("sixty-four", ["eval", "x", "--tau", "16"]),
 )
 

@@ -64,8 +64,8 @@ MUTANTS = (
     Mutant(
         "log lane over tau + 1",
         "src/hypergrid/functions.py",
-        "    return GridFunction(spec, _memoized(log_at), den=tau)\n",
-        "    return GridFunction(spec, _memoized(log_at), den=tau + 1)\n",
+        "    return GridFunction(spec, log_at, den=tau)\n",
+        "    return GridFunction(spec, log_at, den=tau + 1)\n",
         (
             "tests/test_expr.py::test_compile_log_matches_the_lattice_inverse",
             "tests/test_expr.py::test_exp_and_log_of_a_lane_equal_the_series_on_its_values",
@@ -333,6 +333,77 @@ MUTANTS = (
             "tests/test_gridfun.py::test_transport_keeps_the_lane",
             "tests/test_checks_reference.py::test_transport_equals_the_reference",
         ),
+    ),
+    # nodes keep no state; grid independence shares its reads
+    Mutant(
+        "grid independence without its shared reads",
+        "src/hypergrid/calculus.py",
+        "    g1, g2 = (GridFunction(g.spec, cache(g.at), den=g.den) for g in (g1, g2))\n",
+        "    g1, g2 = (GridFunction(g.spec, g.at, den=g.den) for g in (g1, g2))\n",
+        ("tests/test_gridfun.py::test_grid_independence_reads_each_index_of_each_operand_once",),
+    ),
+    Mutant(
+        "power reads its base per factor",
+        "src/hypergrid/expr.py",
+        "    return GridFunction(base.spec, lambda n: at(n) ** k, fold.certificate, qcert, fold.den)\n",
+        "    return GridFunction(base.spec, fold.at, fold.certificate, qcert, fold.den)\n",
+        ("tests/test_gridfun.py::test_a_power_reads_its_base_once_per_point",),
+    ),
+    # certificates as data
+    Mutant(
+        "product certificate drops a term",
+        "src/hypergrid/gridfun.py",
+        "    return _weighted(a.bound * b.bound, (a.bound, b), (b.bound, a))\n",
+        "    return _weighted(a.bound * b.bound, (a.bound, b))\n",
+        (
+            "tests/test_gridfun.py::test_certificate_combinators",
+            "tests/test_gridfun.py::test_combinators_read_like_the_closure_formulas",
+        ),
+    ),
+    Mutant(
+        "quotient-product certificate drops a term",
+        "src/hypergrid/gridfun.py",
+        "        (f_qcert.bound, g_cert),\n",
+        "",
+        ("tests/test_gridfun.py::test_combinators_read_like_the_closure_formulas",),
+    ),
+    Mutant(
+        "max instead of a sum of offsets",
+        "src/hypergrid/gridfun.py",
+        "        sum(w * c.offset for w, c in terms),\n",
+        "        max(w * c.offset for w, c in terms),\n",
+        ("tests/test_gridfun.py::test_combinators_read_like_the_closure_formulas",),
+    ),
+    Mutant(
+        "transport without its stretch",
+        "src/hypergrid/gridfun.py",
+        "        cert = replace(cert, offset=cert.modulus(f.spec.epsilon))\n",
+        "        cert = replace(cert, offset=cert.offset)\n",
+        (
+            "tests/test_gridfun.py::test_transport_stretches_the_certificate_by_one_source_mesh",
+            "tests/test_gridfun.py::test_exp_transport_and_integral_read_like_the_closure_formulas",
+        ),
+    ),
+    Mutant(
+        "exp certificate without its wobble",
+        "src/hypergrid/functions.py",
+        "        wobble = 2 * _tail_threshold(spec, policy)\n",
+        "        wobble = 0\n",
+        ("tests/test_gridfun.py::test_exp_transport_and_integral_read_like_the_closure_formulas",),
+    ),
+    Mutant(
+        "monomial quotient slope k - 1",
+        "src/hypergrid/functions.py",
+        "        Certificate(Fraction(k), Fraction(k * (k - 1)), Fraction(0)),\n",
+        "        Certificate(Fraction(k), Fraction(k - 1), Fraction(0)),\n",
+        ("tests/test_calculus.py::test_quotient_modulus_dominates_secant_deviations_exhaustively",),
+    ),
+    Mutant(
+        "antiderivative bound without its mesh",
+        "src/hypergrid/calculus.py",
+        "    cert = qcert and Certificate(qcert.bound * (1 + eps), qcert.bound, Fraction(0))\n",
+        "    cert = qcert and Certificate(qcert.bound, qcert.bound, Fraction(0))\n",
+        ("tests/test_gridfun.py::test_exp_transport_and_integral_read_like_the_closure_formulas",),
     ),
 )
 
