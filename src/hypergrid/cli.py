@@ -316,6 +316,8 @@ def _run_check(job: JobConfig, ctx: ObservationContext):
         f2 = expr_mod.compile(_tree(job), GridSpec(_tau2(job)), policy)
         report = grid_independence_check(f, f2, ctx, job.samples, job.seed)
     elif job.check == "limit":
+        if ctx.H < 4:  # the points below lie between 2/H and 1 - 4/H, negative for H < 4
+            raise DomainError(f"check limit needs H >= 4, got H={ctx.H}")
         margin = 2 * ctx.infinitesimal_scale
         span = 1 - 3 * margin
         points = [margin + u * span for u in sample_unit_fractions(job.samples, job.seed)]

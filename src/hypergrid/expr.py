@@ -27,6 +27,7 @@ one and is left to sampling.  Division certifies only when the divisor
 folds to a constant.
 """
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +36,7 @@ from typing import Optional, Tuple, Union
 from .errors import DomainError, EvaluationError, ParseError, ResourceLimitError
 from .functions import constant, exp_fn, exp_of, identity, log_of
 from .grid import GridSpec
-from .gridfun import GridFunction
+from .gridfun import GridFunction, certificates_of, product_rule
 from .rational import parse_rational
 from .series import DEFAULT_POLICY, TruncationPolicy
 
@@ -206,6 +207,9 @@ def parse(text: str) -> Node:
     return _Parser(text).parse()
 
 
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
 def fold_constant(node: Node) -> Optional[Fraction]:
     """Value of a literal-only subtree, or None if it involves x or a
     function call (calls are excluded: their values depend on tau)."""
@@ -221,7 +225,7 @@ def fold_constant(node: Node) -> Optional[Fraction]:
             return None
         if node.op == "/" and b == 0:
             return None
-        return {"+": a + b, "-": a - b, "*": a * b, "/": a / b if b else None}[node.op]
+        return _ARITHMETIC[node.op](a, b)
     if isinstance(node, Pow):
         v = fold_constant(node.base)
         return None if v is None else v ** _exponent(node)
@@ -293,15 +297,20 @@ def _exponent(node: Pow) -> int:
 
 def _power(base: GridFunction, k: int) -> GridFunction:
     """base**k as one node that reads base once per point and raises the
-    value (or a lane's numerator) to k.  Its certificates and ``den`` are
-    those of the k-fold product, folded by repeated squaring."""
+    value (or a lane's numerator) to k, over base's ``den`` to the k.  Its
+    certificates are the k-fold product's: the product rule folded by
+    repeated squaring, as (fold * fold) * base per set bit, with no node
+    built along the way."""
     if k == 0:
         return constant(base.spec, 1)
-    fold, at = base, base.at
+    own = fold = certificates_of(base)
     for bit in bin(k)[3:]:
-        fold = fold * fold * base if bit == "1" else fold * fold
-    qcert = fold.quotient_certificate
-    return GridFunction(base.spec, lambda n: at(n) ** k, fold.certificate, qcert, fold.den)
+        fold = product_rule(fold, fold)
+        if bit == "1":
+            fold = product_rule(fold, own)
+    at, den = base.at, base.den
+    den = None if den is None else den**k
+    return GridFunction(base.spec, lambda n: at(n) ** k, *fold, den)
 
 
 def on_domain(node: Node, a: Fraction, b: Fraction) -> Node:

@@ -31,7 +31,7 @@ from math import ceil
 
 from .errors import DomainError, EvaluationError
 from .grid import GridSpec
-from .gridfun import Certificate, GridFunction, constant_certificate, constant_lane
+from .gridfun import Certificate, GridFunction, certificates_of, constant_lane
 from .series import (
     _COARSE,
     DEFAULT_POLICY,
@@ -49,7 +49,7 @@ EXP_BOUND_LIMIT = 2**16
 def constant(spec: GridSpec, c) -> GridFunction:
     c = Fraction(c)
     at, den = constant_lane(c)
-    return GridFunction(spec, at, constant_certificate(c), constant_certificate(0), den)
+    return GridFunction(spec, at, *certificates_of(c), den)
 
 
 def monomial(spec: GridSpec, k: int) -> GridFunction:

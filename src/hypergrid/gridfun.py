@@ -26,8 +26,11 @@ implies |f(x) - f(y)| <= omega(d).  ``continuity_check`` then either
 certifies preservation of indiscernibility at a context, refutes it with
 a concrete witness pair, or reports that sampling found nothing
 ("sampled-ok"); the claim is the mode of the ``CheckReport`` it returns.
-Certificates compose when a node is built: sums add moduli, products use
-the bounded-factor rule, scaling scales, so a read is O(1).
+Certificates compose when a node is built, by the sum rule (moduli add)
+and the product rule (bounded factors), so a read is O(1); a rule given
+a side without a certificate gives none.  A scalar c enters either rule
+as the constant function c, bound |c| and modulus 0, whose difference
+quotient is 0: a shift is a sum and a scaling a product.
 
 Function-level indiscernibility (``fn_indiscernible``, also a
 ``CheckReport``) compares |f - g| pointwise against 1/H, cross-multiplied:
@@ -81,17 +84,16 @@ def _weighted(bound: Fraction, *terms) -> Certificate:
     )
 
 
-def add_certificates(a: Certificate, b: Certificate) -> Certificate:
+def add_certificates(a, b) -> Optional[Certificate]:
+    if a is None or b is None:
+        return None
     return _weighted(a.bound + b.bound, (1, a), (1, b))
 
 
-def scale_certificate(c: Fraction, a: Certificate) -> Certificate:
-    c = abs(Fraction(c))
-    return _weighted(c * a.bound, (c, a))
-
-
-def multiply_certificates(a: Certificate, b: Certificate) -> Certificate:
+def multiply_certificates(a, b) -> Optional[Certificate]:
     # bounded-factor rule: |fg(x)-fg(y)| <= |f| |g(x)-g(y)| + |g| |f(x)-f(y)|
+    if a is None or b is None:
+        return None
     return _weighted(a.bound * b.bound, (a.bound, b), (b.bound, a))
 
 
@@ -109,6 +111,24 @@ def _quotient_product_certificate(f_cert, f_qcert, g_cert, g_qcert):
     )
 
 
+def sum_rule(f, g):
+    """The (certificate, quotient certificate) of f + g from theirs."""
+    return add_certificates(f[0], g[0]), add_certificates(f[1], g[1])
+
+
+def product_rule(f, g):
+    """The (certificate, quotient certificate) of f * g from theirs."""
+    return multiply_certificates(f[0], g[0]), _quotient_product_certificate(*f, *g)
+
+
+def certificates_of(operand):
+    """An operand's (certificate, quotient certificate): a node's own, or
+    for a scalar c those of the constant function c."""
+    if isinstance(operand, GridFunction):
+        return operand.certificate, operand.quotient_certificate
+    return constant_certificate(operand), constant_certificate(0)
+
+
 def constant_lane(c: Fraction):
     """The lane of the constant c: its numerator everywhere, over its denominator."""
     num = c.numerator
@@ -122,8 +142,6 @@ def _lane_sum(a, den_a, b, den_b):
 
 
 def _lane_product(a, den_a, b, den_b):
-    if a is b:  # a square reads its operand once
-        return (lambda n: (v := a(n)) * v), den_a * den_a
     return (lambda n: a(n) * b(n)), den_a * den_b
 
 
@@ -143,6 +161,11 @@ class GridFunction:
     continuity of the values; ``quotient_certificate`` (optional)
     certifies continuity of the difference-quotient function, which is
     what differentiability at a context ultimately needs.
+
+    The algebra composes both by the sum and product rules alone, so a
+    scaled node keeps a quotient certificate only if it keeps a value
+    certificate: the product rule reads f's bound.  (No library node
+    carries the one without the other.)
     """
 
     __slots__ = ("spec", "at", "den", "certificate", "quotient_certificate")
@@ -230,48 +253,31 @@ class GridFunction:
         at, den = self.at, self.den
         return at if den is None else (lambda n: Fraction(at(n), den))
 
-    # Pointwise algebra; certificates propagate whenever both sides carry
-    # them, and lanes whenever both sides have one.
+    # Pointwise algebra; certificates compose by the rules, and lanes
+    # combine whenever both sides have one.
 
-    def _combine_binary(self, other, value_op, cert, qcert):
-        if other.spec != self.spec:
-            raise GridMismatchError("cannot combine functions on different grids")
-        if self.den is not None and other.den is not None:
-            at, den = _LANE_OPS[value_op](self.at, self.den, other.at, other.den)
+    def _combine(self, other, value_op, rule):
+        """value_op(self, other), a node or a scalar c, with certificates
+        by ``rule``; c is read as ``c`` beside values, as its lane beside a lane."""
+        if isinstance(other, GridFunction):
+            if other.spec != self.spec:
+                raise GridMismatchError("cannot combine functions on different grids")
+            b, den_b = other.at, other.den
+        else:
+            other = Fraction(other)
+            b, den_b = constant_lane(other)
+        cert, qcert = rule(certificates_of(self), certificates_of(other))
+        if self.den is not None and den_b is not None:
+            at, den = _LANE_OPS[value_op](self.at, self.den, b, den_b)
             return GridFunction(self.spec, at, cert, qcert, den)
         a = self._value_at()
-        if other is self:  # a square reads its operand once
-            return GridFunction(self.spec, lambda n: value_op((v := a(n)), v), cert, qcert)
-        b = other._value_at()
-        return GridFunction(self.spec, lambda n: value_op(a(n), b(n)), cert, qcert)
-
-    def _combine_scalar(self, value_op, c: Fraction, cert, qcert):
-        if self.den is not None:
-            at, den = _LANE_OPS[value_op](self.at, self.den, *constant_lane(c))
-            return GridFunction(self.spec, at, cert, qcert, den)
-        a = self.at
-        return GridFunction(self.spec, lambda n: value_op(a(n), c), cert, qcert)
+        if isinstance(other, GridFunction):
+            b = other._value_at()
+            return GridFunction(self.spec, lambda n: value_op(a(n), b(n)), cert, qcert)
+        return GridFunction(self.spec, lambda n: value_op(a(n), other), cert, qcert)
 
     def __add__(self, other):
-        if isinstance(other, GridFunction):
-            cert = (
-                add_certificates(self.certificate, other.certificate)
-                if self.certificate and other.certificate
-                else None
-            )
-            qcert = (
-                add_certificates(self.quotient_certificate, other.quotient_certificate)
-                if self.quotient_certificate and other.quotient_certificate
-                else None
-            )
-            return self._combine_binary(other, add, cert, qcert)
-        shift = Fraction(other)
-        cert = (
-            replace(self.certificate, bound=self.certificate.bound + abs(shift))
-            if self.certificate
-            else None
-        )
-        return self._combine_scalar(add, shift, cert, self.quotient_certificate)
+        return self._combine(other, add, sum_rule)
 
     __radd__ = __add__
 
@@ -287,27 +293,7 @@ class GridFunction:
         return (-self) + Fraction(other)
 
     def __mul__(self, other):
-        if isinstance(other, GridFunction):
-            cert = (
-                multiply_certificates(self.certificate, other.certificate)
-                if self.certificate and other.certificate
-                else None
-            )
-            qcert = _quotient_product_certificate(
-                self.certificate,
-                self.quotient_certificate,
-                other.certificate,
-                other.quotient_certificate,
-            )
-            return self._combine_binary(other, mul, cert, qcert)
-        c = Fraction(other)
-        cert = scale_certificate(c, self.certificate) if self.certificate else None
-        qcert = (
-            scale_certificate(c, self.quotient_certificate)
-            if self.quotient_certificate
-            else None
-        )
-        return self._combine_scalar(mul, c, cert, qcert)
+        return self._combine(other, mul, product_rule)
 
     __rmul__ = __mul__
 

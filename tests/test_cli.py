@@ -304,6 +304,17 @@ def test_limit_check_with_an_empty_band_is_an_error(capsys):
     assert err.startswith("error: band is empty")
 
 
+@pytest.mark.parametrize("H", ["2", "3"])
+def test_limit_check_refuses_an_h_below_four(capsys, H):
+    # the sampled points lie between 2/H and 1 - 4/H, which is negative below H = 4
+    code, out, err = invoke(
+        capsys, "check", "limit", "x^2", "--tau", "10", "--samples", "1", "--H", H
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: check limit needs H >= 4, got H={H}\n"
+
+
 def test_failing_checks_exit_two(capsys):
     # a visible jump in the quotient makes the ftc comparison fail
     code, out, _ = invoke(

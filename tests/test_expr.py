@@ -1,8 +1,10 @@
 """Expression parsing, rendering, folding, and compilation to the grid."""
 
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate
 from math import ceil
+from operator import mul
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -32,7 +34,7 @@ from hypergrid.expr import (
     pretty,
 )
 from hypergrid.functions import EXP_BOUND_LIMIT, constant, log_fn
-from hypergrid.gridfun import GridFunction
+from hypergrid.gridfun import Certificate, GridFunction
 from hypergrid.series import DEFAULT_POLICY, FULL_POLICY, exp_approx, log_approx
 
 CTX = ObservationContext(H=1000, K=10**6)
@@ -521,6 +523,39 @@ def test_powers_fold_by_squaring_to_the_k_fold_product(base, k, tau):
     assert [squared(p) for p in spec.points()] == expected
     gaps = [spec.epsilon, Fraction(1, 16), Fraction(1)]
     assert _readings(squared, gaps) == _readings(chained, gaps)
+
+
+def _certificate_or_none():
+    part = st.builds(Fraction, st.integers(0, 9), st.integers(1, 9))
+    return st.one_of(st.none(), st.builds(Certificate, part, part, part))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _certificate_or_none(),
+    _certificate_or_none(),
+    st.sampled_from(["lane", "value", "monomial", "exp"]),
+    st.integers(min_value=1, max_value=64),
+)
+def test_a_power_carries_the_certificates_and_den_of_the_k_fold_product(cert, qcert, kind, k):
+    spec = GridSpec(4)
+    if kind == "lane":
+        base = GridFunction(spec, lambda n: n + 1, cert, qcert, 3)
+    elif kind == "value":
+        base = GridFunction(spec, lambda n: Fraction(n + 1, 3), cert, qcert)
+    else:
+        base = compile(parse("x" if kind == "monomial" else "exp(x)"), spec)
+    power, product = _power(base, k), reduce(mul, [base] * k)
+    assert power.certificate == product.certificate
+    assert power.quotient_certificate == product.quotient_certificate
+    assert power.den == product.den
+    assert power.materialize() == product.materialize()
+    one = _power(base, 0)
+    expected = constant(spec, 1)
+    assert (one.certificate, one.quotient_certificate, one.den) == (
+        expected.certificate, expected.quotient_certificate, expected.den
+    )
+    assert one.materialize() == [1] * 5
 
 
 def test_a_square_reads_its_operand_once():

@@ -1,6 +1,7 @@
 """Grid functions: evaluation, algebra, certificates, comparisons,
 transport between grids, and the three-valued continuity check."""
 
+from dataclasses import replace
 from fractions import Fraction
 from math import ceil
 
@@ -40,7 +41,6 @@ from hypergrid.gridfun import (
     add_certificates,
     constant_certificate,
     multiply_certificates,
-    scale_certificate,
 )
 from hypergrid.series import DEFAULT_POLICY, FULL_POLICY, exp_approx
 
@@ -248,7 +248,7 @@ def test_certificate_combinators():
     assert i.bound == 1 and i.modulus(Fraction(1, 3)) == Fraction(1, 3)
     s = add_certificates(c, i)
     assert s.bound == 6 and s.modulus(Fraction(1, 4)) == Fraction(1, 4)
-    t = scale_certificate(Fraction(-2), i)
+    t = multiply_certificates(constant_certificate(Fraction(-2)), i)
     assert t.bound == 2 and t.modulus(Fraction(1, 4)) == Fraction(1, 2)
     m = multiply_certificates(Certificate(Fraction(2), Fraction(1), Fraction(0)), i)
     assert m.bound == 2
@@ -471,13 +471,75 @@ _GAPS = st.lists(_rationals(4), min_size=1, max_size=4)
 )
 def test_combinators_read_like_the_closure_formulas(a, b, c, e, k, gaps):
     _reads_like(add_certificates(a, b), _old_add(_closure(a), _closure(b)), gaps)
-    _reads_like(scale_certificate(k, a), _old_scale(k, _closure(a)), gaps)
+    _reads_like(
+        multiply_certificates(constant_certificate(k), a), _old_scale(k, _closure(a)), gaps
+    )
     _reads_like(multiply_certificates(a, b), _old_multiply(_closure(a), _closure(b)), gaps)
     _reads_like(
         _quotient_product_certificate(a, b, c, e),
         _old_quotient_product(*map(_closure, (a, b, c, e))),
         gaps,
     )
+
+
+def test_each_rule_given_a_missing_certificate_gives_none():
+    c = Certificate(Fraction(2), Fraction(1), Fraction(1, 3))
+    for a, b in ((None, c), (c, None), (None, None)):
+        assert add_certificates(a, b) is None
+        assert multiply_certificates(a, b) is None
+    for missing in range(4):
+        sides = [c] * 4
+        sides[missing] = None
+        assert _quotient_product_certificate(*sides) is None
+
+
+# A shift and a scale were rules of their own; they are now the sum and
+# product rules applied to the constant c, and must give what these gave.
+
+
+def _scale_certificate(c, a):
+    c = abs(Fraction(c))
+    return Certificate(c * a.bound, c * a.slope, c * a.offset)
+
+
+def _shift_rule(f, c):
+    cert = f.certificate and replace(f.certificate, bound=f.certificate.bound + abs(c))
+    return cert, f.quotient_certificate
+
+
+def _scale_rule(f, c):
+    # one narrowing: the product rule reads f's bound, so a node without a
+    # value certificate keeps no quotient certificate when scaled
+    cert, qcert = f.certificate, f.quotient_certificate
+    if cert is None:
+        return None, None
+    return _scale_certificate(c, cert), qcert and _scale_certificate(c, qcert)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(st.none(), _certificates()),
+    st.one_of(st.none(), _certificates()),
+    st.sampled_from([None, 1, 7]),
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 64)),
+)
+def test_scalars_compose_like_the_former_shift_and_scale(cert, qcert, den, c):
+    spec = GridSpec(8)
+    at = (lambda n: n * n) if den else (lambda n: Fraction(n * n, 3))
+    f = GridFunction(spec, at, cert, qcert, den)
+    negated = GridFunction(spec, at, *_scale_rule(f, -1), den)
+    cases = [
+        (f + c, _shift_rule(f, c), lambda v: v + c),
+        (c + f, _shift_rule(f, c), lambda v: v + c),
+        (f - c, _shift_rule(f, -c), lambda v: v - c),
+        (c - f, _shift_rule(negated, c), lambda v: c - v),
+        (c * f, _scale_rule(f, c), lambda v: c * v),
+        (-f, _scale_rule(f, -1), lambda v: -v),
+    ]
+    values = [f(p) for p in spec.points()]
+    for h, expected, op in cases:
+        assert (h.certificate, h.quotient_certificate) == expected
+        assert h.materialize() == [op(v) for v in values]
 
 
 @settings(max_examples=100, deadline=None)

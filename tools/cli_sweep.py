@@ -102,6 +102,25 @@ SAMPLED_CHECKS = (
     ["check", "ftc", "exp(x)^3*x", "--tau", "1024", "--H", "32"],
 )
 
+# checks that print certificate values: a secant check's max_gap is the
+# worst excess over the quotient modulus, and continuity is certified only
+# when the modulus at the mesh is at most 1/H
+CERTIFICATE_CHECKS = (
+    *(
+        ["check", "secant", text, "--tau", "256", "--H", "16"]
+        for text in (
+            "2 - 3*exp(x)",
+            "-(x*exp(x))/3 + 1/2",
+            "(x + 1/3)^5 - 2*x^2 + 7",
+            "(x*exp(x)/3)^5",
+        )
+    ),
+    *(
+        ["check", "continuity", text, "--tau", "65536"]
+        for text in ("3*exp(x) - 2", "(x*exp(x)/3)^5")
+    ),
+)
+
 # the prefix sum at the benchmark's size, with more than one worker
 REDUCTIONS = (
     ["integrate", "x*exp(x)", "--tau", "16384", "--workers", "2"],
@@ -142,6 +161,7 @@ ERRORS = (
     ["check", "secant", "--tau", "16"],
     ["check", "secant", "x^2", "--tau", "16", "--H", "2"],
     ["check", "limit", "x^2", "--tau", "16", "--H", "64"],
+    ["check", "limit", "x^2", "--tau", "10", "--samples", "1", "--H", "2"],
     ["check", "grid-independence", "x^2", "--tau", "16", "--samples", "0"],
     ["check", "continuity", "exp(10^9*x)", "--tau", "65536"],
     ["sum", "primes", "--H", "10"],
@@ -181,6 +201,7 @@ def invocations():
                     out.append(({}, argv))
             out.append(({}, ["check", kind, text, "--tau", "64", "--H", "8", "--tau2", "96"]))
     out.extend(({}, argv) for argv in SAMPLED_CHECKS)
+    out.extend(({}, argv) for argv in CERTIFICATE_CHECKS)
     out.extend(({}, argv) for argv in REDUCTIONS)
     for series in SERIES:
         for H in ("10", "1000"):

@@ -345,8 +345,8 @@ MUTANTS = (
     Mutant(
         "power reads its base per factor",
         "src/hypergrid/expr.py",
-        "    return GridFunction(base.spec, lambda n: at(n) ** k, fold.certificate, qcert, fold.den)\n",
-        "    return GridFunction(base.spec, fold.at, fold.certificate, qcert, fold.den)\n",
+        "    return GridFunction(base.spec, lambda n: at(n) ** k, *fold, den)\n",
+        "    return GridFunction(base.spec, lambda n: at(n) ** (k - 1) * at(n), *fold, den)\n",
         ("tests/test_gridfun.py::test_a_power_reads_its_base_once_per_point",),
     ),
     # certificates as data
@@ -404,6 +404,37 @@ MUTANTS = (
         "    cert = qcert and Certificate(qcert.bound * (1 + eps), qcert.bound, Fraction(0))\n",
         "    cert = qcert and Certificate(qcert.bound, qcert.bound, Fraction(0))\n",
         ("tests/test_gridfun.py::test_exp_transport_and_integral_read_like_the_closure_formulas",),
+    ),
+    # certificates compose by the sum and product rules alone
+    Mutant(
+        "sum rule ignores a missing certificate",
+        "src/hypergrid/gridfun.py",
+        "        return None\n    return _weighted(a.bound + b.bound, (1, a), (1, b))\n",
+        "        return a or b\n    return _weighted(a.bound + b.bound, (1, a), (1, b))\n",
+        (
+            "tests/test_gridfun.py::test_each_rule_given_a_missing_certificate_gives_none",
+            "tests/test_gridfun.py::test_scalars_compose_like_the_former_shift_and_scale",
+        ),
+    ),
+    Mutant(
+        "a scalar's quotient certificate is c's instead of 0's",
+        "src/hypergrid/gridfun.py",
+        "    return constant_certificate(operand), constant_certificate(0)\n",
+        "    return constant_certificate(operand), constant_certificate(operand)\n",
+        (
+            "tests/test_gridfun.py::test_scalars_compose_like_the_former_shift_and_scale",
+            "tests/test_gridfun.py::test_scalar_shift_keeps_the_quotient_certificate",
+        ),
+    ),
+    Mutant(
+        "power fold drops the odd factor",
+        "src/hypergrid/expr.py",
+        "            fold = product_rule(fold, own)\n",
+        "            pass\n",
+        (
+            "tests/test_expr.py::test_a_power_carries_the_certificates_and_den_of_the_k_fold_product",
+            "tests/test_expr.py::test_powers_fold_by_squaring_to_the_k_fold_product",
+        ),
     ),
 )
 
