@@ -39,6 +39,10 @@ EXPRESSIONS = (
     "x/(1 + x^2)",
     "1/(x - 1/2)",
     "exp(x)^3*x",
+    "exp(1/(x+1))",
+    "exp(log(1+x))",
+    "exp(x)/(1+x)",
+    "log(1 + 1/(x+1))",
 )
 
 POINT_OPTIONS = (
@@ -64,6 +68,8 @@ CHECK_EXPRESSIONS = (
     "log(1+x)",
     "1/(x+1)",
     "1/(x - 1/2)",
+    "exp(1/(x+1))",
+    "exp(x)/(1+x)",
 )
 
 CHECK_KINDS = ("ftc", "grid-independence", "secant", "limit", "continuity")
