@@ -69,7 +69,7 @@ def quotient_function(f: GridFunction) -> GridFunction:
     """The difference-quotient function as a grid function on the full
     grid, extended at the right endpoint by its value at 1 - eps: at n it
     is (f(m+) - f(m)) * tau with m = min(n, tau - 1), f(m+) read first.
-    It shares f's denominator, so a lane's quotients are a lane."""
+    It is a lane over f's denominator."""
     at, tau = f.at, f.spec.tau
     last = tau - 1
 
@@ -192,12 +192,9 @@ def secant_check(
 
 
 def _rise(f: GridFunction):
-    """n -> (r, e) with f((n+1)/tau) - f(n/tau) == r / e, reading f at
-    n + 1, then at n: for a lane the numerators' difference over its den,
-    else over the product of the two reads' denominators (``_pair_at``)."""
-    at, den = f.at, f.den
-    if den is not None:
-        return lambda n: (at(n + 1) - at(n), den)
+    """n -> (r, e) with f((n+1)/tau) - f(n/tau) == r / e in integers,
+    reading f at n + 1, then at n, as integer pairs (``_pair_at``): the
+    cross difference over the product of the two denominators."""
     pair = f._pair_at()
 
     def rise(n):
@@ -225,11 +222,11 @@ def grid_independence_check(
 
     The quotients are read by index: for each sampled point a = u / 2**64
     (``weyl_units``) the index n_i = floor(a * tau_i), reading g1 at n1 + 1
-    and n1, then g2 at n2 + 1 and n2 (``_rise``: a lane's numerators, any
-    other node's integer pairs).  Each quotient is a numerator over a
-    denominator, the gaps and their running maximum are compared
-    cross-multiplied, and the witness is the first sample whose gap
-    exceeds 2/H; one Fraction, the report's max_gap, is formed at the end.
+    and n1, then g2 at n2 + 1 and n2 (``_rise``, in integer pairs).  Each
+    quotient is a numerator over a denominator, the gaps and their running
+    maximum are compared cross-multiplied, and the witness is the first
+    sample whose gap exceeds 2/H; one Fraction, the report's max_gap, is
+    formed at the end.
     """
     if samples < 1:
         raise DomainError(f"grid independence check needs at least one sample, got {samples}")
@@ -354,13 +351,12 @@ def _band_offsets(f: GridFunction, seq: ConvergentSequence, budget: int) -> list
 def _probe_walk(f: GridFunction, x: int, steps: list):
     """The reads of the limit probes at the grid index x, in order: f at
     x + 1, at x, then at x + k for each step (t, k), where
-    k = floor(t * tau) because x/tau + t rounds down to x + k.  A lane is
-    read as its numerators over ``f.den``, any other node as integer
-    pairs (``_pair_at``).  Before each read the probe point x/tau + t
-    must lie in [0, 1], tested in integers; a step with k = 0 reads
-    nothing.  Returns the reads of f(x) and f(x + 1), and per read
+    k = floor(t * tau) because x/tau + t rounds down to x + k.  Each read
+    is an integer pair (``_pair_at``).  Before each read the probe point
+    x/tau + t must lie in [0, 1], tested in integers; a step with k = 0
+    reads nothing.  Returns the reads of f(x) and f(x + 1), and per read
     (t, k, y) with y the read of f(x + k)."""
-    read, tau = f.at if f.den is not None else f._pair_at(), f.spec.tau
+    read, tau = f._pair_at(), f.spec.tau
     after = read(x + 1)
     fx = read(x)
     reads = []
@@ -373,14 +369,12 @@ def _probe_walk(f: GridFunction, x: int, steps: list):
     return fx, after, reads
 
 
-def _deviations(f: GridFunction, fx, after, reads) -> list:
+def _deviations(fx, after, reads) -> list:
     """Per read of ``_probe_walk``, (dev, den) with
-    |f(x+k) - f(x) - k (f(x+1) - f(x))| == dev / den: the probe's gap to
-    the quotient at x is tau * dev / (den * |k|).  For a lane den is the
-    lane's, and dev is |N[x+k] - N[x] - k (N[x+1] - N[x])|."""
-    if f.den is not None:
-        rise = after - fx
-        return [(abs(y - fx - k * rise), f.den) for _, k, y in reads]
+    |f(x+k) - f(x) - k (f(x+1) - f(x))| == dev / den in integers, from the
+    pairs (N, D) read: den is the product of the three reads'
+    denominators.  The probe's gap to the quotient at x is
+    tau * dev / (den * |k|)."""
     (xn, xd), (an, ad) = fx, after
     xa, ax, base = xn * ad, an * xd, xd * ad
     return [(abs(yn * base + yd * ((k - 1) * xa - k * ax)), yd * base) for _, k, (yn, yd) in reads]
@@ -415,16 +409,15 @@ def limit_quotient(
     n = f._index(successor(x)) - 1  # x has a successor on f's grid
     tau = f.spec.tau
     fx, after, reads = _probe_walk(f, n, steps)
-    value_of = (lambda y: Fraction(y, f.den)) if f.den is not None else (lambda y: Fraction(*y))
-    at_x = value_of(fx)
+    at_x = Fraction(*fx)
     probes = []
-    for (t, k, y), (dev, den) in zip(reads, _deviations(f, fx, after, reads)):
-        quotient = (value_of(y) - at_x) * tau / k
+    for (t, k, y), (dev, den) in zip(reads, _deviations(fx, after, reads)):
+        quotient = (Fraction(*y) - at_x) * tau / k
         probes.append(LimitProbe(t, quotient, Fraction(dev * tau, den * abs(k))))
     max_gap = max((probe.gap for probe in probes), default=Fraction(0))
     tol = 2 * seq.context.infinitesimal_scale
     verdict = "pass" if max_gap <= tol else "fail"
-    value = (value_of(after) - at_x) * tau
+    value = (Fraction(*after) - at_x) * tau
     return LimitQuotientResult(value, verdict, tuple(probes), max_gap, tol)
 
 
@@ -458,7 +451,7 @@ def limit_check(
     witness = None
     for s in points:
         x = min(round_to_grid(Fraction(s), f.spec).index, tau - 1)
-        for j, (dev, den) in enumerate(_deviations(f, *_probe_walk(f, x, steps))):
+        for j, (dev, den) in enumerate(_deviations(*_probe_walk(f, x, steps))):
             peak, peak_den = peaks[j]
             if dev * peak_den > peak * den:
                 peaks[j] = dev, den
@@ -477,8 +470,8 @@ def limit_check(
 def cumulative_values(f: GridFunction, workers: int = 1) -> list:
     """Prefix sums of f over the whole grid: out[n] = sum(f(i/tau) for
     i in 0..n), in one serial pass (``_running_sums``; ``workers`` is
-    checked and changes nothing).  A lane is summed in integers, and each
-    prefix then becomes one Fraction over its denominator, in place."""
+    checked and changes nothing).  The numerators are summed, and each
+    prefix then becomes one Fraction over their denominator, in place."""
     numerators, den = _integrand_numerators(f, None)
     sums = _running_sums(numerators, workers)
     if den != 1:
@@ -503,11 +496,11 @@ def _running_sums(terms: list, workers: int) -> list:
 def integral_stream(f: GridFunction):
     """Yield (point, integral value) pairs in grid order without storing
     the prefix table; the only mode available past the resource limit.
-    It reads ``f.at`` by index and sums what it returns (a lane's
-    numerators, in integers), so the value at n is the running sum over
+    It reads ``f.at`` by index and sums what it returns (integer
+    numerators in integers), so the value at n is the running sum over
     den * tau, and a failing read is the leftmost."""
     at, spec = f.at, f.spec
-    den = (f.den or 1) * spec.tau
+    den = f.den * spec.tau
     acc = 0
     for n in range(spec.tau + 1):
         acc += at(n)
@@ -555,9 +548,9 @@ def _integrand_numerators(f: GridFunction, ctx: Optional[ObservationContext]):
 def _antiderivative(f: GridFunction, sums: list, den: int) -> RealFunctionRepr:
     """The integral's representation from the prefix sums of f's
     ``numerators`` (N, den): the lane (sums[n], den * tau), since the
-    integral at n/tau is sums[n] / den * eps.  For an integrand without a
-    lane den is 1 and the sums are f's Fraction values summed, so they
-    are Fractions over tau.  It inherits f's certificates."""
+    integral at n/tau is sums[n] / den * eps.  Fraction numerators, as an
+    exp or division integrand has, sum to Fraction numerators.  It
+    inherits f's certificates."""
     eps = f.spec.epsilon
     qcert = f.certificate
     cert = qcert and Certificate(qcert.bound * (1 + eps), qcert.bound, Fraction(0))
@@ -577,8 +570,8 @@ def ftc_check(
     failure regardless of context.  It reads the integral's own lane
     (S, D): with f = N / den, the quotient at u = n/tau is
     (S[n+1] - S[n]) * tau / D, so the identity is compared
-    cross-multiplied, in integers when f has a lane.  Layer two reads
-    f(successor(u)) vs f(u) at the context; max_gap reports that
+    cross-multiplied, in integers when f's numerators are.  Layer two
+    reads f(successor(u)) vs f(u) at the context; max_gap reports that
     comparison against 1/H.
     """
     f = _as_grid_function(fr)

@@ -17,14 +17,14 @@ Syntax errors carry the offending position.
 
 Compilation turns a tree into a ``GridFunction`` by folding the grid
 function algebra over it, so continuity certificates compose along the
-way, and so do lanes: a polynomial, a logarithm, and their sums and
-products compile to a lane whose values are read as integer numerators
-over one shared denominator; exp and division by a non-constant give
-value nodes.  A power reads its base once per point.  ``exp`` applied to a
-certified argument gets a certificate from the bound 3**ceil(B) (an
-integer dominating e**B; see ``functions.exp_of``); ``log`` never gets
-one and is left to sampling.  Division certifies only when the divisor
-folds to a constant.
+way, and so do lanes: every compiled node is numerators over one shared
+denominator.  A polynomial, a logarithm, and their sums and products
+have integer numerators; exp and division by a non-constant are lanes
+over 1 of their Fraction values.  A power reads its base once per point.
+``exp`` applied to a certified argument gets a certificate from the
+bound 3**ceil(B) (an integer dominating e**B; see ``functions.exp_of``);
+``log`` never gets one and is left to sampling.  Division certifies
+only when the divisor folds to a constant.
 """
 
 import operator
@@ -296,11 +296,10 @@ def _exponent(node: Pow) -> int:
 
 
 def _power(base: GridFunction, k: int) -> GridFunction:
-    """base**k as one node that reads base once per point and raises the
-    value (or a lane's numerator) to k, over base's ``den`` to the k.  Its
-    certificates are the k-fold product's: the product rule folded by
-    repeated squaring, as (fold * fold) * base per set bit, with no node
-    built along the way."""
+    """base**k as one node that reads base once per point and raises its
+    numerator to k, over base's ``den`` to the k.  Its certificates are
+    the k-fold product's: the product rule folded by repeated squaring, as
+    (fold * fold) * base per set bit, with no node built along the way."""
     if k == 0:
         return constant(base.spec, 1)
     own = fold = certificates_of(base)
@@ -308,9 +307,8 @@ def _power(base: GridFunction, k: int) -> GridFunction:
         fold = product_rule(fold, fold)
         if bit == "1":
             fold = product_rule(fold, own)
-    at, den = base.at, base.den
-    den = None if den is None else den**k
-    return GridFunction(base.spec, lambda n: at(n) ** k, *fold, den)
+    at = base.at
+    return GridFunction(base.spec, lambda n: at(n) ** k, *fold, base.den**k)
 
 
 def on_domain(node: Node, a: Fraction, b: Fraction) -> Node:
@@ -363,13 +361,14 @@ def compile(
                 if divisor == 0:
                     raise DomainError("division by constant zero")
                 return left * (1 / divisor)
-            num, div = left._value_at(), compile(node.right, spec, policy)._value_at()
+            right = compile(node.right, spec, policy)
+            num, den_l, div, den_r = left.at, left.den, right.at, right.den
 
             def ratio_at(n):
                 d = div(n)
                 if d == 0:
                     raise EvaluationError("division by zero", point=spec.point(n))
-                return num(n) / d
+                return Fraction(num(n) * den_r, d * den_l)
 
             return GridFunction(spec, ratio_at)
         right = compile(node.right, spec, policy)

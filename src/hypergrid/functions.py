@@ -15,15 +15,16 @@ each an affine (bound, slope, offset) with modulus slope*d + offset:
 The logarithm and the step function carry no certificates: one is
 unbounded near 0, the other is there to be refuted.
 
-Constants, monomials, steps and logarithms also carry a lane, integer
-numerators over a shared denominator (c over its own, n**k over tau**k,
-0 or 1 over 1, the lattice index k over tau), which the grid-function
-algebra combines into the lanes of compiled expressions.  Exp nodes
-return values, but the series reads an argument's lane as integers: its
-numerator at n over the lane's denominator, with no Fraction formed,
-through one ``series._exp_reader`` per node, which learns the stop
-segments of that denominator once.  A lattice-log node likewise keeps
-two readers over tau, one per truncation its search evaluates.
+Every node is a lane, numerators over a shared denominator, which the
+grid-function algebra combines into the lanes of compiled expressions.
+Constants, monomials, steps and logarithms have integer numerators
+(c over its own denominator, n**k over tau**k, 0 or 1 over 1, the
+lattice index k over tau); an exp node is a lane over 1 of its Fraction
+values.  The series reads an argument's integer numerator at n over the
+lane's denominator with no Fraction formed, through one
+``series._exp_reader`` per node, which learns the stop segments of that
+denominator once.  A lattice-log node likewise keeps two readers over
+tau, one per truncation its search evaluates.
 """
 
 from fractions import Fraction
@@ -80,12 +81,12 @@ def _tail_threshold(spec: GridSpec, policy: TruncationPolicy) -> Fraction:
 
 
 def exp_of(g: GridFunction, policy: TruncationPolicy = DEFAULT_POLICY) -> GridFunction:
-    """The truncated exponential of g's values.  The series reads each
-    value as integers, unreduced: a lane's numerator over its denominator,
-    through one reader over that denominator built with the node
-    (``series._exp_reader``); a value's numerator and denominator, or a
-    lane's Fraction numerator over its denominator, through the kernel at
-    each read.
+    """The truncated exponential of g's values, a lane over 1 of
+    Fractions.  The series reads each value as integers, unreduced: an
+    integer numerator over g's denominator through one reader over that
+    denominator built with the node (``series._exp_reader``), a Fraction
+    numerator's own numerator over its denominator times g's through the
+    kernel at each read.
 
     A certified g with |g| <= B gives a value certificate: exp has
     Lipschitz constant e**B <= 3**ceil(B) on [-B, B], so the modulus is
@@ -101,14 +102,14 @@ def exp_of(g: GridFunction, policy: TruncationPolicy = DEFAULT_POLICY) -> GridFu
         wobble = 2 * _tail_threshold(spec, policy)
         cert = Certificate(lip, lip * inner.slope, lip * inner.offset + wobble)
     at, den, tau = g.at, g.den, spec.tau
-    read = None if den is None else _exp_reader(den, tau, policy)
+    read = _exp_reader(den, tau, policy)
 
     def exp_at(n):
         v = at(n)
-        if v.__class__ is int and read is not None:
+        if v.__class__ is int:
             s, d, _ = read(v)
-        else:  # a value, or a lane's Fraction numerator (see calculus._antiderivative)
-            s, d, _ = _exp_kernel(v.numerator, v.denominator * (den or 1), tau, policy)
+        else:
+            s, d, _ = _exp_kernel(v.numerator, v.denominator * den, tau, policy)
         return Fraction(s, d)
 
     return GridFunction(spec, exp_at, cert)
@@ -137,7 +138,7 @@ def log_of(g: GridFunction, policy: TruncationPolicy = DEFAULT_POLICY) -> GridFu
     non-positive value raises ``EvaluationError`` at its point.  No
     certificate."""
     spec = g.spec
-    at, den, tau = g.at, g.den or 1, spec.tau
+    at, den, tau = g.at, g.den, spec.tau
     exps = (_exp_reader(tau, tau, _COARSE), _exp_reader(tau, tau, policy))
 
     def log_at(n):

@@ -13,11 +13,13 @@ Point evaluation and the whole-grid read run that same function:
 ``materialize()`` maps ``at`` over the indices left to right into a
 fresh list of all tau + 1 values (the caller owns it; no node keeps a
 table), so a failure is the one point-by-point evaluation meets first.
-Constants, monomials, steps and logarithms carry a lane: ``at(n)`` is
-then an integer numerator over one shared denominator ``den``.  The algebra
-combines lanes alongside the certificates (sums over the lcm of the
-denominators, products over their product), so a polynomial costs one
-Fraction per value and ``numerators`` keeps prefix sums in integers.
+Every node is a lane: ``at(n)`` is a numerator over one shared positive
+integer denominator ``den``.  Constants, monomials, steps and logarithms
+have integer numerators; exp and division nodes are lanes over 1 whose
+numerators are their Fraction values.  The algebra combines lanes
+alongside the certificates (sums over the lcm of the denominators,
+products over their product), so a polynomial costs one Fraction per
+value and ``numerators`` keeps its prefix sums in integers.
 
 Continuity here is a three-valued, auditable claim.  A function may carry
 a certificate, three rationals: an upper bound on |f| over the grid and
@@ -34,10 +36,10 @@ quotient is 0: a shift is a sum and a scaling a product.
 
 Function-level indiscernibility (``fn_indiscernible``, also a
 ``CheckReport``) compares |f - g| pointwise against 1/H, cross-multiplied:
-each side is read as an integer pair (N, D), a lane's numerator over its
-``den`` or a value's numerator and denominator, so no Fraction is formed
-per read.  (The absolute difference is used even where a one-sided gap
-would do; the relation is treated as a symmetric distance throughout.)
+each side is read as an integer pair (N, D), its numerator over its
+``den``, so no Fraction is formed per read.  (The absolute difference is
+used even where a one-sided gap would do; the relation is treated as a
+symmetric distance throughout.)
 ``transport`` carries a function to another grid by index: the point
 m/tau_b reads the source at floor(m * tau_a / tau_b), its rounding down,
 and keeps its lane.
@@ -46,7 +48,6 @@ and keeps its lane.
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
-from operator import add, mul
 from typing import Callable, Optional
 
 from .context import CheckReport, ObservationContext, _report
@@ -145,22 +146,15 @@ def _lane_product(a, den_a, b, den_b):
     return (lambda n: a(n) * b(n)), den_a * den_b
 
 
-# lanes combine as their values do: sums over the lcm, products over the product
-_LANE_OPS = {add: _lane_sum, mul: _lane_product}
-
-
 class GridFunction:
     """A deterministic rule from grid points to exact rationals, held as
-    one function of the grid index, ``at(n)``.
-
-    When ``den`` is None, ``at(n)`` is the value at n/tau.  Otherwise the
-    node carries a lane: ``at(n)`` is an integer numerator over the
-    shared denominator ``den`` (the integral of an integrand without a
-    lane has Fraction numerators; see ``calculus._antiderivative``), and
-    ``numerators`` reads it.  ``certificate`` (optional) certifies
-    continuity of the values; ``quotient_certificate`` (optional)
-    certifies continuity of the difference-quotient function, which is
-    what differentiability at a context ultimately needs.
+    one function of the grid index, ``at(n)``: the value at n/tau is
+    ``at(n) / den``, an int or a Fraction numerator over the shared
+    positive integer ``den`` (1 by default), and ``numerators`` reads it.
+    ``certificate`` (optional) certifies continuity of the values;
+    ``quotient_certificate`` (optional) certifies continuity of the
+    difference-quotient function, which is what differentiability at a
+    context ultimately needs.
 
     The algebra composes both by the sum and product rules alone, so a
     scaled node keeps a quotient certificate only if it keeps a value
@@ -176,7 +170,7 @@ class GridFunction:
         at: Callable[[int], Fraction],
         certificate: Optional[Certificate] = None,
         quotient_certificate: Optional[Certificate] = None,
-        den: Optional[int] = None,
+        den: int = 1,
     ):
         self.spec = spec
         self.at = at
@@ -185,8 +179,7 @@ class GridFunction:
         self.quotient_certificate = quotient_certificate
 
     def __call__(self, x: GridPoint) -> Fraction:
-        v = self.at(self._index(x))
-        return v if self.den is None else Fraction(v, self.den)
+        return Fraction(self.at(self._index(x)), self.den)
 
     def _index(self, x: GridPoint) -> int:
         """x's grid index, once x is found to lie on this function's grid."""
@@ -206,25 +199,23 @@ class GridFunction:
         ``at`` from left to right; guarded against astronomical grids.  A
         failure is the one point-by-point evaluation meets first, at the
         leftmost failing point."""
-        values = self._read_all()
         den = self.den
-        return values if den is None else [Fraction(v, den) for v in values]
+        return [Fraction(v, den) for v in self._read_all()]
 
     def numerators(self, indices=None) -> tuple:
         """(N, den) with f(n/tau) == N[n] / den, the read of a
-        grid-scanning check: a lane's integer numerators over its shared
-        denominator, else the values themselves over 1.  N is the list
-        over the whole grid, read and guarded like ``materialize``; given
-        a set of indices in [0, tau], it is the dict {n: N[n]} read in
-        increasing order, so a failure is again the leftmost one."""
-        den = 1 if self.den is None else self.den
+        grid-scanning check: the numerators over the shared denominator.
+        N is the list over the whole grid, read and guarded like
+        ``materialize``; given a set of indices in [0, tau], it is the
+        dict {n: N[n]} read in increasing order, so a failure is again the
+        leftmost one."""
         if indices is None:
-            return self._read_all(), den
+            return self._read_all(), self.den
         order = sorted(indices)
         if order and (order[0] < 0 or order[-1] > self.spec.tau):
             off = order[0] if order[0] < 0 else order[-1]
             raise DomainError(f"grid index {off} outside [0, {self.spec.tau}]")
-        return {n: self.at(n) for n in order}, den
+        return {n: self.at(n) for n in order}, self.den
 
     def _read_all(self) -> list:
         size = self.spec.tau + 1
@@ -235,30 +226,25 @@ class GridFunction:
         return list(map(self.at, range(size)))
 
     def _pair_at(self):
-        """n -> (N, D) with f(n/tau) == N / D, the read of a sampled check:
-        (at(n), den) for a lane, else the value's numerator and
-        denominator, so no Fraction is formed or normalized per read."""
+        """n -> (N, D) with f(n/tau) == N / D in integers, the read of a
+        sampled check: (at(n), den) for an int numerator, and a Fraction
+        numerator's own numerator over its denominator times den, so no
+        Fraction is formed or normalized per read."""
         at, den = self.at, self.den
-        if den is not None:
-            return lambda n: (at(n), den)
 
         def pair(n):
             v = at(n)
-            return v.numerator, v.denominator
+            if v.__class__ is int:
+                return v, den
+            return v.numerator, v.denominator * den
 
         return pair
 
-    def _value_at(self):
-        """n -> f(n/tau), the index function of a node built over this one."""
-        at, den = self.at, self.den
-        return at if den is None else (lambda n: Fraction(at(n), den))
+    # Pointwise algebra: lanes combine, and certificates compose by the rules.
 
-    # Pointwise algebra; certificates compose by the rules, and lanes
-    # combine whenever both sides have one.
-
-    def _combine(self, other, value_op, rule):
-        """value_op(self, other), a node or a scalar c, with certificates
-        by ``rule``; c is read as ``c`` beside values, as its lane beside a lane."""
+    def _combine(self, other, lane_op, rule):
+        """lane_op on the lanes of self and other, a node or a scalar c
+        (read as its lane), with certificates by ``rule``."""
         if isinstance(other, GridFunction):
             if other.spec != self.spec:
                 raise GridMismatchError("cannot combine functions on different grids")
@@ -267,17 +253,11 @@ class GridFunction:
             other = Fraction(other)
             b, den_b = constant_lane(other)
         cert, qcert = rule(certificates_of(self), certificates_of(other))
-        if self.den is not None and den_b is not None:
-            at, den = _LANE_OPS[value_op](self.at, self.den, b, den_b)
-            return GridFunction(self.spec, at, cert, qcert, den)
-        a = self._value_at()
-        if isinstance(other, GridFunction):
-            b = other._value_at()
-            return GridFunction(self.spec, lambda n: value_op(a(n), b(n)), cert, qcert)
-        return GridFunction(self.spec, lambda n: value_op(a(n), other), cert, qcert)
+        at, den = lane_op(self.at, self.den, b, den_b)
+        return GridFunction(self.spec, at, cert, qcert, den)
 
     def __add__(self, other):
-        return self._combine(other, add, sum_rule)
+        return self._combine(other, _lane_sum, sum_rule)
 
     __radd__ = __add__
 
@@ -293,7 +273,7 @@ class GridFunction:
         return (-self) + Fraction(other)
 
     def __mul__(self, other):
-        return self._combine(other, mul, product_rule)
+        return self._combine(other, _lane_product, product_rule)
 
     __rmul__ = __mul__
 
@@ -350,8 +330,8 @@ def transport(f: GridFunction, spec: GridSpec) -> GridFunction:
     point m/tau_b reads f at its rounding down onto f's grid, the index
     floor(m * tau_a / tau_b), with values untouched.  Rounding is an almost inverse of the
     inclusion, so the roundtrip a -> b -> a moves a point by less than
-    epsilon_a + epsilon_b.  The result keeps f's ``den``, so a lane stays
-    a lane, and no point or Fraction is formed per read.
+    epsilon_a + epsilon_b.  The result keeps f's ``den``, and no point or
+    Fraction is formed per read.
     """
     cert = f.certificate
     if cert is not None:
@@ -393,7 +373,7 @@ def continuity_check(
     if f.certificate is not None and f.certificate.modulus(spec.epsilon) <= tol:
         return verdict("certified", 0)
     indices = plan.indices(spec.tau)
-    at, den, tau = f.at, f.den or 1, spec.tau
+    at, den, tau = f.at, f.den, spec.tau
     prev, upper = -2, None  # the last lower end walked, and its upper value
     for n in indices:
         for lo in (n - 1, n):

@@ -184,9 +184,14 @@ def test_compile_polynomials_evaluates_exactly():
 def test_compile_matches_direct_arithmetic_on_a_mixed_expression():
     spec = GridSpec(100)
     f = compile(parse("(2*x + 1)^2 - x*(x - 4)"), spec)
+    # division of lanes over tau**2 and 5*tau, and over 1 and 2 (exp's Fractions)
+    g = compile(parse("(x^2 - 1/3)/(x + 1/5) + (x/7)/(exp(x)/2)"), spec)
     for n in (0, 17, 50, 100):
         v = spec.point(n).value
         assert f(spec.point(n)) == (2 * v + 1) ** 2 - v * (v - 4)
+        assert g(spec.point(n)) == (v * v - Fraction(1, 3)) / (v + Fraction(1, 5)) + (
+            v / 7
+        ) / (exp_approx(v, 100) / 2)
 
 
 def test_compile_exp_uses_the_series():
@@ -398,7 +403,7 @@ def test_exp_and_log_of_a_lane_equal_the_series_on_its_values(tree, tau, policy)
     values = [_direct(tree, Fraction(n, tau)) for n in range(tau + 1)]
     exp_f = compile(Call("exp", tree), spec, policy)
     log_f = compile(Call("log", BinOp("+", Literal(Fraction(1)), Pow(tree, 2))), spec, policy)
-    assert exp_f.den is None and log_f.den == tau
+    assert exp_f.den == 1 and log_f.den == tau
     for p, v in zip(spec.points(), values):
         assert _read_or_error(lambda: exp_f(p)) == _read_or_error(lambda: exp_approx(v, tau, policy))
         assert _read_or_error(lambda: log_f(p)) == _read_or_error(
@@ -473,6 +478,12 @@ def test_batch_path_equals_point_by_point_evaluation(tree, tau):
     integral_values = [s * spec.epsilon for s in sums]
     assert anti.materialize() == integral_values
     assert [anti(p) for p in spec.points()] == integral_values
+    for f in (batched, anti):  # one representation: numerators over a positive int
+        assert type(f.den) is int and f.den >= 1
+        pair, values = f._pair_at(), f.materialize()
+        for n, v in enumerate(values):
+            num, den = pair(n)
+            assert type(num) is int and type(den) is int and Fraction(num, den) == v
 
 
 def test_materialize_fails_where_point_by_point_evaluation_fails_first():

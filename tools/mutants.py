@@ -217,9 +217,9 @@ MUTANTS = (
     Mutant(
         "continuity reads the whole plan first",
         "src/hypergrid/gridfun.py",
-        "    at, den, tau = f.at, f.den or 1, spec.tau\n",
+        "    at, den, tau = f.at, f.den, spec.tau\n",
         "    f.numerators({m for n in indices for m in (n - 1, n, n + 1) if 0 <= m <= spec.tau})\n"
-        "    at, den, tau = f.at, f.den or 1, spec.tau\n",
+        "    at, den, tau = f.at, f.den, spec.tau\n",
         (
             "tests/test_calculus.py::test_continuity_refutes_before_reading_a_later_point",
             "tests/test_checks_reference.py::test_continuity_check_equals_the_reference",
@@ -307,7 +307,7 @@ MUTANTS = (
     Mutant(
         "integral stream drops the lane's denominator",
         "src/hypergrid/calculus.py",
-        "    den = (f.den or 1) * spec.tau\n",
+        "    den = f.den * spec.tau\n",
         "    den = spec.tau\n",
         ("tests/test_calculus.py::test_integral_stream_matches_the_table",),
     ),
@@ -345,8 +345,8 @@ MUTANTS = (
     Mutant(
         "power reads its base per factor",
         "src/hypergrid/expr.py",
-        "    return GridFunction(base.spec, lambda n: at(n) ** k, *fold, den)\n",
-        "    return GridFunction(base.spec, lambda n: at(n) ** (k - 1) * at(n), *fold, den)\n",
+        "    return GridFunction(base.spec, lambda n: at(n) ** k, *fold, base.den**k)\n",
+        "    return GridFunction(base.spec, lambda n: at(n) ** (k - 1) * at(n), *fold, base.den**k)\n",
         ("tests/test_gridfun.py::test_a_power_reads_its_base_once_per_point",),
     ),
     # certificates as data
@@ -435,6 +435,21 @@ MUTANTS = (
             "tests/test_expr.py::test_a_power_carries_the_certificates_and_den_of_the_k_fold_product",
             "tests/test_expr.py::test_powers_fold_by_squaring_to_the_k_fold_product",
         ),
+    ),
+    # one node representation: numerators over a positive integer den
+    Mutant(
+        "pair read drops the lane's den for a Fraction numerator",
+        "src/hypergrid/gridfun.py",
+        "            return v.numerator, v.denominator * den\n",
+        "            return v.numerator, v.denominator\n",
+        ("tests/test_checks_reference.py::test_limit_check_equals_the_reference",),
+    ),
+    Mutant(
+        "division drops the divisor's den",
+        "src/hypergrid/expr.py",
+        "                return Fraction(num(n) * den_r, d * den_l)\n",
+        "                return Fraction(num(n), d * den_l)\n",
+        ("tests/test_expr.py::test_compile_matches_direct_arithmetic_on_a_mixed_expression",),
     ),
 )
 
