@@ -293,7 +293,7 @@ def reference_fn_indiscernible(f, g, ctx, plan):
 
 
 def reference_transport(f, spec):
-    """The carried function as a value node that reads f through a GridPoint:
+    """The carried function as a lane over 1 that reads f through a GridPoint:
     each point of ``spec`` rounded down onto f's grid."""
     cert = f.certificate
     if cert is not None:
@@ -401,7 +401,7 @@ _LOG_HALF = ("log(x - 1/2)", parse("log(x - 1/2)"), Fraction(1))
 @example(_LOG_HALF, (64, 8), [Fraction(3, 4), Fraction(25, 64)])
 @example(_LOG_HALF, (1024, 32), [Fraction(1, 2)])
 @example(_EXP, (10**6, 1000), [Fraction(1, 3)])
-# value nodes: each point's gaps have their own denominators
+# Fraction numerators: each point's gaps have their own denominators
 @example(_X_EXP, (10**6, 1000), [Fraction(k, 7) for k in range(7)])
 @example(_EXP_CUBE, (10**5, 300), [Fraction(9, 10), Fraction(1, 10), Fraction(1, 2)])
 def test_limit_check_equals_the_reference(choice, grid, points):

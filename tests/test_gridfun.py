@@ -109,7 +109,7 @@ def test_a_power_reads_its_base_once_per_point(monkeypatch):
 
 
 def test_exp_of_a_lane_with_fraction_numerators_sums_like_the_kernel():
-    # the integral of an integrand without a lane: Fraction numerators over tau
+    # the integral of exp, a lane over 1 of Fractions: Fraction numerators over tau
     spec = GridSpec(32)
     anti = integral(exp_fn(spec)).f
     assert anti.den == 32 and type(anti.at(5)) is Fraction
