@@ -165,4 +165,4 @@ def step(spec: GridSpec, at=Fraction(1, 2)) -> GridFunction:
     discontinuous; continuity checks should refute it.  A lane over 1:
     n/tau >= at exactly from the index ceil(at * tau) on."""
     jump = ceil(Fraction(at) * spec.tau)
-    return GridFunction(spec, lambda n: 1 if n >= jump else 0, den=1)
+    return GridFunction(spec, lambda n: 1 if n >= jump else 0)

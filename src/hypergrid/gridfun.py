@@ -227,15 +227,13 @@ class GridFunction:
 
     def _pair_at(self):
         """n -> (N, D) with f(n/tau) == N / D in integers, the read of a
-        sampled check: (at(n), den) for an int numerator, and a Fraction
-        numerator's own numerator over its denominator times den, so no
+        sampled check: the numerator's own numerator over its denominator
+        times den, which reads an int numerator v as (v, den), so no
         Fraction is formed or normalized per read."""
         at, den = self.at, self.den
 
         def pair(n):
             v = at(n)
-            if v.__class__ is int:
-                return v, den
             return v.numerator, v.denominator * den
 
         return pair

@@ -438,7 +438,7 @@ MUTANTS = (
     ),
     # one node representation: numerators over a positive integer den
     Mutant(
-        "pair read drops the lane's den for a Fraction numerator",
+        "pair read drops the lane's den",
         "src/hypergrid/gridfun.py",
         "            return v.numerator, v.denominator * den\n",
         "            return v.numerator, v.denominator\n",
