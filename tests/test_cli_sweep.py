@@ -4,7 +4,8 @@ import json
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
 
 import cli_sweep  # noqa: E402
 
@@ -37,3 +38,11 @@ def test_compare_names_each_differing_invocation(tmp_path, capsys):
     capsys.readouterr()
     assert cli_sweep.compare(a, b) == 1
     assert capsys.readouterr().out.splitlines() == ["eval x^", "1 of 2 invocations differ"]
+
+
+def test_the_sweep_runs_every_demo_of_the_checkout():
+    names = [Path(path).name for path in cli_sweep.demos(ROOT)]
+    assert len(names) == 6 and "03_difference_quotients.py" in names
+    record = cli_sweep._run_demo(str(ROOT / "src"), cli_sweep.demos(ROOT)[1])
+    assert record["argv"] == ["demo", "02_grid_rounding.py"]
+    assert record["exit"] == 0 and record["stdout"] and record["stderr"] == ""

@@ -13,15 +13,20 @@ refactor and its parent, say) are compared like this:
 itself when it holds the package) and calls ``hypergrid.cli.main`` once
 per invocation.  An exception that escapes ``main`` is recorded as exit
 code "traceback" with its type and message, so a crash shows up as a
-difference instead of ending the sweep.  ``compare A.json B.json`` prints
+difference instead of ending the sweep.  It then runs each of SRC's
+``demos/*.py`` in a subprocess with ``PYTHONPATH`` set to that package
+root, recorded under the argv ``["demo", NAME]`` with the package root
+in its stderr written as ``<src>``.  ``compare A.json B.json`` prints
 each argv whose record differs, or is missing from one side, and exits 1
 if there is any.
 """
 
 import contextlib
+import glob
 import io
 import json
 import os
+import subprocess
 import sys
 from collections import Counter
 
@@ -260,10 +265,29 @@ def _invoke(cli, env, argv):
     }
 
 
+def demos(src):
+    """The demo scripts of the checkout SRC, in name order."""
+    return sorted(glob.glob(os.path.join(os.path.abspath(src), "demos", "*.py")))
+
+
+def _run_demo(root, path):
+    env = dict(os.environ, PYTHONPATH=root)
+    done = subprocess.run([sys.executable, path], env=env, capture_output=True, text=True)
+    return {
+        "argv": ["demo", os.path.basename(path)],
+        "env": {},
+        "exit": done.returncode,
+        "stdout": done.stdout,
+        "stderr": done.stderr.replace(root, "<src>"),
+    }
+
+
 def run(src, out_path):
     cli = _import_cli(src)
     os.environ.pop("HYPERGRID_MAX_TAU", None)  # only the CAPPED cases set it
     records = [_invoke(cli, env, argv) for env, argv in invocations()]
+    root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    records += [_run_demo(root, path) for path in demos(src)]
     with open(out_path, "w", encoding="utf-8") as handle:
         json.dump(records, handle, indent=1, sort_keys=True)
         handle.write("\n")
