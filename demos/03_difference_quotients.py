@@ -11,6 +11,7 @@ from hypergrid import (
     NotDifferentiableError,
     ObservationContext,
     SamplingPlan,
+    continuity_check,
     derivative,
     round_to_grid,
     secant_deviation,
@@ -28,8 +29,8 @@ print(f"f = x^2 on tau = {spec.tau}")
 print(f"difference quotient at 1/2: {f.quotient(x)}  (exactly 2x + epsilon)")
 
 d = derivative(f, ctx, plan)
-print(f"derivative admitted: verdict {d.verdict.mode!r}")
-print(f"d(1/2) = {d(Fraction(1, 2))} ~ 1 at H = {ctx.H}: {ctx.indiscernible(d(Fraction(1, 2)), Fraction(1))}")
+print(f"derivative admitted: verdict {continuity_check(d, ctx, plan).mode!r}")
+print(f"d(1/2) = {d(x)} ~ 1 at H = {ctx.H}: {ctx.indiscernible(d(x), Fraction(1))}")
 
 print()
 print("Secants deviate from the quotient by a controlled amount:")

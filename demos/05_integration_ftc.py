@@ -14,6 +14,7 @@ from hypergrid import (
     ftc_check,
     integral,
     render_decimal,
+    round_to_grid,
     square,
     successor,
 )
@@ -23,15 +24,16 @@ ctx = ObservationContext(H=1000, K=10**12)
 
 f = square(spec)
 anti = integral(f, ctx)
+one = spec.point(spec.tau)
 third = Fraction(1, 3)
 print(f"integral of x^2 on tau = {spec.tau}:")
-print(f"  at 1:   {render_decimal(anti(Fraction(1)), 9)}   (1/3 plus boundary terms)")
-print(f"  gap to 1/3: {render_decimal(abs(anti(Fraction(1)) - third), 9)}")
+print(f"  at 1:   {render_decimal(anti(one), 9)}   (1/3 plus boundary terms)")
+print(f"  gap to 1/3: {render_decimal(abs(anti(one) - third), 9)}")
 
 print()
 print("The derivative of the integral is the integrand, with zero error:")
-u = anti.round(Fraction(2, 5))
-lhs = anti.f.quotient(u)
+u = round_to_grid(Fraction(2, 5), spec)
+lhs = anti.quotient(u)
 rhs = f(successor(u))
 print(f"  Delta(integral)/Delta x at {u.value} = {lhs}")
 print(f"  f at the successor point          = {rhs}")
@@ -41,8 +43,8 @@ print()
 print("The same identity survives a truncation policy on the integrand:")
 e = exp_fn(spec)
 anti_e = integral(e, ctx)
-u = anti_e.round(Fraction(7, 11))
-print(f"  exp integrand: exact equality {anti_e.f.quotient(u) == e(successor(u))}")
+u = round_to_grid(Fraction(7, 11), spec)
+print(f"  exp integrand: exact equality {anti_e.quotient(u) == e(successor(u))}")
 
 print()
 plan = SamplingPlan(random_points=512, dyadic_depth=8, exhaustive_limit=2**14 + 1)

@@ -12,7 +12,6 @@ fundamental theorem of calculus holds with zero error by telescoping.
 from .calculus import (
     ConvergentSequence,
     LimitQuotientResult,
-    RealFunctionRepr,
     cumulative_values,
     derivative,
     ftc_check,
@@ -93,7 +92,6 @@ __all__ = [
     "PLUS_INFINITY",
     "ParseError",
     "Rational",
-    "RealFunctionRepr",
     "ResourceLimitError",
     "SamplingPlan",
     "SearchRangeError",

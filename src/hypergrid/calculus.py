@@ -1,9 +1,9 @@
 """Differentiation and integration on the grid, with checkable claims.
 
-A real function enters the system as a representation pair: a grid
-function together with the rounding map of its grid.  Everything
-downstream is exact rational arithmetic; "analysis" happens only when a
-claim is read at an observation context.
+Every function here takes and returns a ``GridFunction``; a real point
+is read at its rounding onto the function's grid (``round_to_grid``).
+Everything downstream is exact rational arithmetic; "analysis" happens
+only when a claim is read at an observation context.
 
 The two load-bearing facts, both checked rather than assumed:
 
@@ -40,31 +40,6 @@ from .gridfun import (
 from .sampling import SamplingPlan, weyl_units
 
 
-class RealFunctionRepr:
-    """A real function carried by a grid: the pair (grid function,
-    rounding map), read as f(round(s)) at any rational s in [0, 1]."""
-
-    __slots__ = ("f", "verdict")
-
-    def __init__(self, f: GridFunction, verdict: Optional[CheckReport] = None):
-        self.f = f
-        self.verdict = verdict
-
-    @property
-    def spec(self) -> GridSpec:
-        return self.f.spec
-
-    def round(self, s) -> GridPoint:
-        return round_to_grid(Fraction(s), self.spec)
-
-    def __call__(self, s) -> Fraction:
-        return self.f(self.round(s))
-
-
-def _as_grid_function(fr) -> GridFunction:
-    return fr.f if isinstance(fr, RealFunctionRepr) else fr
-
-
 def quotient_function(f: GridFunction) -> GridFunction:
     """The difference-quotient function as a grid function on the full
     grid, extended at the right endpoint by its value at 1 - eps: at n it
@@ -81,17 +56,14 @@ def quotient_function(f: GridFunction) -> GridFunction:
 
 
 def derivative(
-    fr, ctx: ObservationContext, plan: SamplingPlan = SamplingPlan()
-) -> RealFunctionRepr:
-    """Differentiate a representation at a context.
-
-    The difference-quotient function must survive a continuity check;
-    a refutation (a spike across adjacent points) means the function is
-    not differentiable at this context and raises with the report's
-    witness.  The result carries the continuity report under which it
-    was admitted.
+    f: GridFunction, ctx: ObservationContext, plan: SamplingPlan = SamplingPlan()
+) -> GridFunction:
+    """Differentiate f at a context: its ``quotient_function``, once that
+    survives ``continuity_check(q, ctx, plan)``.  A refutation (a spike
+    across adjacent points) means f is not differentiable at this context
+    and raises with the report's witness; the same call on the result
+    gives the report that admitted it.
     """
-    f = _as_grid_function(fr)
     q = quotient_function(f)
     report = continuity_check(q, ctx, plan)
     if not report:
@@ -99,7 +71,7 @@ def derivative(
             f"difference quotient has a {report.witness} above 1/H",
             witness=report.witness,
         )
-    return RealFunctionRepr(q, report)
+    return q
 
 
 def secant_deviation(f: GridFunction, a: GridPoint, x: GridPoint) -> Fraction:
@@ -205,17 +177,17 @@ def _rise(f: GridFunction):
 
 
 def grid_independence_check(
-    f1,
-    f2,
+    f1: GridFunction,
+    f2: GridFunction,
     ctx: ObservationContext,
     samples: int = 1024,
     seed: int = 0,
 ) -> CheckReport:
-    """Compare difference quotients of two representations of the same
+    """Compare difference quotients of two grid functions for the same
     real function, each read on its own grid, at sampled real points.
 
-    The claim that they do represent the same function is itself checked
-    first, by transporting g1 onto g2's grid (``transport``: the index
+    The claim that they do agree is itself checked first, by transporting
+    f1 onto f2's grid (``transport``: the index
     floor(m * tau1 / tau2), in integers) and comparing values; a failure
     there is reported as a precondition failure rather than a quotient
     gap.
@@ -231,8 +203,7 @@ def grid_independence_check(
     if samples < 1:
         raise DomainError(f"grid independence check needs at least one sample, got {samples}")
     # both phases read nearly the same indices: share them for this check only
-    g1, g2 = map(_as_grid_function, (f1, f2))
-    g1, g2 = (GridFunction(g.spec, cache(g.at), den=g.den) for g in (g1, g2))
+    g1, g2 = (GridFunction(g.spec, cache(g.at), den=g.den) for g in (f1, f2))
     tol = 2 * ctx.infinitesimal_scale
     grids = [g1.spec.tau, g2.spec.tau]
 
@@ -387,7 +358,7 @@ def _limit_steps(f: GridFunction, seq: ConvergentSequence, budget: int) -> list:
 
 
 def limit_quotient(
-    fr,
+    f: GridFunction,
     x: GridPoint,
     seq: ConvergentSequence,
     budget: int = 64,
@@ -404,7 +375,6 @@ def limit_quotient(
     (``_deviations``), in integers; each probe's gap becomes one
     Fraction, and its quotient is taken from the reads as Fractions.
     """
-    f = _as_grid_function(fr)
     steps = _limit_steps(f, seq, budget)
     n = f._index(successor(x)) - 1  # x has a successor on f's grid
     tau = f.spec.tau
@@ -422,7 +392,7 @@ def limit_quotient(
 
 
 def limit_check(
-    fr,
+    f: GridFunction,
     ctx: ObservationContext,
     points: Sequence[Fraction],
     budget: int = 64,
@@ -439,7 +409,6 @@ def limit_check(
     above 2/H, can only be found where a peak rises.  The worst peak over
     its step is chosen cross-multiplied too, and one Fraction, the
     report's max_gap, is formed at the end."""
-    f = _as_grid_function(fr)
     if not points:
         raise DomainError("limit check needs at least one point")
     seq = ConvergentSequence(lambda i: Fraction(1, 2**i), Fraction(0), ctx)
@@ -508,12 +477,12 @@ def integral_stream(f: GridFunction):
 
 
 def integral(
-    fr,
+    f: GridFunction,
     ctx: Optional[ObservationContext] = None,
     workers: int = 1,
-) -> RealFunctionRepr:
+) -> GridFunction:
     """The indefinite integral x -> sum(f(t) * eps for t from 0 through
-    x, both ends included), as a representation on the same grid.
+    x, both ends included), a grid function on f's grid.
 
     When a context is given, f must be visibly bounded by K there:
     certified if possible, spot-checked otherwise.  The result carries
@@ -521,7 +490,6 @@ def integral(
     bound(f), and its difference quotient is f(successor(x)), so f's own
     value certificate becomes the quotient certificate.
     """
-    f = _as_grid_function(fr)
     numerators, den = _integrand_numerators(f, ctx)
     return _antiderivative(f, _running_sums(numerators, workers), den)
 
@@ -545,20 +513,20 @@ def _integrand_numerators(f: GridFunction, ctx: Optional[ObservationContext]):
     return numerators, den
 
 
-def _antiderivative(f: GridFunction, sums: list, den: int) -> RealFunctionRepr:
-    """The integral's representation from the prefix sums of f's
-    ``numerators`` (N, den): the lane (sums[n], den * tau), since the
-    integral at n/tau is sums[n] / den * eps.  Fraction numerators, as an
-    exp or division integrand has, sum to Fraction numerators.  It
-    inherits f's certificates."""
+def _antiderivative(f: GridFunction, sums: list, den: int) -> GridFunction:
+    """The integral from the prefix sums of f's ``numerators`` (N, den):
+    the lane (sums[n], den * tau), since the integral at n/tau is
+    sums[n] / den * eps.  Fraction numerators, as an exp or division
+    integrand has, sum to Fraction numerators.  It inherits f's
+    certificates."""
     eps = f.spec.epsilon
     qcert = f.certificate
     cert = qcert and Certificate(qcert.bound * (1 + eps), qcert.bound, Fraction(0))
-    return RealFunctionRepr(GridFunction(f.spec, sums.__getitem__, cert, qcert, den * f.spec.tau))
+    return GridFunction(f.spec, sums.__getitem__, cert, qcert, den * f.spec.tau)
 
 
 def ftc_check(
-    fr,
+    f: GridFunction,
     ctx: ObservationContext,
     plan: SamplingPlan = SamplingPlan(),
     workers: int = 1,
@@ -574,11 +542,10 @@ def ftc_check(
     reads f(successor(u)) vs f(u) at the context; max_gap reports that
     comparison against 1/H.
     """
-    f = _as_grid_function(fr)
     spec = f.spec
     numerators, den = _integrand_numerators(f, ctx)
     anti = _antiderivative(f, _running_sums(list(numerators), workers), den)
-    sums, anti_den = anti.f.numerators()
+    sums, anti_den = anti.numerators()
     tol = ctx.infinitesimal_scale
     exact_violations = 0
     witness = None

@@ -359,16 +359,15 @@ def _run(job: JobConfig):
     spec = GridSpec(job.tau)
     f = expr_mod.compile(_tree(job), spec, _policy(job))
     u = _unit_point(job, Fraction(1 if job.command == "integrate" else 0))
+    x = round_to_grid(u, spec)
 
     if job.command == "eval":
-        value = f(round_to_grid(u, spec))
-        return 0, _value_record(job, "eval", value, "value")
+        return 0, _value_record(job, "eval", f(x), "value")
     if job.command == "diff":
-        value = quotient_function(f)(round_to_grid(u, spec)) / _scale(job)
+        value = quotient_function(f)(x) / _scale(job)
         return 0, _value_record(job, "diff", value, "quotient")
     if job.command == "integrate":
-        anti = integral(f, ctx, workers=job.workers)
-        value = anti(u) * _scale(job)
+        value = integral(f, ctx, workers=job.workers)(x) * _scale(job)
         return 0, _value_record(job, "integrate", value, "value")
     raise DomainError(f"unknown command {job.command!r}")
 

@@ -179,7 +179,8 @@ class GridFunction:
         self.quotient_certificate = quotient_certificate
 
     def __call__(self, x: GridPoint) -> Fraction:
-        return Fraction(self.at(self._index(x)), self.den)
+        v = self.at(self._index(x))
+        return Fraction(v) if self.den == 1 else Fraction(v, self.den)
 
     def _index(self, x: GridPoint) -> int:
         """x's grid index, once x is found to lie on this function's grid."""
@@ -198,8 +199,11 @@ class GridFunction:
         """All tau + 1 values as a new list owned by the caller, read by
         ``at`` from left to right; guarded against astronomical grids.  A
         failure is the one point-by-point evaluation meets first, at the
-        leftmost failing point."""
+        leftmost failing point.  Over den 1 a value is copied by
+        ``Fraction(v)``, so a Fraction numerator is not normalized again."""
         den = self.den
+        if den == 1:
+            return list(map(Fraction, self._read_all()))
         return [Fraction(v, den) for v in self._read_all()]
 
     def numerators(self, indices=None) -> tuple:

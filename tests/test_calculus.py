@@ -16,7 +16,6 @@ from hypergrid import (
     GridSpec,
     NotDifferentiableError,
     ObservationContext,
-    RealFunctionRepr,
     ResourceLimitError,
     SamplingPlan,
     constant,
@@ -24,6 +23,7 @@ from hypergrid import (
     cumulative_values,
     derivative,
     exp_fn,
+    fn_indiscernible,
     ftc_check,
     grid_independence_check,
     identity,
@@ -38,6 +38,7 @@ from hypergrid import (
     secant_deviation,
     square,
     step,
+    successor,
     transport,
 )
 from hypergrid import calculus
@@ -86,11 +87,12 @@ def test_quotient_function_inherits_the_quotient_certificate():
 def test_derivative_of_the_square_is_two_x_plus_epsilon():
     spec = GridSpec(4096)
     d = derivative(square(spec), CTX, PLAN)
-    assert isinstance(d, RealFunctionRepr)
-    assert d.verdict.mode == "certified"
+    assert isinstance(d, GridFunction)
+    assert continuity_check(d, CTX, PLAN).mode == "certified"
     s = Fraction(1, 2)
-    assert d(s) == 2 * s + spec.epsilon
-    assert CTX.indiscernible(d(s), 2 * s)
+    x = round_to_grid(s, spec)
+    assert d(x) == 2 * s + spec.epsilon
+    assert CTX.indiscernible(d(x), 2 * s)
 
 
 def test_derivative_is_exactly_linear():
@@ -99,7 +101,7 @@ def test_derivative_is_exactly_linear():
     df = derivative(f, CTX, PLAN)
     for n in (0, 100, 255, 8191):
         p = spec.point(n)
-        assert df.f(p) == 3 * (2 * p.value + spec.epsilon) + 1
+        assert df(p) == 3 * (2 * p.value + spec.epsilon) + 1
 
 
 def test_step_function_is_not_differentiable():
@@ -109,14 +111,6 @@ def test_step_function_is_not_differentiable():
     # the spike in the quotient sits at the jump, across an adjacent pair
     assert info.value.witness == "jump between 1023/2048 and 2047/4096"
     assert "jump between 1023/2048 and 2047/4096" in str(info.value)
-
-
-def test_real_function_repr_reads_through_rounding():
-    spec = GridSpec(100)
-    fr = RealFunctionRepr(square(spec))
-    assert fr.spec == spec
-    assert fr.round(Fraction(37, 1000)).index == 3
-    assert fr(Fraction(37, 1000)) == Fraction(3, 100) ** 2
 
 
 # --- secants ---------------------------------------------------------------
@@ -360,15 +354,16 @@ def test_cumulative_values_are_inclusive_prefix_sums():
 
 
 def test_integral_of_identity_at_one():
-    anti = integral(identity(GridSpec(10)), CTX)
-    assert anti(Fraction(1)) == Fraction(55, 100)
+    spec = GridSpec(10)
+    anti = integral(identity(spec), CTX)
+    assert anti(spec.point(10)) == Fraction(55, 100)
 
 
 def test_integral_of_a_constant_is_linear_up_to_the_left_term():
     spec = GridSpec(100)
     anti = integral(constant(spec, 2), CTX)
     # inclusive both ends: (n + 1) terms of 2 eps
-    assert anti(Fraction(1, 2)) == Fraction(2 * 51, 100)
+    assert anti(spec.point(50)) == Fraction(2 * 51, 100)
 
 
 def test_parallel_prefix_sums_are_bit_identical():
@@ -408,9 +403,9 @@ def test_integral_stream_matches_the_table(text):
     spec = GridSpec(64)
     f = compile(parse(text.removeprefix("integral of ")), spec)
     if text.startswith("integral of "):
-        f = integral(f).f  # a lane whose numerators are Fractions
+        f = integral(f)  # a lane whose numerators are Fractions
         assert isinstance(f.at(1), Fraction)
-    anti = integral(f).f
+    anti = integral(f)
     streamed = list(integral_stream(f))
     assert [p.index for p, _ in streamed] == list(range(65))
     assert [v for _, v in streamed] == [anti(p) for p, _ in streamed]
@@ -452,16 +447,35 @@ def test_integral_spot_checks_uncertified_integrands():
     with pytest.raises(DomainError):
         integral(wild, ctx)
     # without a context there is no boundedness obligation
-    assert integral(wild)(Fraction(0)) == Fraction(101, 100)
+    assert integral(wild)(spec.point(0)) == Fraction(101, 100)
 
 
 def test_integral_carries_certificates():
     f = square(GridSpec(100))
     anti = integral(f, CTX)
-    assert anti.f.certificate is not None
-    assert anti.f.quotient_certificate is not None
+    assert anti.certificate is not None
+    assert anti.quotient_certificate is not None
     # the integral is Lipschitz with the integrand's bound
-    assert anti.f.certificate.modulus(Fraction(1, 10)) == Fraction(1, 10)
+    assert anti.certificate.modulus(Fraction(1, 10)) == Fraction(1, 10)
+
+
+def test_integrals_and_derivatives_are_grid_functions_that_compose():
+    spec = GridSpec(4096)
+    f = square(spec)
+    anti = integral(f, CTX)
+    d = derivative(f, CTX, PLAN)
+    q = quotient_function(anti)
+    # the fundamental theorem, read by composition, at every point below 1
+    assert all(q(p) == f(successor(p)) for p in itertools.islice(spec.points(), spec.tau))
+    assert secant_check(anti, CTX)
+    assert continuity_check(anti, CTX, PLAN).mode == "certified"
+    assert continuity_check(d, CTX, PLAN).mode == "certified"
+    assert fn_indiscernible(d, quotient_function(f), CTX)
+    x = round_to_grid(Fraction(1, 2), spec)
+    coarse = GridSpec(1024)
+    assert transport(anti, coarse)(round_to_grid(Fraction(1, 2), coarse)) == anti(x)
+    assert (anti + 2 * d)(x) == anti(x) + 2 * d(x)
+    assert integral(anti)(x) == sum(anti(spec.point(n)) for n in range(2049)) / spec.tau
 
 
 # --- the fundamental theorem ------------------------------------------------

@@ -149,6 +149,13 @@ def test_integrate_identity(capsys):
     assert out.splitlines()[0] == "11/20"
 
 
+def test_integrate_reads_the_integral_at_the_rounded_point(capsys):
+    # 0.37 rounds down to 3/10: (0 + 1 + 2 + 3)/10 * 1/10
+    code, out, _ = invoke(capsys, "integrate", "x", "--tau", "10", "--at", "0.37")
+    assert code == 0
+    assert out.splitlines()[0] == "3/50"
+
+
 def test_digits_past_the_print_limit_are_an_error_not_a_traceback(capsys):
     code, out, _ = invoke(capsys, "eval", "x/3", "--tau", "64", "--at", "1/2", "--digits", "4300")
     assert code == 0
@@ -203,6 +210,17 @@ def test_integrate_rescales_by_the_interval_length(capsys):
     assert code == 0
     # inclusive sum of 2u over 11 points, scaled by 2: 2 + 2/tau
     assert out.splitlines()[0] == "11/5"
+
+
+def test_integrate_on_a_domain_reads_at_the_mapped_point(capsys):
+    # 1 on [0, 2] is 1/2 on the unit grid: 2 * (0 + ... + 5)/10 * 1/10, times 2
+    code, out, _ = invoke(
+        capsys, "integrate", "x", "--domain", "0", "2", "--tau", "10", "--at", "1", "--json"
+    )
+    assert code == 0
+    record = json.loads(out)
+    assert record["value"] == "3/5"
+    assert record["at"] == "1"
 
 
 def test_points_outside_the_domain_are_rejected(capsys):

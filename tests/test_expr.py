@@ -473,7 +473,7 @@ def test_batch_path_equals_point_by_point_evaluation(tree, tau):
     sums = list(accumulate(expected))
     assert cumulative_values(compile(tree, spec)) == sums
     assert cumulative_values(compile(tree, spec), workers=3) == sums
-    anti = integral(compile(tree, spec)).f
+    anti = integral(compile(tree, spec))
     integral_values = [s * spec.epsilon for s in sums]
     assert anti.materialize() == integral_values
     assert [anti(p) for p in spec.points()] == integral_values

@@ -111,7 +111,7 @@ def test_a_power_reads_its_base_once_per_point(monkeypatch):
 def test_exp_of_a_lane_with_fraction_numerators_sums_like_the_kernel():
     # the integral of exp, a lane over 1 of Fractions: Fraction numerators over tau
     spec = GridSpec(32)
-    anti = integral(exp_fn(spec)).f
+    anti = integral(exp_fn(spec))
     assert anti.den == 32 and type(anti.at(5)) is Fraction
     values = anti.materialize()
     for policy in (DEFAULT_POLICY, FULL_POLICY):
@@ -562,7 +562,7 @@ def test_exp_transport_and_integral_read_like_the_closure_formulas(cert, tau, ta
     _reads_like(exp_of(f, policy).certificate, _old_exp_of(_closure(cert), theta), gaps)
     carried = transport(f, GridSpec(tau_b)).certificate
     _reads_like(carried, _old_transport(_closure(cert), spec.epsilon), gaps)
-    anti = _antiderivative(f, [0] * (tau + 1), 1).f
+    anti = _antiderivative(f, [0] * (tau + 1), 1)
     old_cert, old_qcert = _old_antiderivative(_closure(cert), spec.epsilon)
     _reads_like(anti.certificate, old_cert, gaps)
     _reads_like(anti.quotient_certificate, old_qcert, gaps)

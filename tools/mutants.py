@@ -338,8 +338,8 @@ MUTANTS = (
     Mutant(
         "grid independence without its shared reads",
         "src/hypergrid/calculus.py",
-        "    g1, g2 = (GridFunction(g.spec, cache(g.at), den=g.den) for g in (g1, g2))\n",
-        "    g1, g2 = (GridFunction(g.spec, g.at, den=g.den) for g in (g1, g2))\n",
+        "    g1, g2 = (GridFunction(g.spec, cache(g.at), den=g.den) for g in (f1, f2))\n",
+        "    g1, g2 = (GridFunction(g.spec, g.at, den=g.den) for g in (f1, f2))\n",
         ("tests/test_gridfun.py::test_grid_independence_reads_each_index_of_each_operand_once",),
     ),
     Mutant(
@@ -450,6 +450,17 @@ MUTANTS = (
         "                return Fraction(num(n) * den_r, d * den_l)\n",
         "                return Fraction(num(n), d * den_l)\n",
         ("tests/test_expr.py::test_compile_matches_direct_arithmetic_on_a_mixed_expression",),
+    ),
+    # the value commands read their node at the rounded point
+    Mutant(
+        "integrate reads the full integral whatever --at says",
+        "src/hypergrid/cli.py",
+        "        value = integral(f, ctx, workers=job.workers)(x) * _scale(job)\n",
+        "        value = integral(f, ctx, workers=job.workers)(spec.point(spec.tau)) * _scale(job)\n",
+        (
+            "tests/test_cli.py::test_integrate_reads_the_integral_at_the_rounded_point",
+            "tests/test_cli.py::test_integrate_on_a_domain_reads_at_the_mapped_point",
+        ),
     ),
 )
 
