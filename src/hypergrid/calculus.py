@@ -187,10 +187,9 @@ def grid_independence_check(
     real function, each read on its own grid, at sampled real points.
 
     The claim that they do agree is itself checked first, by transporting
-    f1 onto f2's grid (``transport``: the index
-    floor(m * tau1 / tau2), in integers) and comparing values; a failure
-    there is reported as a precondition failure rather than a quotient
-    gap.
+    f1 onto f2's grid (``transport``: the index floor(m * tau1 / tau2), in
+    integers) and comparing values; a failure there is reported as a
+    precondition failure rather than a quotient gap.
 
     The quotients are read by index: for each sampled point a = u / 2**64
     (``weyl_units``) the index n_i = floor(a * tau_i), reading g1 at n1 + 1
