@@ -15,8 +15,10 @@ def test_the_sweep_is_a_fixed_list_of_distinct_invocations():
     keys = {json.dumps(case) for case in cases}
     assert len(keys) == len(cases) >= 1000
     argvs = [argv for _, argv in cases]
-    assert {argv[1] for argv in argvs if argv[:1] == ["check"]} >= set(cli_sweep.CHECK_KINDS)
-    assert {argv[1] for argv in argvs if argv[:1] == ["sum"]} >= set(cli_sweep.SERIES)
+    assert {argv[1] for argv in argvs if argv[:1] == ["check"] and argv[1:]} >= set(
+        cli_sweep.CHECK_KINDS
+    )
+    assert {argv[1] for argv in argvs if argv[:1] == ["sum"] and argv[1:]} >= set(cli_sweep.SERIES)
     for flag in ("--at", "--domain", "--json", "--workers", "--seed"):
         assert any(flag in argv for argv in argvs)
     assert cases == cli_sweep.invocations()
@@ -46,3 +48,17 @@ def test_the_sweep_runs_every_demo_of_the_checkout():
     record = cli_sweep._run_demo(str(ROOT / "src"), cli_sweep.demos(ROOT)[1])
     assert record["argv"] == ["demo", "02_grid_rounding.py"]
     assert record["exit"] == 0 and record["stdout"] and record["stderr"] == ""
+
+
+def test_the_sweep_records_the_help_text_of_every_command():
+    from hypergrid import cli
+
+    cases = [case for case in cli_sweep.invocations() if "--help" in case[1]]
+    assert {tuple(argv[:-1]) for _, argv in cases} == {
+        (), ("eval",), ("diff",), ("integrate",), ("check",), ("sum",)
+    }
+    for env, argv in cases:
+        assert env == {"COLUMNS": "80"}
+        record = cli_sweep._invoke(cli, env, argv)
+        assert record["exit"] == 0 and record["stderr"] == ""
+        assert record["stdout"].startswith("usage: hypergrid")

@@ -11,7 +11,8 @@ refactor and its parent, say) are compared like this:
 
 ``run SRC OUT.json`` imports ``hypergrid`` from ``SRC/src`` (or from SRC
 itself when it holds the package) and calls ``hypergrid.cli.main`` once
-per invocation.  An exception that escapes ``main`` is recorded as exit
+per invocation.  A ``SystemExit`` that escapes ``main`` (``--help``)
+records its code as the exit; any other exception is recorded as exit
 code "traceback" with its type and message, so a crash shows up as a
 difference instead of ending the sweep.  It then runs each of SRC's
 ``demos/*.py`` in a subprocess with ``PYTHONPATH`` set to that package
@@ -180,6 +181,17 @@ ERRORS = (
     ["sum", "harmonic", "--sum-cap", "3"],
     ["sum", "harmonic", "--sum-cap", str(2**25)],
     ["frobnicate", "x"],
+    # usage errors the parser itself reports
+    ["check"],
+    ["sum"],
+    ["eval", "x", "--bogus"],
+    ["eval", "x", "--tau", "ten"],
+    ["eval", "x", "--exp-mode"],
+)
+
+# help text, at a fixed width because argparse wraps it to the terminal's
+HELP = tuple(
+    [*command, "--help"] for command in ([], ["eval"], ["diff"], ["integrate"], ["check"], ["sum"])
 )
 
 # (environment variable value, argv): the tau cap and its malformed forms
@@ -221,6 +233,7 @@ def invocations():
                     out.append(({}, ["sum", series, "--H", H, "--sum-cap", cap, *extra]))
     out.extend(({}, argv) for argv in ERRORS)
     out.extend(({"HYPERGRID_MAX_TAU": cap}, argv) for cap, argv in CAPPED)
+    out.extend(({"COLUMNS": "80"}, argv) for argv in HELP)
     return out
 
 
@@ -245,7 +258,9 @@ def _invoke(cli, env, argv):
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(list(argv))
-    except (Exception, SystemExit) as exc:
+    except SystemExit as exc:  # --help prints and exits 0
+        code = exc.code
+    except Exception as exc:
         # a crash is a recorded outcome; its type and message, not its
         # traceback, whose file paths differ between checkouts
         code = "traceback"
