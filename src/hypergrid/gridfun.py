@@ -184,6 +184,11 @@ class GridFunction:
 
     def _index(self, x: GridPoint) -> int:
         """x's grid index, once x is found to lie on this function's grid."""
+        if not isinstance(x, GridPoint):
+            raise DomainError(
+                f"a grid function reads grid points, not {type(x).__name__} {x};"
+                " read round_to_grid(s, f.spec)"
+            )
         if x.spec != self.spec:
             raise GridMismatchError(
                 f"point on grid tau={x.spec.tau} given to function on tau={self.spec.tau}"

@@ -378,21 +378,16 @@ def test_workers_below_one_are_refused(workers):
     spec = GridSpec(8)
     with pytest.raises(DomainError, match="workers"):
         cumulative_values(square(spec), workers=workers)
-    with pytest.raises(DomainError, match="workers"):
-        integral(square(spec), workers=workers)
-    with pytest.raises(DomainError, match="workers"):
-        ftc_check(square(spec), CTX, PLAN, workers=workers)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(st.integers(-(10**9), 10**9), min_size=1, max_size=64)
     | st.lists(st.fractions(max_denominator=10**4), min_size=1, max_size=64),
-    st.integers(min_value=1, max_value=4),
 )
-def test_running_sums_accumulate_in_place(terms, workers):
+def test_running_sums_accumulate_in_place(terms):
     expected = list(itertools.accumulate(terms))
-    assert calculus._running_sums(terms, workers) is terms
+    assert calculus._running_sums(terms) is terms
     assert terms == expected
 
 
@@ -506,8 +501,8 @@ def test_ftc_exact_layer_catches_a_wrong_prefix_sum(monkeypatch, text):
     ctx = ObservationContext(H=4, K=10**6)
     running_sums = calculus._running_sums
 
-    def off_by_one(terms, workers):
-        sums = running_sums(terms, workers)
+    def off_by_one(terms):
+        sums = running_sums(terms)
         sums[-1] += 1
         return sums
 

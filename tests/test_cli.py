@@ -29,6 +29,20 @@ def test_defaults():
     assert job.exp_mode == "tail"
     assert job.at is None
     assert not job.json_out
+    assert job.samples == 1024
+    assert job.sum_cap == 2**16
+    assert job.guard == 64
+    assert job.digits == 12
+    assert job.workers == 1
+    assert job.tau2 is job.domain is job.series is job.check is None
+
+
+def test_an_absent_flag_takes_its_job_field_default():
+    assert build_job(["eval", "x"]) == JobConfig(command="eval", expr_text="x")
+    assert build_job(["check", "ftc", "x"]) == JobConfig(
+        command="check", check="ftc", expr_text="x"
+    )
+    assert build_job(["sum", "harmonic"]) == JobConfig(command="sum", series="harmonic")
 
 
 def test_eval_defaults_to_the_left_domain_endpoint(capsys):

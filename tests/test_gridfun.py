@@ -61,6 +61,14 @@ def test_points_from_other_grids_are_rejected():
         f(GridSpec(11).point(3))
 
 
+def test_a_read_at_a_number_is_refused_with_the_rounding_named():
+    spec = GridSpec(10)
+    for read, s in ((square(spec), Fraction(1, 2)), (integral(square(spec)), 0.5)):
+        with pytest.raises(DomainError, match=r"round_to_grid\(s, f\.spec\)") as caught:
+            read(s)
+        assert not isinstance(caught.value, GridMismatchError)
+
+
 def _count_exp_reads(monkeypatch) -> list:
     """Record the argument of every read of an exp node's series reader,
     n/tau as (n, tau)."""

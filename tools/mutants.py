@@ -455,12 +455,30 @@ MUTANTS = (
     Mutant(
         "integrate reads the full integral whatever --at says",
         "src/hypergrid/cli.py",
-        "        value = integral(f, ctx, workers=job.workers)(x) * _scale(job)\n",
-        "        value = integral(f, ctx, workers=job.workers)(spec.point(spec.tau)) * _scale(job)\n",
+        "        value = integral(f, ctx)(x) * _scale(job)\n",
+        "        value = integral(f, ctx)(spec.point(spec.tau)) * _scale(job)\n",
         (
             "tests/test_cli.py::test_integrate_reads_the_integral_at_the_rounded_point",
             "tests/test_cli.py::test_integrate_on_a_domain_reads_at_the_mapped_point",
         ),
+    ),
+    # every default of the command line is a JobConfig field's
+    Mutant(
+        "build_job loses the kind -> check rename",
+        "src/hypergrid/cli.py",
+        '_RENAMED = {"expr": "expr_text", "kind": "check"}\n',
+        '_RENAMED = {"expr": "expr_text"}\n',
+        (
+            "tests/test_cli.py::test_check_ftc_passes_for_the_square",
+            "tests/test_cli.py::test_check_reports_are_pinned_byte_for_byte",
+        ),
+    ),
+    Mutant(
+        "JobConfig.samples defaults to 1023",
+        "src/hypergrid/cli.py",
+        "    samples: int = 1024\n",
+        "    samples: int = 1023\n",
+        ("tests/test_cli.py::test_defaults",),
     ),
 )
 
