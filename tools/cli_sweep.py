@@ -166,6 +166,9 @@ ERRORS = (
     ["integrate", "x", "--tau", "16", "--workers", "-2"],
     ["integrate", "exp(x)", "--tau", "16", "--H", "2", "--K", "2"],
     ["integrate", "1/(x + 1/4)", "--tau", "16", "--H", "2", "--K", "3"],
+    # past K only at 341/1024 and 342/1024, two points the K test must read
+    ["integrate", "1/(x-1/3)^3", "--tau", "1024", "--K", "1000000000"],
+    ["check", "ftc", "1/(x-1/3)^3", "--tau", "1024", "--H", "4", "--K", "1000000000"],
     ["integrate", "log(x)", "--tau", "16", "--domain", "0", "2"],
     ["check", "ftc", "x", "--tau", "16", "--samples", "0"],
     ["check", "ftc", "x", "--tau", "16", "--samples", str(2**25)],
