@@ -33,6 +33,7 @@ from .gridfun import (
     MATERIALIZE_LIMIT,
     Certificate,
     GridFunction,
+    _grid_point,
     continuity_check,
     fn_indiscernible,
     transport,
@@ -76,7 +77,7 @@ def derivative(
 
 def secant_deviation(f: GridFunction, a: GridPoint, x: GridPoint) -> Fraction:
     """(f(x) - f(a)) / (x - a) - quotient(a), exactly."""
-    if a.spec != f.spec or x.spec != f.spec:
+    if _grid_point(a).spec != f.spec or _grid_point(x).spec != f.spec:
         raise DomainError("secant points must lie on the function's grid")
     if a.index == x.index:
         raise DomainError("secant needs two distinct points")
@@ -303,29 +304,35 @@ class LimitQuotientResult:
         return self.verdict == "pass"
 
 
-def _band_offsets(f: GridFunction, seq: ConvergentSequence, budget: int) -> list:
-    """Check the offset sequence against its own claim and return its
-    first ``budget`` terms that fall in the probe band."""
+LIMIT_TERMS = 64  # the terms of an offset sequence that the limit probes read
+
+
+def _band_offsets(f: GridFunction, seq: ConvergentSequence) -> list:
+    """Check the offset sequence against its own claim and return the
+    steps (t, floor(t * tau)) of its first ``LIMIT_TERMS`` terms that fall
+    in the probe band.  The band keeps |t| > 4/tau, so every step k has
+    |k| >= 4: no probe reads x itself."""
     if seq.declared_limit != 0:
         raise DomainError("offset sequence must converge to 0")
-    terms = seq.terms(budget)
+    terms = seq.terms(LIMIT_TERMS)
     if not seq._settles(terms):
         raise DomainError("sequence does not meet its own convergence claim")
     band_lo, band_hi = _band(f.spec, seq.context)
-    offsets = [t for t in terms if t != 0 and band_lo < abs(t) <= band_hi]
+    offsets = [t for t in terms if band_lo < abs(t) <= band_hi]
     if not offsets:
         raise DomainError(f"band is empty: no offset of the sequence in ({band_lo}, {band_hi}]")
-    return offsets
+    tau = f.spec.tau
+    return [(t, (t.numerator * tau) // t.denominator) for t in offsets]
 
 
 def _probe_walk(f: GridFunction, x: int, steps: list):
     """The reads of the limit probes at the grid index x, in order: f at
-    x + 1, at x, then at x + k for each step (t, k), where
-    k = floor(t * tau) because x/tau + t rounds down to x + k.  Each read
-    is an integer pair (``_pair_at``).  Before each read the probe point
-    x/tau + t must lie in [0, 1], tested in integers; a step with k = 0
-    reads nothing.  Returns the reads of f(x) and f(x + 1), and per read
-    (t, k, y) with y the read of f(x + k)."""
+    x + 1, at x, then at x + k for each step (t, k) of ``_band_offsets``,
+    where k = floor(t * tau) because x/tau + t rounds down to x + k.  Each
+    read is an integer pair (``_pair_at``).  Before each read the probe
+    point x/tau + t must lie in [0, 1], tested in integers.  Returns the
+    reads of f(x) and f(x + 1), and per step (t, k, y) with y the read of
+    f(x + k)."""
     read, tau = f._pair_at(), f.spec.tau
     after = read(x + 1)
     fx = read(x)
@@ -334,8 +341,7 @@ def _probe_walk(f: GridFunction, x: int, steps: list):
         lhs, span = x * t.denominator + t.numerator * tau, tau * t.denominator
         if not 0 <= lhs <= span:  # x/tau + t == lhs/span
             raise DomainError(f"probe point {Fraction(lhs, span)} leaves [0, 1]")
-        if k:
-            reads.append((t, k, read(x + k)))
+        reads.append((t, k, read(x + k)))
     return fx, after, reads
 
 
@@ -350,32 +356,26 @@ def _deviations(fx, after, reads) -> list:
     return [(abs(yn * base + yd * ((k - 1) * xa - k * ax)), yd * base) for _, k, (yn, yd) in reads]
 
 
-def _limit_steps(f: GridFunction, seq: ConvergentSequence, budget: int) -> list:
-    """(t, floor(t * tau)) for each offset of ``_band_offsets``."""
-    tau = f.spec.tau
-    return [(t, (t.numerator * tau) // t.denominator) for t in _band_offsets(f, seq, budget)]
-
-
 def limit_quotient(
     f: GridFunction,
     x: GridPoint,
     seq: ConvergentSequence,
-    budget: int = 64,
 ) -> LimitQuotientResult:
     """Read the sequence-limit form of the derivative at x.
 
-    The sequence must converge to 0 by its own verify().  Terms are used
-    as offsets, keeping only max(4 eps, 1/H**2) < |t| <= 1/H; each offset
-    is realized on the grid (the probe runs between the grid points x and
-    round(x + t), and the quotient divides by their exact gap, which is
-    where an off-grid t lands once rounded).  Every surviving probe must
+    The sequence must converge to 0 by its own verify().  Its first
+    ``LIMIT_TERMS`` terms are used as offsets, keeping only
+    max(4 eps, 1/H**2) < |t| <= 1/H; each offset is realized on the grid
+    (the probe runs between the grid points x and round(x + t), and the
+    quotient divides by their exact gap, which is where an off-grid t
+    lands once rounded).  Every surviving probe must
     land within 2/H of the difference quotient at x.  The probes are
     ``limit_check``'s walk (``_probe_walk``) and deviations
     (``_deviations``), in integers; each probe's gap becomes one
     Fraction, and its quotient is taken from the reads as Fractions.
     """
-    steps = _limit_steps(f, seq, budget)
-    n = f._index(successor(x)) - 1  # x has a successor on f's grid
+    steps = _band_offsets(f, seq)
+    n = f._index(successor(_grid_point(x))) - 1  # x has a successor on f's grid
     tau = f.spec.tau
     fx, after, reads = _probe_walk(f, n, steps)
     at_x = Fraction(*fx)
@@ -383,7 +383,7 @@ def limit_quotient(
     for (t, k, y), (dev, den) in zip(reads, _deviations(fx, after, reads)):
         quotient = (Fraction(*y) - at_x) * tau / k
         probes.append(LimitProbe(t, quotient, Fraction(dev * tau, den * abs(k))))
-    max_gap = max((probe.gap for probe in probes), default=Fraction(0))
+    max_gap = max(probe.gap for probe in probes)
     tol = 2 * seq.context.infinitesimal_scale
     verdict = "pass" if max_gap <= tol else "fail"
     value = (Fraction(*after) - at_x) * tau
@@ -394,44 +394,37 @@ def limit_check(
     f: GridFunction,
     ctx: ObservationContext,
     points: Sequence[Fraction],
-    budget: int = 64,
 ) -> CheckReport:
     """Run limit_quotient's probes with the halving sequence t_i = 2**-i
     at each given point, rounded down to the grid and kept below its
     right end; pass iff every probe at every point lands within 2/H.
-    The sequence is verified, and its in-band offsets listed, once.
+    The sequence is verified, and its in-band steps listed, once.
 
-    The walk is ``_probe_walk``'s, in integers.  Every point takes
-    the same steps k, so each step keeps its peak deviation dev / den
-    (``_deviations``) over the points as a numerator and a denominator,
+    The walk is ``_probe_walk``'s, in integers.  A probe's gap is
+    dev * tau / (den * k), dev / den its deviation (``_deviations``), and
+    the gaps keep one running maximum as a numerator and a denominator,
     compared cross-multiplied; the witness, the first point with a probe
-    above 2/H, can only be found where a peak rises.  The worst peak over
-    its step is chosen cross-multiplied too, and one Fraction, the
+    above 2/H, is tested only where the maximum rises.  One Fraction, the
     report's max_gap, is formed at the end."""
     if not points:
         raise DomainError("limit check needs at least one point")
     seq = ConvergentSequence(lambda i: Fraction(1, 2**i), Fraction(0), ctx)
-    steps = _limit_steps(f, seq, budget)
+    steps = _band_offsets(f, seq)
     tau = f.spec.tau
-    ks = [abs(k) for _, k in steps if k]  # the steps every walk reads, in order
-    peaks = [(0, 1)] * len(ks)
-    tau_h = tau * ctx.H  # a probe's gap exceeds 2/H iff dev * tau * H > 2 * k * den
+    tau_h = tau * ctx.H  # a probe's gap exceeds 2/H iff dev * tau * H > 2 * den * k
+    worst, scale = 0, 1  # the largest gap so far, worst * tau / scale
     witness = None
     for s in points:
         x = min(round_to_grid(Fraction(s), f.spec).index, tau - 1)
-        for j, (dev, den) in enumerate(_deviations(*_probe_walk(f, x, steps))):
-            peak, peak_den = peaks[j]
-            if dev * peak_den > peak * den:
-                peaks[j] = dev, den
-                if witness is None and dev * tau_h > 2 * ks[j] * den:
+        for (_, k), (dev, den) in zip(steps, _deviations(*_probe_walk(f, x, steps))):
+            den *= k  # the halving steps are positive
+            if dev * scale > worst * den:
+                worst, scale = dev, den
+                if witness is None and dev * tau_h > 2 * den:
                     witness = f"x={Fraction(x, tau)}"
-    worst, worst_den = 0, 1
-    for (peak, peak_den), k in zip(peaks, ks):
-        if peak * worst_den > worst * peak_den * k:
-            worst, worst_den = peak, peak_den * k
-    max_gap = Fraction(worst * tau, worst_den)
+    max_gap = Fraction(worst * tau, scale)
     tol = 2 * ctx.infinitesimal_scale
-    count = len(points) * len(ks)
+    count = len(points) * len(steps)
     return _report("limit", [tau], ctx, count, max_gap, tol, max_gap <= tol, "sampled", witness)
 
 
@@ -479,10 +472,10 @@ def integral(f: GridFunction, ctx: Optional[ObservationContext] = None) -> GridF
     x, both ends included), a grid function on f's grid.
 
     When a context is given, f must be visibly bounded by K there:
-    certified if possible, spot-checked otherwise.  The result carries
-    the inherited certificates: the integral is Lipschitz with constant
-    bound(f), and its difference quotient is f(successor(x)), so f's own
-    value certificate becomes the quotient certificate.
+    certified if possible, checked at every point otherwise.  The result
+    carries the inherited certificates: the integral is Lipschitz with
+    constant bound(f), and its difference quotient is f(successor(x)), so
+    f's own value certificate becomes the quotient certificate.
     """
     numerators, den = _integrand_numerators(f, ctx)
     return _antiderivative(f, _running_sums(numerators), den)
@@ -490,7 +483,8 @@ def integral(f: GridFunction, ctx: Optional[ObservationContext] = None) -> GridF
 
 def _integrand_numerators(f: GridFunction, ctx: Optional[ObservationContext]):
     """f.numerators() for prefix sums, after f is found bounded by K at
-    ``ctx`` (without a context there is no bound to meet)."""
+    ``ctx`` by its certificate, or else at every point, the leftmost past K
+    named (without a context there is no bound to meet)."""
     if ctx is not None and f.certificate is not None and f.certificate.bound > ctx.K:
         raise DomainError("certified bound exceeds K: integral may overflow")
     if f.spec.tau + 1 > MATERIALIZE_LIMIT:
@@ -500,9 +494,9 @@ def _integrand_numerators(f: GridFunction, ctx: Optional[ObservationContext]):
         )
     numerators, den = f.numerators()
     if ctx is not None and f.certificate is None:
-        step = max(1, f.spec.tau // 64)
-        for n in range(0, f.spec.tau + 1, step):
-            if abs(numerators[n]) > ctx.K * den:
+        bound = ctx.K * den
+        for n, v in enumerate(numerators):
+            if abs(v) > bound:
                 raise DomainError(f"function exceeds K at {Fraction(n, f.spec.tau)}")
     return numerators, den
 

@@ -146,6 +146,16 @@ def _lane_product(a, den_a, b, den_b):
     return (lambda n: a(n) * b(n)), den_a * den_b
 
 
+def _grid_point(x) -> GridPoint:
+    """x itself, once it is a GridPoint; a number is refused, its rounding named."""
+    if not isinstance(x, GridPoint):
+        raise DomainError(
+            f"a grid function reads grid points, not {type(x).__name__} {x};"
+            " read round_to_grid(s, f.spec)"
+        )
+    return x
+
+
 class GridFunction:
     """A deterministic rule from grid points to exact rationals, held as
     one function of the grid index, ``at(n)``: the value at n/tau is
@@ -184,12 +194,7 @@ class GridFunction:
 
     def _index(self, x: GridPoint) -> int:
         """x's grid index, once x is found to lie on this function's grid."""
-        if not isinstance(x, GridPoint):
-            raise DomainError(
-                f"a grid function reads grid points, not {type(x).__name__} {x};"
-                " read round_to_grid(s, f.spec)"
-            )
-        if x.spec != self.spec:
+        if _grid_point(x).spec != self.spec:
             raise GridMismatchError(
                 f"point on grid tau={x.spec.tau} given to function on tau={self.spec.tau}"
             )
@@ -198,7 +203,7 @@ class GridFunction:
     def quotient(self, x: GridPoint) -> Fraction:
         """The difference quotient (f(x+) - f(x)) / epsilon; undefined at
         the right endpoint."""
-        return (self(successor(x)) - self(x)) * self.spec.tau
+        return (self(successor(_grid_point(x))) - self(x)) * self.spec.tau
 
     def materialize(self) -> list:
         """All tau + 1 values as a new list owned by the caller, read by

@@ -315,6 +315,21 @@ def test_limit_quotient_rejects_probes_leaving_the_interval():
         limit_quotient(square(spec), spec.point(10**4), seq)
 
 
+def test_a_number_given_as_a_point_is_refused_with_the_rounding_named():
+    spec = GridSpec(10)
+    f = square(spec)
+    seq = ConvergentSequence(lambda i: Fraction(1, 2**i), Fraction(0), ObservationContext(H=2, K=4))
+    calls = (
+        lambda: f.quotient(Fraction(1, 2)),
+        lambda: secant_deviation(f, Fraction(1, 2), spec.point(3)),
+        lambda: limit_quotient(f, Fraction(1, 2), seq),
+    )
+    for call in calls:
+        with pytest.raises(DomainError, match=r"round_to_grid\(s, f\.spec\)") as caught:
+            call()
+        assert type(caught.value) is DomainError
+
+
 def test_limit_check_passes_at_interior_points():
     spec = GridSpec(10**4)
     ctx = ObservationContext(H=100, K=10**6)
@@ -443,6 +458,17 @@ def test_integral_spot_checks_uncertified_integrands():
         integral(wild, ctx)
     # without a context there is no boundedness obligation
     assert integral(wild)(spec.point(0)) == Fraction(101, 100)
+
+
+def test_the_k_test_reads_every_point_of_an_uncertified_lane():
+    # 2/3 * 10**6 is within K everywhere but at 341/1024 and 342/1024, which
+    # a stride of tau // 64 = 16 points never reads
+    spec = GridSpec(1024)
+    ctx = ObservationContext(H=4, K=10**6)
+    spike = GridFunction(spec, lambda n: 4 * 10**6 if n in (341, 342) else 2 * 10**6, den=3)
+    for check in (integral, ftc_check):
+        with pytest.raises(DomainError, match=r"exceeds K at 341/1024$"):
+            check(spike, ctx)
 
 
 def test_integral_carries_certificates():

@@ -35,7 +35,7 @@ from hypergrid import (
     successor,
     transport,
 )
-from hypergrid.calculus import LimitProbe, LimitQuotientResult, _band, _band_offsets
+from hypergrid.calculus import LimitProbe, LimitQuotientResult, _band
 from hypergrid.context import _report
 from hypergrid.errors import GridMismatchError
 from hypergrid.sampling import sample_unit_fractions
@@ -242,12 +242,27 @@ def reference_probe_quotients(f, x, offsets, tol):
     return LimitQuotientResult(reference, verdict, tuple(probes), max_gap, tol)
 
 
-def reference_limit_quotient(f, x, seq, budget=64):
-    offsets = _band_offsets(f, seq, budget)
+def reference_offsets(f, seq):
+    """The sequence's first 64 terms with max(4/tau, 1/H**2) < |t| <= 1/H,
+    once it converges to 0 by its own verify()."""
+    if seq.declared_limit != 0:
+        raise DomainError("offset sequence must converge to 0")
+    if not seq.verify(64):
+        raise DomainError("sequence does not meet its own convergence claim")
+    H = seq.context.H
+    lo, hi = max(Fraction(4, f.spec.tau), Fraction(1, H * H)), Fraction(1, H)
+    offsets = [t for t in seq.terms(64) if lo < abs(t) <= hi]
+    if not offsets:
+        raise DomainError(f"band is empty: no offset of the sequence in ({lo}, {hi}]")
+    return offsets
+
+
+def reference_limit_quotient(f, x, seq):
+    offsets = reference_offsets(f, seq)
     return reference_probe_quotients(f, x, offsets, 2 * seq.context.infinitesimal_scale)
 
 
-def reference_limit_check(f, ctx, points, budget=64):
+def reference_limit_check(f, ctx, points):
     if not points:
         raise DomainError("limit check needs at least one point")
     seq = ConvergentSequence(lambda i: Fraction(1, 2**i), Fraction(0), ctx)
@@ -255,7 +270,7 @@ def reference_limit_check(f, ctx, points, budget=64):
     witness = None
     count = 0
     tol = 2 * ctx.infinitesimal_scale
-    offsets = _band_offsets(f, seq, budget)
+    offsets = reference_offsets(f, seq)
     for s in points:
         x = round_to_grid(Fraction(s), f.spec)
         if x.index >= f.spec.tau:
@@ -404,6 +419,8 @@ _LOG_HALF = ("log(x - 1/2)", parse("log(x - 1/2)"), Fraction(1))
 # Fraction numerators: each point's gaps have their own denominators
 @example(_X_EXP, (10**6, 1000), [Fraction(k, 7) for k in range(7)])
 @example(_EXP_CUBE, (10**5, 300), [Fraction(9, 10), Fraction(1, 10), Fraction(1, 2)])
+# the band's lower end max(4/1024, 1/16**2) is the halving term 1/256 itself
+@example(_SQUARE, (1024, 16), [Fraction(1, 2)])
 def test_limit_check_equals_the_reference(choice, grid, points):
     tau, H = grid
     f = _build(choice, tau)

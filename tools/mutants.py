@@ -129,10 +129,8 @@ MUTANTS = (
     Mutant(
         "limit step as the ceiling of t * tau",
         "src/hypergrid/calculus.py",
-        "    return [(t, (t.numerator * tau) // t.denominator)"
-        " for t in _band_offsets(f, seq, budget)]\n",
-        "    return [(t, -((-t.numerator * tau) // t.denominator))"
-        " for t in _band_offsets(f, seq, budget)]\n",
+        "    return [(t, (t.numerator * tau) // t.denominator) for t in offsets]\n",
+        "    return [(t, -((-t.numerator * tau) // t.denominator)) for t in offsets]\n",
         (
             "tests/test_checks_reference.py::test_limit_check_equals_the_reference",
             "tests/test_checks_reference.py::test_limit_quotient_equals_the_reference",
@@ -141,8 +139,8 @@ MUTANTS = (
     Mutant(
         "limit witness at the last failing point",
         "src/hypergrid/calculus.py",
-        "                if witness is None and dev * tau_h > 2 * ks[j] * den:\n",
-        "                if dev * tau_h > 2 * ks[j] * den:\n",
+        "                if witness is None and dev * tau_h > 2 * den:\n",
+        "                if dev * tau_h > 2 * den:\n",
         ("tests/test_checks_reference.py::test_limit_check_equals_the_reference",),
     ),
     Mutant(
@@ -228,8 +226,8 @@ MUTANTS = (
     Mutant(
         "limit walk reads f(x) again per offset",
         "src/hypergrid/calculus.py",
-        "            reads.append((t, k, read(x + k)))\n",
-        "            read(x)\n            reads.append((t, k, read(x + k)))\n",
+        "        reads.append((t, k, read(x + k)))\n",
+        "        read(x)\n        reads.append((t, k, read(x + k)))\n",
         ("tests/test_calculus.py::test_limit_quotient_reads_each_point_once",),
     ),
     # exp readers learn their stop segments; sampled checks read integer pairs
@@ -272,8 +270,8 @@ MUTANTS = (
     Mutant(
         "limit peak compared without cross-multiplying",
         "src/hypergrid/calculus.py",
-        "            if dev * peak_den > peak * den:\n",
-        "            if dev > peak:\n",
+        "            if dev * scale > worst * den:\n",
+        "            if dev > worst:\n",
         ("tests/test_checks_reference.py::test_limit_check_equals_the_reference",),
     ),
     Mutant(
@@ -479,6 +477,28 @@ MUTANTS = (
         "    samples: int = 1024\n",
         "    samples: int = 1023\n",
         ("tests/test_cli.py::test_defaults",),
+    ),
+    # the limit check keeps one running maximum; the K test reads every point
+    Mutant(
+        "limit maximum drops k",
+        "src/hypergrid/calculus.py",
+        "            den *= k  # the halving steps are positive\n",
+        "",
+        ("tests/test_checks_reference.py::test_limit_check_equals_the_reference",),
+    ),
+    Mutant(
+        "band keeps an offset equal to its lower end",
+        "src/hypergrid/calculus.py",
+        "    offsets = [t for t in terms if band_lo < abs(t) <= band_hi]\n",
+        "    offsets = [t for t in terms if band_lo <= abs(t) <= band_hi]\n",
+        ("tests/test_checks_reference.py::test_limit_check_equals_the_reference",),
+    ),
+    Mutant(
+        "K test strides by tau // 64 again",
+        "src/hypergrid/calculus.py",
+        "        for n, v in enumerate(numerators):\n",
+        "        for n, v in islice(enumerate(numerators), 0, None, max(1, f.spec.tau // 64)):\n",
+        ("tests/test_calculus.py::test_the_k_test_reads_every_point_of_an_uncertified_lane",),
     ),
 )
 
