@@ -170,6 +170,15 @@ ERRORS = (
     ["integrate", "1/(x-1/3)^3", "--tau", "1024", "--K", "1000000000"],
     ["check", "ftc", "1/(x-1/3)^3", "--tau", "1024", "--H", "4", "--K", "1000000000"],
     ["integrate", "log(x)", "--tau", "16", "--domain", "0", "2"],
+    # one point past the 2^24-point limit on reads
+    ["integrate", "x", "--tau", "16777216"],
+    ["check", "ftc", "x", "--tau", "16777216"],
+    # log arguments far wider than an error message should print
+    ["diff", "log((2+x)^4096)", "--tau", "1024"],
+    ["eval", "log(-(2+x)^4096)", "--tau", "1024", "--at", "1/3"],
+    ["eval", "log((2+x)^4096)", "--tau", "1024", "--at", "1/2"],
+    # a literal one digit past Python's int-from-text limit
+    ["eval", "x+" + "7" * 4301, "--tau", "16"],
     ["check", "ftc", "x", "--tau", "16", "--samples", "0"],
     ["check", "ftc", "x", "--tau", "16", "--samples", str(2**25)],
     ["check", "area", "x", "--tau", "16"],
