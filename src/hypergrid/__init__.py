@@ -17,7 +17,6 @@ from .calculus import (
     ftc_check,
     grid_independence_check,
     integral,
-    integral_stream,
     limit_check,
     limit_quotient,
     quotient_function,
@@ -112,7 +111,6 @@ __all__ = [
     "grid_independence_check",
     "identity",
     "integral",
-    "integral_stream",
     "is_unstable",
     "limit_check",
     "limit_quotient",

@@ -27,10 +27,9 @@ from itertools import islice
 from typing import Callable, Optional, Sequence, Tuple
 
 from .context import CheckReport, ObservationContext, _report
-from .errors import DomainError, NotDifferentiableError, ResourceLimitError
+from .errors import DomainError, NotDifferentiableError
 from .grid import GridPoint, GridSpec, round_to_grid, successor
 from .gridfun import (
-    MATERIALIZE_LIMIT,
     Certificate,
     GridFunction,
     _grid_point,
@@ -453,20 +452,6 @@ def _running_sums(terms: list) -> list:
     return terms
 
 
-def integral_stream(f: GridFunction):
-    """Yield (point, integral value) pairs in grid order without storing
-    the prefix table; the only mode available past the resource limit.
-    It reads ``f.at`` by index and sums what it returns (integer
-    numerators in integers), so the value at n is the running sum over
-    den * tau, and a failing read is the leftmost."""
-    at, spec = f.at, f.spec
-    den = f.den * spec.tau
-    acc = 0
-    for n in range(spec.tau + 1):
-        acc += at(n)
-        yield spec.point(n), Fraction(acc, den)
-
-
 def integral(f: GridFunction, ctx: Optional[ObservationContext] = None) -> GridFunction:
     """The indefinite integral x -> sum(f(t) * eps for t from 0 through
     x, both ends included), a grid function on f's grid.
@@ -484,14 +469,10 @@ def integral(f: GridFunction, ctx: Optional[ObservationContext] = None) -> GridF
 def _integrand_numerators(f: GridFunction, ctx: Optional[ObservationContext]):
     """f.numerators() for prefix sums, after f is found bounded by K at
     ``ctx`` by its certificate, or else at every point, the leftmost past K
-    named (without a context there is no bound to meet)."""
+    named (without a context there is no bound to meet).  The read itself
+    refuses a grid of more than 2^24 points before reading any."""
     if ctx is not None and f.certificate is not None and f.certificate.bound > ctx.K:
         raise DomainError("certified bound exceeds K: integral may overflow")
-    if f.spec.tau + 1 > MATERIALIZE_LIMIT:
-        raise ResourceLimitError(
-            f"cumulative sum over {f.spec.tau + 1} points exceeds the limit"
-            f" {MATERIALIZE_LIMIT}; use integral_stream"
-        )
     numerators, den = f.numerators()
     if ctx is not None and f.certificate is None:
         bound = ctx.K * den

@@ -33,6 +33,7 @@ from math import ceil
 from .errors import DomainError, EvaluationError
 from .grid import GridSpec
 from .gridfun import Certificate, GridFunction, certificates_of, constant_lane
+from .rational import brief_rational
 from .series import (
     _COARSE,
     DEFAULT_POLICY,
@@ -145,7 +146,7 @@ def log_of(g: GridFunction, policy: TruncationPolicy = DEFAULT_POLICY) -> GridFu
         v = at(n)
         a, b = v.numerator, v.denominator * den
         if a <= 0:
-            value = Fraction(a, b)
+            value = brief_rational(Fraction(a, b))
             raise EvaluationError(f"log of non-positive value {value}", point=spec.point(n))
         return _log_index(a, b, tau, policy, exps)
 

@@ -34,11 +34,15 @@ _RATIONAL_TEXT = re.compile(
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q", an integer literal, or an exact decimal literal.
 
-    Decimal literals convert exactly: "0.37" becomes 37/100.
+    Decimal literals convert exactly: "0.37" becomes 37/100.  A run of
+    more digits than Python's int-from-text limit raises DomainError.
     """
     m = _RATIONAL_TEXT.match(text)
     if m is None:
         raise DomainError(f"not a rational literal: {text!r}")
+    longest = max(map(len, m.groups("")))
+    if longest > sys.get_int_max_str_digits() > 0:
+        raise DomainError(f"a {longest}-digit term is past the limit for reading integers")
     sign = -1 if m.group("sign") == "-" else 1
     if m.group("num") is not None:
         den = int(m.group("den"))
@@ -66,6 +70,15 @@ def format_rational(q: Fraction) -> str:
             f"a {bits}-bit rational exceeds the {sys.get_int_max_str_digits()}-digit"
             " limit for printing integers"
         ) from None
+
+
+def brief_rational(q: Fraction) -> str:
+    """``str(q)`` if neither term has over 256 bits (about 77 digits), else
+    their sizes in bits: how an error message names a computed value."""
+    a, b = q.numerator.bit_length(), q.denominator.bit_length()
+    if max(a, b) <= 256:
+        return str(q)
+    return f"{'-' if q < 0 else ''}({a}-bit integer)/({b}-bit integer)"
 
 
 def render_decimal(q: Fraction, digits: int = 12) -> str:

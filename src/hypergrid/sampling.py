@@ -72,7 +72,3 @@ class SamplingPlan:
 
     def mode(self, tau: int) -> str:
         return "exhaustive" if self.is_exhaustive(tau) else "sampled"
-
-
-#: Small plan for interactive and unit-test use.
-QUICK_PLAN = SamplingPlan(random_points=1024, dyadic_depth=8, exhaustive_limit=4097)

@@ -58,6 +58,7 @@ from typing import Callable, Optional, Union
 
 from .context import ObservationContext
 from .errors import DomainError, ResourceLimitError, SearchRangeError
+from .rational import brief_rational
 from .reals import MINUS_INFINITY, PLUS_INFINITY, ExtendedReal, real_from_rational
 
 FULL_TAU_LIMIT = 2**17
@@ -398,9 +399,8 @@ def _log_index(a: int, b: int, tau: int, policy: TruncationPolicy, exps=None) ->
         lo, hi = hi, min(hi + step, ceiling)
         step *= 2
     if lo >= ceiling:
-        raise SearchRangeError(
-            f"log search left the lattice (|k| <= {limit}) for argument {Fraction(a, b)}"
-        )
+        q = brief_rational(Fraction(a, b))
+        raise SearchRangeError(f"log search left the lattice (|k| <= {limit}) for argument {q}")
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if overshoots(mid):

@@ -28,7 +28,6 @@ from hypergrid import (
     grid_independence_check,
     identity,
     integral,
-    integral_stream,
     limit_check,
     limit_quotient,
     monomial,
@@ -406,42 +405,16 @@ def test_running_sums_accumulate_in_place(terms):
     assert terms == expected
 
 
-@pytest.mark.parametrize(
-    "text", ["x^2", "x^3 - x/2", "exp(x)", "x*exp(x)", "integral of x*exp(x)"]
-)
-def test_integral_stream_matches_the_table(text):
-    spec = GridSpec(64)
-    f = compile(parse(text.removeprefix("integral of ")), spec)
-    if text.startswith("integral of "):
-        f = integral(f)  # a lane whose numerators are Fractions
-        assert isinstance(f.at(1), Fraction)
-    anti = integral(f)
-    streamed = list(integral_stream(f))
-    assert [p.index for p, _ in streamed] == list(range(65))
-    assert [v for _, v in streamed] == [anti(p) for p, _ in streamed]
-
-
-def test_integral_stream_is_lazy_and_stops_at_the_leftmost_failure():
+def test_whole_grid_reads_past_2_to_the_24_points_are_refused_before_any_read():
     reads = []
-
-    def at(n):
-        reads.append(n)
-        if n >= 3:
-            raise DomainError(f"no value at {n}")
-        return Fraction(n)
-
-    stream = integral_stream(GridFunction(GridSpec(64), at))
-    assert [v for _, v in itertools.islice(stream, 3)] == [0, Fraction(1, 64), Fraction(3, 64)]
-    assert reads == [0, 1, 2]
-    with pytest.raises(DomainError, match="at 3"):
-        next(stream)
-
-
-def test_cumulative_values_resource_guard_points_to_streaming():
-    f = identity(GridSpec(2**24))
-    with pytest.raises(ResourceLimitError) as info:
-        cumulative_values(f)
-    assert "integral_stream" in str(info.value)
+    f = GridFunction(GridSpec(2**24), lambda n: reads.append(n) or 0)
+    message = r"^refusing to materialize 16777217 points \(limit 16777216\)$"
+    for call in (cumulative_values, integral, lambda g: integral(g, CTX)):
+        with pytest.raises(ResourceLimitError, match=message):
+            call(f)
+    with pytest.raises(ResourceLimitError, match=message):
+        ftc_check(f, CTX)
+    assert reads == []
 
 
 def test_integral_rejects_certified_unbounded_integrands():

@@ -180,6 +180,34 @@ def test_digits_past_the_print_limit_are_an_error_not_a_traceback(capsys):
     assert err.startswith("error: 4301 digits exceed")
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (
+            ["diff", "log((2+x)^4096)", "--tau", "1024"],
+            "log search left the lattice (|k| <= 1048576) for argument"
+            " (45059-bit integer)/(40961-bit integer)",
+        ),
+        (
+            ["eval", "log(-(2+x)^4096)", "--tau", "1024", "--at", "1/3"],
+            "log of non-positive value -(45967-bit integer)/(40961-bit integer)"
+            " at grid point 341/1024",
+        ),
+        (
+            ["eval", "log((2+x)^4096)", "--tau", "1024", "--at", "1/2"],
+            "log search left the lattice (|k| <= 1048576) for argument"
+            " (9511-bit integer)/(4097-bit integer)",
+        ),
+        (["eval", "x+" + "7" * 4301, "--tau", "16"], "a 4301-digit term is past the limit"),
+        (["eval", "x", "--at", "1/" + "7" * 4301], "a 4301-digit term is past the limit"),
+    ],
+)
+def test_wide_numbers_in_errors_are_named_by_their_size(capsys, argv, error):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {error}") and err.count("\n") == 1 and len(err) < 300
+
+
 def test_eval_log_at_zero_is_a_domain_error(capsys):
     code, _, err = invoke(capsys, "eval", "log(x)", "--tau", "10")
     assert code == 1

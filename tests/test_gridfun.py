@@ -3,6 +3,7 @@ transport between grids, and the three-valued continuity check."""
 
 from dataclasses import replace
 from fractions import Fraction
+from itertools import accumulate
 from math import ceil
 
 import pytest
@@ -122,6 +123,8 @@ def test_exp_of_a_lane_with_fraction_numerators_sums_like_the_kernel():
     anti = integral(exp_fn(spec))
     assert anti.den == 32 and type(anti.at(5)) is Fraction
     values = anti.materialize()
+    # and its own integral sums those Fraction numerators over 32 * 32
+    assert integral(anti).materialize() == [s / 32 for s in accumulate(values)]
     for policy in (DEFAULT_POLICY, FULL_POLICY):
         expected = [exp_approx(v, 32, policy) for v in values]
         assert exp_of(anti, policy).materialize() == expected

@@ -14,6 +14,7 @@ from hypergrid import (
     parse_rational,
     render_decimal,
 )
+from hypergrid.rational import brief_rational
 
 rationals = st.fractions(
     min_value=Fraction(-10**6), max_value=Fraction(10**6), max_denominator=10**6
@@ -86,6 +87,20 @@ def test_render_decimal_refuses_digits_past_the_print_limit():
     assert render_decimal(Fraction(1, 3), limit) == "0." + "3" * limit
     with pytest.raises(ResourceLimitError):
         render_decimal(Fraction(1, 3), limit + 1)
+
+
+def test_literals_past_the_int_text_limit_are_refused_with_their_size():
+    limit = sys.get_int_max_str_digits()
+    assert parse_rational("1/" + "9" * limit) == Fraction(1, 10**limit - 1)
+    for text in ("7" * (limit + 1), "-1/" + "7" * (limit + 1), "0." + "7" * (limit + 1)):
+        with pytest.raises(DomainError, match=f"^a {limit + 1}-digit term is past the limit"):
+            parse_rational(text)
+
+
+def test_brief_rational_names_wide_terms_by_their_bits():
+    assert brief_rational(Fraction(-(2**256) + 1, 3)) == str(Fraction(-(2**256) + 1, 3))
+    assert brief_rational(Fraction(2**256, 3)) == "(257-bit integer)/(2-bit integer)"
+    assert brief_rational(Fraction(-1, 7**5000)) == "-(1-bit integer)/(14037-bit integer)"
 
 
 def test_format_rational_refuses_integers_past_the_print_limit():

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 from hypergrid import SamplingPlan, sample_unit_fractions
-from hypergrid.sampling import QUICK_PLAN, splitmix64, weyl_indices, weyl_units
+from hypergrid.sampling import splitmix64, weyl_indices, weyl_units
 
 
 def test_splitmix_matches_the_reference_sequence():
@@ -64,6 +64,7 @@ def test_plans_with_equal_configuration_agree():
 
 
 def test_quick_plan_is_small_but_exhaustive_on_tiny_grids():
-    assert QUICK_PLAN.is_exhaustive(4096)
-    assert not QUICK_PLAN.is_exhaustive(4097)
-    assert len(QUICK_PLAN.indices(10**9)) <= 1024 + 2**8 + 2 + 256
+    plan = SamplingPlan(random_points=1024, dyadic_depth=8, exhaustive_limit=4097)
+    assert plan.is_exhaustive(4096)
+    assert not plan.is_exhaustive(4097)
+    assert len(plan.indices(10**9)) <= 1024 + 2**8 + 2 + 256

@@ -292,23 +292,6 @@ MUTANTS = (
             "tests/test_calculus.py::test_integral_of_identity_at_one",
         ),
     ),
-    Mutant(
-        "integral stream yields before it accumulates",
-        "src/hypergrid/calculus.py",
-        "        acc += at(n)\n        yield spec.point(n), Fraction(acc, den)\n",
-        "        yield spec.point(n), Fraction(acc, den)\n        acc += at(n)\n",
-        (
-            "tests/test_calculus.py::test_integral_stream_matches_the_table",
-            "tests/test_calculus.py::test_integral_stream_is_lazy_and_stops_at_the_leftmost_failure",
-        ),
-    ),
-    Mutant(
-        "integral stream drops the lane's denominator",
-        "src/hypergrid/calculus.py",
-        "    den = f.den * spec.tau\n",
-        "    den = spec.tau\n",
-        ("tests/test_calculus.py::test_integral_stream_matches_the_table",),
-    ),
     # transport between grids by index
     Mutant(
         "transport rounds up",
@@ -499,6 +482,31 @@ MUTANTS = (
         "        for n, v in enumerate(numerators):\n",
         "        for n, v in islice(enumerate(numerators), 0, None, max(1, f.spec.tau // 64)):\n",
         ("tests/test_calculus.py::test_the_k_test_reads_every_point_of_an_uncertified_lane",),
+    ),
+    # error messages name wide numbers by their size
+    Mutant(
+        "log search error prints its argument in full again",
+        "src/hypergrid/series.py",
+        "        q = brief_rational(Fraction(a, b))\n",
+        "        q = Fraction(a, b)\n",
+        ("tests/test_cli.py::test_wide_numbers_in_errors_are_named_by_their_size",),
+    ),
+    Mutant(
+        "log of a non-positive value prints it in full again",
+        "src/hypergrid/functions.py",
+        "            value = brief_rational(Fraction(a, b))\n",
+        "            value = Fraction(a, b)\n",
+        ("tests/test_cli.py::test_wide_numbers_in_errors_are_named_by_their_size",),
+    ),
+    Mutant(
+        "literals are read past the int-from-text limit again",
+        "src/hypergrid/rational.py",
+        "    if longest > sys.get_int_max_str_digits() > 0:\n",
+        "    if False:\n",
+        (
+            "tests/test_rational.py::test_literals_past_the_int_text_limit_are_refused_with_their_size",
+            "tests/test_cli.py::test_wide_numbers_in_errors_are_named_by_their_size",
+        ),
     ),
 )
 
