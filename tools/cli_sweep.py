@@ -179,6 +179,16 @@ ERRORS = (
     ["eval", "log((2+x)^4096)", "--tau", "1024", "--at", "1/2"],
     # a literal one digit past Python's int-from-text limit
     ["eval", "x+" + "7" * 4301, "--tau", "16"],
+    # folded exponents, a domain end and a point far wider than a message
+    # should print; the first two are past the int-to-text limit
+    ["eval", "x^(3^4096*3^4096*3^1000)", "--tau", "16"],
+    ["eval", "x^(1/(3^4096*3^4096*3^1000))", "--tau", "16"],
+    ["eval", "x^(3^4096*3^4096)", "--tau", "16"],
+    ["eval", "x^(1/3^4096)", "--tau", "16"],
+    ["eval", "x", "--tau", "16", "--domain", "1", "1/" + "7" * 4000],
+    ["eval", "x", "--tau", "16", "--at", "7" * 4000],
+    # one point past the full policy's grid limit
+    ["eval", "exp(x)", "--tau", "16385", "--exp-mode", "full", "--at", "1/2"],
     ["check", "ftc", "x", "--tau", "16", "--samples", "0"],
     ["check", "ftc", "x", "--tau", "16", "--samples", str(2**25)],
     ["check", "area", "x", "--tau", "16"],
