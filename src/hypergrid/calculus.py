@@ -26,7 +26,7 @@ from functools import cache
 from itertools import islice
 from typing import Callable, Optional, Sequence, Tuple
 
-from .context import CheckReport, ObservationContext, _report
+from .context import CheckReport, ObservationContext, _peak, _report
 from .errors import DomainError, NotDifferentiableError
 from .grid import GridPoint, GridSpec, round_to_grid, successor
 from .gridfun import (
@@ -194,16 +194,13 @@ def grid_independence_check(
     The quotients are read by index: for each sampled point a = u / 2**64
     (``weyl_units``) the index n_i = floor(a * tau_i), reading g1 at n1 + 1
     and n1, then g2 at n2 + 1 and n2 (``_rise``, in integer pairs).  Each
-    quotient is a numerator over a denominator, the gaps and their running
-    maximum are compared cross-multiplied, and the witness is the first
-    sample whose gap exceeds 2/H; one Fraction, the report's max_gap, is
-    formed at the end.
+    quotient is a numerator over a denominator, and ``_peak`` holds their
+    gaps to 2/H; the witness is the first sample above it.
     """
     if samples < 1:
         raise DomainError(f"grid independence check needs at least one sample, got {samples}")
     # both phases read nearly the same indices: share them for this check only
     g1, g2 = (GridFunction(g.spec, cache(g.at), den=g.den) for g in (f1, f2))
-    tol = 2 * ctx.infinitesimal_scale
     grids = [g1.spec.tau, g2.spec.tau]
 
     carried = transport(g1, g2.spec)
@@ -227,30 +224,15 @@ def grid_independence_check(
 
     rise1, tau1 = _rise(g1), g1.spec.tau
     rise2, tau2 = _rise(g2), g2.spec.tau
-    worst, scale = 0, 1  # the largest gap so far, worst / scale
-    witness = None
-    for u in weyl_units(samples, seed):
-        n1, n2 = (u * tau1) >> 64, (u * tau2) >> 64
-        r1, e1 = rise1(n1)  # quotient i is r_i * tau_i / e_i
-        r2, e2 = rise2(n2)
-        den = e1 * e2
-        gap = abs(r1 * tau1 * e2 - r2 * tau2 * e1)
-        if gap * scale > worst * den:
-            worst, scale = gap, den
-            if witness is None and gap * ctx.H > 2 * den:  # gap / den > 2/H
-                witness = f"a={Fraction(u, 1 << 64)}"
-    max_gap = Fraction(worst, scale)
-    return _report(
-        "grid-independence",
-        grids,
-        ctx,
-        samples,
-        max_gap,
-        tol,
-        max_gap <= tol,
-        "sampled",
-        witness,
-    )
+
+    def gaps():
+        for u in weyl_units(samples, seed):
+            r1, e1 = rise1((u * tau1) >> 64)  # quotient i is r_i * tau_i / e_i
+            r2, e2 = rise2((u * tau2) >> 64)
+            yield abs(r1 * tau1 * e2 - r2 * tau2 * e1), e1 * e2, u
+
+    tol, where = 2 * ctx.infinitesimal_scale, lambda u: f"a={Fraction(u, 1 << 64)}"
+    return _peak("grid-independence", grids, ctx, samples, gaps(), tol, "sampled", where)
 
 
 @dataclass(frozen=True)
@@ -401,30 +383,22 @@ def limit_check(
 
     The walk is ``_probe_walk``'s, in integers.  A probe's gap is
     dev * tau / (den * k), dev / den its deviation (``_deviations``), and
-    the gaps keep one running maximum as a numerator and a denominator,
-    compared cross-multiplied; the witness, the first point with a probe
-    above 2/H, is tested only where the maximum rises.  One Fraction, the
-    report's max_gap, is formed at the end."""
+    ``_peak`` keeps the largest; the witness is the first point with a
+    probe above 2/H."""
     if not points:
         raise DomainError("limit check needs at least one point")
     seq = ConvergentSequence(lambda i: Fraction(1, 2**i), Fraction(0), ctx)
     steps = _band_offsets(f, seq)
     tau = f.spec.tau
-    tau_h = tau * ctx.H  # a probe's gap exceeds 2/H iff dev * tau * H > 2 * den * k
-    worst, scale = 0, 1  # the largest gap so far, worst * tau / scale
-    witness = None
-    for s in points:
-        x = min(round_to_grid(Fraction(s), f.spec).index, tau - 1)
-        for (_, k), (dev, den) in zip(steps, _deviations(*_probe_walk(f, x, steps))):
-            den *= k  # the halving steps are positive
-            if dev * scale > worst * den:
-                worst, scale = dev, den
-                if witness is None and dev * tau_h > 2 * den:
-                    witness = f"x={Fraction(x, tau)}"
-    max_gap = Fraction(worst * tau, scale)
-    tol = 2 * ctx.infinitesimal_scale
-    count = len(points) * len(steps)
-    return _report("limit", [tau], ctx, count, max_gap, tol, max_gap <= tol, "sampled", witness)
+
+    def gaps():
+        for s in points:
+            x = min(round_to_grid(Fraction(s), f.spec).index, tau - 1)
+            for (_, k), (dev, den) in zip(steps, _deviations(*_probe_walk(f, x, steps))):
+                yield dev * tau, den * k, x  # the halving steps are positive
+
+    tol, where = 2 * ctx.infinitesimal_scale, lambda x: f"x={Fraction(x, tau)}"
+    return _peak("limit", [tau], ctx, len(points) * len(steps), gaps(), tol, "sampled", where)
 
 
 def cumulative_values(f: GridFunction, workers: int = 1) -> list:

@@ -43,7 +43,7 @@ from .context import DEFAULT_K, CheckReport, ObservationContext
 from .errors import DomainError, EvaluationError, HypergridError, ResourceLimitError
 from .grid import GridSpec, round_to_grid
 from .gridfun import MATERIALIZE_LIMIT, continuity_check
-from .rational import format_rational, parse_rational, render_decimal
+from .rational import brief_rational, format_rational, parse_rational, render_decimal
 from .sampling import SamplingPlan, sample_unit_fractions
 from .series import TruncationPolicy, countable_sum, is_unstable
 
@@ -156,7 +156,7 @@ def build_job(argv=None) -> JobConfig:
         return job
     a, b = (parse_rational(s) for s in job.domain)
     if b <= a:
-        raise DomainError(f"empty domain [{a}, {b}]")
+        raise DomainError(f"empty domain [{brief_rational(a)}, {brief_rational(b)}]")
     return replace(job, domain=(a, b))
 
 
@@ -197,12 +197,12 @@ def _tree(job: JobConfig):
 def _unit_point(job: JobConfig, fallback: Fraction) -> Fraction:
     if job.at is None:
         return fallback
-    s = parse_rational(job.at)
+    point = s = parse_rational(job.at)
     if job.domain is not None:
         a, b = job.domain
         s = (s - a) / (b - a)
     if not 0 <= s <= 1:
-        raise DomainError(f"point {job.at} falls outside the working domain")
+        raise DomainError(f"point {brief_rational(point)} falls outside the working domain")
     return s
 
 

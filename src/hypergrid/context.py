@@ -130,3 +130,22 @@ def _report(check, grids, ctx, samples, max_gap, tol, ok, mode, witness=None, **
         witness=witness,
         detail=detail,
     )
+
+
+def _peak(check, grids, ctx, samples, probes, tol, mode, where):
+    """``_report`` for a check that holds gaps to ``tol``: ``probes``
+    yields (gap, den, key), nonnegative integers, one gap gap / den per
+    probe.  The largest gap so far is kept as an integer pair and compared
+    cross-multiplied; the tolerance is tested only where that maximum
+    rises, which the first probe above ``tol`` does, and ``where(key)``
+    names it as the witness.  One Fraction, the report's max_gap, is
+    formed at the end."""
+    worst, scale = 0, 1  # the largest gap so far, worst / scale
+    witness = None
+    for gap, den, key in probes:
+        if gap * scale > worst * den:
+            worst, scale = gap, den
+            if witness is None and gap * tol.denominator > tol.numerator * den:
+                witness = where(key)
+    max_gap = Fraction(worst, scale)
+    return _report(check, grids, ctx, samples, max_gap, tol, max_gap <= tol, mode, witness)

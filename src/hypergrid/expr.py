@@ -37,7 +37,7 @@ from .errors import DomainError, EvaluationError, ParseError, ResourceLimitError
 from .functions import constant, exp_fn, exp_of, identity, log_of
 from .grid import GridSpec
 from .gridfun import GridFunction, certificates_of, product_rule
-from .rational import parse_rational
+from .rational import brief_rational, parse_rational
 from .series import DEFAULT_POLICY, TruncationPolicy
 
 #: The largest exponent "^" may carry.  A power's values grow with its
@@ -173,7 +173,7 @@ class _Parser:
                 raise ParseError("exponent must be constant", position=exp_pos)
             if folded.denominator != 1 or folded < 0:
                 raise ParseError(
-                    f"exponent must be a nonnegative integer, got {folded}",
+                    f"exponent must be a nonnegative integer, got {brief_rational(folded)}",
                     position=exp_pos,
                 )
             return Pow(base, int(folded))
@@ -291,7 +291,8 @@ def _exponent(node: Pow) -> int:
     if node.exponent < 0:
         raise DomainError(f"exponent must be a nonnegative integer, got {node.exponent}")
     if node.exponent > POWER_LIMIT:
-        raise ResourceLimitError(f"exponent {node.exponent} exceeds the limit {POWER_LIMIT}")
+        k = brief_rational(node.exponent)
+        raise ResourceLimitError(f"exponent {k} exceeds the limit {POWER_LIMIT}")
     return node.exponent
 
 

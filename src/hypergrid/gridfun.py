@@ -35,11 +35,11 @@ as the constant function c, bound |c| and modulus 0, whose difference
 quotient is 0: a shift is a sum and a scaling a product.
 
 Function-level indiscernibility (``fn_indiscernible``, also a
-``CheckReport``) compares |f - g| pointwise against 1/H, cross-multiplied:
-each side is read as an integer pair (N, D), its numerator over its
-``den``, so no Fraction is formed per read.  (The absolute difference is
-used even where a one-sided gap would do; the relation is treated as a
-symmetric distance throughout.)
+``CheckReport``) compares |f - g| pointwise against 1/H: each side is
+read as an integer pair (N, D), its numerator over its ``den``, and the
+gaps are reduced by ``context._peak``, so no Fraction is formed per read.
+(The absolute difference is used even where a one-sided gap would do; the
+relation is treated as a symmetric distance throughout.)
 ``transport`` carries a function to another grid by index: the point
 m/tau_b reads the source at floor(m * tau_a / tau_b), its rounding down,
 and keeps its lane.
@@ -50,7 +50,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Optional
 
-from .context import CheckReport, ObservationContext, _report
+from .context import CheckReport, ObservationContext, _peak, _report
 from .errors import DomainError, GridMismatchError, ResourceLimitError
 from .grid import GridPoint, GridSpec, successor
 from .sampling import SamplingPlan
@@ -302,39 +302,21 @@ def fn_indiscernible(
 
     At each index f is read before g, as integer pairs (``_pair_at``):
     with f = Nf / df and g = Ng / dg, the gap is |Nf * dg - Ng * df| over
-    df * dg.  Gaps, the running maximum (a numerator and a denominator)
-    and the tolerance are compared cross-multiplied; one Fraction is
-    formed, for the report's max_gap."""
+    df * dg, and ``_peak`` keeps the largest."""
     if f.spec != g.spec:
         raise GridMismatchError("cannot compare functions on different grids")
     tau = f.spec.tau
     pair_f, pair_g = f._pair_at(), g._pair_at()
-    H = ctx.H
     indices = plan.indices(tau)
-    worst, scale = 0, 1  # the largest gap so far, worst / scale
-    witness = None
-    for n in indices:
-        nf, df = pair_f(n)
-        ng, dg = pair_g(n)
-        den = df * dg
-        gap = abs(nf * dg - ng * df)
-        if gap * scale > worst * den:
-            worst, scale = gap, den
-            if gap * H > den and witness is None:  # gap / den > 1/H
-                witness = str(Fraction(n, tau))
-    max_gap = Fraction(worst, scale)
-    tol = ctx.infinitesimal_scale
-    return _report(
-        "indiscernible",
-        [tau],
-        ctx,
-        len(indices),
-        max_gap,
-        tol,
-        max_gap <= tol,
-        plan.mode(tau),
-        witness,
-    )
+
+    def gaps():
+        for n in indices:
+            nf, df = pair_f(n)
+            ng, dg = pair_g(n)
+            yield abs(nf * dg - ng * df), df * dg, n
+
+    tol, where = ctx.infinitesimal_scale, lambda n: str(Fraction(n, tau))
+    return _peak("indiscernible", [tau], ctx, len(indices), gaps(), tol, plan.mode(tau), where)
 
 
 def transport(f: GridFunction, spec: GridSpec) -> GridFunction:

@@ -74,11 +74,13 @@ def format_rational(q: Fraction) -> str:
 
 def brief_rational(q: Fraction) -> str:
     """``str(q)`` if neither term has over 256 bits (about 77 digits), else
-    their sizes in bits: how an error message names a computed value."""
+    their sizes in bits, or an integer's size alone: how an error message
+    names a computed value."""
     a, b = q.numerator.bit_length(), q.denominator.bit_length()
     if max(a, b) <= 256:
         return str(q)
-    return f"{'-' if q < 0 else ''}({a}-bit integer)/({b}-bit integer)"
+    sign = "-" if q < 0 else ""
+    return f"{sign}({a}-bit integer)" if b == 1 else f"{sign}({a}-bit integer)/({b}-bit integer)"
 
 
 def render_decimal(q: Fraction, digits: int = 12) -> str:

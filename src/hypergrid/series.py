@@ -61,7 +61,10 @@ from .errors import DomainError, ResourceLimitError, SearchRangeError
 from .rational import brief_rational
 from .reals import MINUS_INFINITY, PLUS_INFINITY, ExtendedReal, real_from_rational
 
-FULL_TAU_LIMIT = 2**17
+#: The largest grid summed under the full policy.  Its Horner table, tau
+#: coefficients of up to 2 tau log2(tau) bits, takes 436 MiB at 2**14 and
+#: about 4.3 times as much per doubling of tau.
+FULL_TAU_LIMIT = 2**14
 #: The largest |q| whose exponential is summed: past it the series needs
 #: more than 2|q| terms and e**|q| has thousands of digits.
 EXP_ARGUMENT_LIMIT = 2**12
@@ -142,27 +145,21 @@ def _horner(a: int, coefficients: list) -> int:
     return num
 
 
-def _exp_guard(m: int, b: int, tau: int, policy: TruncationPolicy):
-    """The kernel's refusals, in order: the grid under the policy, then
-    |q| = m/b past ``EXP_ARGUMENT_LIMIT``."""
-    _require_grid(tau, policy)
-    if m > EXP_ARGUMENT_LIMIT * b:
-        raise ResourceLimitError(
-            f"exp argument exceeds the magnitude limit {EXP_ARGUMENT_LIMIT}"
-        )
-
-
 def _exp_kernel(a: int, b: int, tau: int, policy: TruncationPolicy):
     """The truncated exponential at a/b (b > 0, not necessarily in lowest
     terms) in integers: (numerator, b**stop * stop!, stop), the partial
     sum through the stop index over its denominator.
 
-    The stop index comes first (``_stop_index``); the sum then runs
-    top-down by Horner over the coefficients of ``_horner_coefficients``,
-    one multiplication of the numerator by a per term.
+    It refuses the grid under the policy, then |a/b| past
+    ``EXP_ARGUMENT_LIMIT``.  The stop index comes first (``_stop_index``);
+    the sum then runs top-down by Horner over the coefficients of
+    ``_horner_coefficients``, one multiplication of the numerator by a per
+    term.
     """
     m = abs(a)
-    _exp_guard(m, b, tau, policy)
+    _require_grid(tau, policy)
+    if m > EXP_ARGUMENT_LIMIT * b:
+        raise ResourceLimitError(f"exp argument exceeds the magnitude limit {EXP_ARGUMENT_LIMIT}")
     stop = _stop_index(m, b, tau, policy)
     coefficients = _horner_coefficients(b, stop)
     return _horner(a, coefficients), coefficients[-1], stop
@@ -223,8 +220,8 @@ def _exp_reader(b: int, tau: int, policy: TruncationPolicy):
     The stop index is non-decreasing in m = |a|, so the m with one stop
     index s form a segment [lo, hi].  A read whose m lies in a learned
     segment is one bisection over the segments' lower ends and one Horner
-    sum.  Any other read sums like the kernel: it checks the grid and the
-    magnitude limit and takes m's stop index s.  If s was met before, the
+    sum.  Any other read is a kernel call, which refuses what the kernel
+    refuses and gives m's stop index s.  If s was met before, the
     read also learns s's segment from ``_stop_bound`` at s - 1 and at s,
     clamped to the magnitude limit: a few powers, about one stop test.
     So sparse reads, one per stop index (|q| in the hundreds on a coarse
@@ -253,17 +250,15 @@ def _exp_reader(b: int, tau: int, policy: TruncationPolicy):
         m = -a if a < 0 else a
         j = bisect_right(los, m) - 1
         if j < 0 or m > segments[j][1]:
-            _exp_guard(m, b, tau, policy)
-            s = _stop_index(m, b, tau, policy)
+            num, den, s = _exp_kernel(a, b, tau, policy)
             if s in met:  # the second read at a stop index learns its segment
                 lo = _stop_bound(s - 1, b, tau, policy) + 1
                 hi = top if s >= tau else min(_stop_bound(s, b, tau, policy), top)
                 los.insert(j + 1, lo)
                 segments.insert(j + 1, [lo, hi, s, None, None])
             met.add(s)
-            coefficients = _horner_coefficients(b, s)
-            returned += coefficients[-1].bit_length()
-            return _horner(a, coefficients), coefficients[-1], s
+            returned += den.bit_length()
+            return num, den, s
         segment = segments[j]
         _, _, s, coefficients, size = segment
         if coefficients is None:

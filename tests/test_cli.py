@@ -200,6 +200,31 @@ def test_digits_past_the_print_limit_are_an_error_not_a_traceback(capsys):
         ),
         (["eval", "x+" + "7" * 4301, "--tau", "16"], "a 4301-digit term is past the limit"),
         (["eval", "x", "--at", "1/" + "7" * 4301], "a 4301-digit term is past the limit"),
+        # folded exponents past and within the int-to-text limit
+        (
+            ["eval", "x^(3^4096*3^4096*3^1000)", "--tau", "16"],
+            "exponent (14569-bit integer) exceeds the limit 4096",
+        ),
+        (
+            ["eval", "x^(1/(3^4096*3^4096*3^1000))", "--tau", "16"],
+            "exponent must be a nonnegative integer, got (1-bit integer)/(14569-bit integer)",
+        ),
+        (
+            ["eval", "x^(3^4096*3^4096)", "--tau", "16"],
+            "exponent (12985-bit integer) exceeds the limit 4096",
+        ),
+        (
+            ["eval", "x^(1/3^4096)", "--tau", "16"],
+            "exponent must be a nonnegative integer, got (1-bit integer)/(6493-bit integer)",
+        ),
+        (
+            ["eval", "x", "--tau", "16", "--domain", "1", "1/" + "7" * 4000],
+            "empty domain [1, (1-bit integer)/(13288-bit integer)]",
+        ),
+        (
+            ["eval", "x", "--tau", "16", "--at", "7" * 4000],
+            "point (13288-bit integer) falls outside the working domain",
+        ),
     ],
 )
 def test_wide_numbers_in_errors_are_named_by_their_size(capsys, argv, error):

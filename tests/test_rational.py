@@ -101,6 +101,7 @@ def test_brief_rational_names_wide_terms_by_their_bits():
     assert brief_rational(Fraction(-(2**256) + 1, 3)) == str(Fraction(-(2**256) + 1, 3))
     assert brief_rational(Fraction(2**256, 3)) == "(257-bit integer)/(2-bit integer)"
     assert brief_rational(Fraction(-1, 7**5000)) == "-(1-bit integer)/(14037-bit integer)"
+    assert brief_rational(-(2**256)) == "-(257-bit integer)"
 
 
 def test_format_rational_refuses_integers_past_the_print_limit():

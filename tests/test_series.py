@@ -10,14 +10,17 @@ from hypothesis import strategies as st
 from hypergrid import series
 from hypergrid import (
     DomainError,
+    GridSpec,
     ObservationContext,
     ResourceLimitError,
     SearchRangeError,
     TruncationPolicy,
+    compile,
     countable_sum,
     exp_approx,
     is_unstable,
     log_approx,
+    parse,
 )
 from hypergrid.reals import MINUS_INFINITY, PLUS_INFINITY
 from hypergrid.series import (
@@ -235,6 +238,33 @@ def test_full_policy_limit_is_checked_before_the_search():
     for q in (Fraction(1), Fraction(1, 3), Fraction(10**30)):
         with pytest.raises(ResourceLimitError):
             log_approx(q, FULL_TAU_LIMIT + 1, FULL_POLICY)
+
+
+def test_full_policy_past_2_to_the_14_is_refused_before_a_table_is_built(monkeypatch):
+    # a table at this size takes about 440 MB, so the stand-in records
+    # the call and stops instead of building one
+    tau = 2**14 + 1
+    built = []
+
+    def refuse(*args):
+        built.append(args)
+        raise AssertionError("a Horner table was built")
+
+    monkeypatch.setattr(series, "_horner_coefficients", refuse)
+    f = compile(parse("exp(x)"), GridSpec(tau), FULL_POLICY)
+    reads = (
+        lambda: exp_approx(Fraction(1, 2), tau, FULL_POLICY),
+        lambda: log_approx(Fraction(3), tau, FULL_POLICY),
+        lambda: f.at(tau // 2),
+    )
+    for read in reads:
+        with pytest.raises(ResourceLimitError):
+            read()
+    assert built == []
+
+
+def test_the_full_policy_admits_2_to_the_14():
+    assert series._require_grid(2**14, FULL_POLICY) is None
 
 
 def test_log_evaluates_the_exponential_a_few_times_per_call(monkeypatch):

@@ -38,6 +38,13 @@ class Mutant:
     tests: tuple
 
 
+#: every check whose report comes from ``context._peak``
+_PEAK_TESTS = (
+    "tests/test_checks_reference.py::test_fn_indiscernible_equals_the_reference",
+    "tests/test_checks_reference.py::test_grid_independence_check_equals_the_reference",
+    "tests/test_checks_reference.py::test_limit_check_equals_the_reference",
+)
+
 MUTANTS = (
     # the integer exp and log kernels
     Mutant(
@@ -137,28 +144,26 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "limit witness at the last failing point",
-        "src/hypergrid/calculus.py",
-        "                if witness is None and dev * tau_h > 2 * den:\n",
-        "                if dev * tau_h > 2 * den:\n",
-        ("tests/test_checks_reference.py::test_limit_check_equals_the_reference",),
+        "peak witness at the last probe above the tolerance",
+        "src/hypergrid/context.py",
+        "            if witness is None and gap * tol.denominator > tol.numerator * den:\n",
+        "            if gap * tol.denominator > tol.numerator * den:\n",
+        _PEAK_TESTS,
     ),
     Mutant(
         "grid-independence gap with tau1 * den1",
         "src/hypergrid/calculus.py",
-        "        gap = abs(r1 * tau1 * e2 - r2 * tau2 * e1)\n",
-        "        gap = abs(r1 * tau1 * e1 - r2 * tau2 * e1)\n",
+        "            yield abs(r1 * tau1 * e2 - r2 * tau2 * e1), e1 * e2, u\n",
+        "            yield abs(r1 * tau1 * e1 - r2 * tau2 * e1), e1 * e2, u\n",
         ("tests/test_checks_reference.py::test_grid_independence_check_equals_the_reference",),
     ),
     Mutant(
-        "indiscernibility tolerance test with >=",
-        "src/hypergrid/gridfun.py",
-        "            if gap * H > den and witness is None:  # gap / den > 1/H\n",
-        "            if gap * H >= den and witness is None:  # gap / den > 1/H\n",
-        (
-            "tests/test_gridfun.py::test_fn_indiscernible_accepts_a_gap_of_exactly_one_over_h",
-            "tests/test_checks_reference.py::test_fn_indiscernible_equals_the_reference",
-        ),
+        "peak tolerance test with >=",
+        "src/hypergrid/context.py",
+        "            if witness is None and gap * tol.denominator > tol.numerator * den:\n",
+        "            if witness is None and gap * tol.denominator >= tol.numerator * den:\n",
+        ("tests/test_gridfun.py::test_fn_indiscernible_accepts_a_gap_of_exactly_one_over_h",)
+        + _PEAK_TESTS,
     ),
     Mutant(
         "transport drops the lane's denominator",
@@ -254,25 +259,25 @@ MUTANTS = (
         ("tests/test_series.py::test_stop_bound_is_the_last_magnitude_at_or_below_a_stop",),
     ),
     Mutant(
-        "reader without its magnitude guard",
+        "kernel without its magnitude test",
         "src/hypergrid/series.py",
-        "            _exp_guard(m, b, tau, policy)\n",
-        "            _require_grid(tau, policy)\n",
-        ("tests/test_series.py::test_exp_reader_equals_the_kernel",),
+        "    if m > EXP_ARGUMENT_LIMIT * b:\n",
+        "    if False:\n",
+        ("tests/test_series.py::test_exp_argument_is_magnitude_guarded",),
     ),
     Mutant(
         "indiscernibility pair gap over dg * dg",
         "src/hypergrid/gridfun.py",
-        "        den = df * dg\n",
-        "        den = dg * dg\n",
+        "            yield abs(nf * dg - ng * df), df * dg, n\n",
+        "            yield abs(nf * dg - ng * df), dg * dg, n\n",
         ("tests/test_checks_reference.py::test_fn_indiscernible_equals_the_reference",),
     ),
     Mutant(
-        "limit peak compared without cross-multiplying",
-        "src/hypergrid/calculus.py",
-        "            if dev * scale > worst * den:\n",
-        "            if dev > worst:\n",
-        ("tests/test_checks_reference.py::test_limit_check_equals_the_reference",),
+        "peak compared without cross-multiplying",
+        "src/hypergrid/context.py",
+        "        if gap * scale > worst * den:\n",
+        "        if gap > worst:\n",
+        _PEAK_TESTS,
     ),
     Mutant(
         "verify's last-term test with <",
@@ -465,8 +470,8 @@ MUTANTS = (
     Mutant(
         "limit maximum drops k",
         "src/hypergrid/calculus.py",
-        "            den *= k  # the halving steps are positive\n",
-        "",
+        "                yield dev * tau, den * k, x  # the halving steps are positive\n",
+        "                yield dev * tau, den, x  # the halving steps are positive\n",
         ("tests/test_checks_reference.py::test_limit_check_equals_the_reference",),
     ),
     Mutant(
@@ -506,6 +511,45 @@ MUTANTS = (
         (
             "tests/test_rational.py::test_literals_past_the_int_text_limit_are_refused_with_their_size",
             "tests/test_cli.py::test_wide_numbers_in_errors_are_named_by_their_size",
+        ),
+    ),
+    Mutant(
+        "exponent limit error prints the exponent in full again",
+        "src/hypergrid/expr.py",
+        "        k = brief_rational(node.exponent)\n",
+        "        k = node.exponent\n",
+        ("tests/test_cli.py::test_wide_numbers_in_errors_are_named_by_their_size",),
+    ),
+    Mutant(
+        "non-integer exponent error prints it in full again",
+        "src/hypergrid/expr.py",
+        'got {brief_rational(folded)}",\n',
+        'got {folded}",\n',
+        ("tests/test_cli.py::test_wide_numbers_in_errors_are_named_by_their_size",),
+    ),
+    Mutant(
+        "empty domain error prints its ends in full again",
+        "src/hypergrid/cli.py",
+        'f"empty domain [{brief_rational(a)}, {brief_rational(b)}]"',
+        'f"empty domain [{a}, {b}]"',
+        ("tests/test_cli.py::test_wide_numbers_in_errors_are_named_by_their_size",),
+    ),
+    Mutant(
+        "point outside the domain printed in full again",
+        "src/hypergrid/cli.py",
+        'f"point {brief_rational(point)} falls outside the working domain"',
+        'f"point {point} falls outside the working domain"',
+        ("tests/test_cli.py::test_wide_numbers_in_errors_are_named_by_their_size",),
+    ),
+    # the full policy's Horner table is refused before it outgrows memory
+    Mutant(
+        "full-policy grid limit back at 2**17",
+        "src/hypergrid/series.py",
+        "FULL_TAU_LIMIT = 2**14\n",
+        "FULL_TAU_LIMIT = 2**17\n",
+        (
+            "tests/test_series.py::"
+            "test_full_policy_past_2_to_the_14_is_refused_before_a_table_is_built",
         ),
     ),
 )
