@@ -79,8 +79,8 @@ def brief_rational(q: Fraction) -> str:
     a, b = q.numerator.bit_length(), q.denominator.bit_length()
     if max(a, b) <= 256:
         return str(q)
-    sign = "-" if q < 0 else ""
-    return f"{sign}({a}-bit integer)" if b == 1 else f"{sign}({a}-bit integer)/({b}-bit integer)"
+    text = f"{'-' if q < 0 else ''}({a}-bit integer)"
+    return text if b == 1 else f"{text}/({b}-bit integer)"
 
 
 def render_decimal(q: Fraction, digits: int = 12) -> str:
