@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import islice
+from math import lcm
 from typing import Callable, Optional, Sequence, Tuple
 
 from .context import CheckReport, ObservationContext, _peak, _report
@@ -404,26 +405,32 @@ def limit_check(
 def cumulative_values(f: GridFunction, workers: int = 1) -> list:
     """Prefix sums of f over the whole grid: out[n] = sum(f(i/tau) for
     i in 0..n), in one serial pass (``_running_sums``).  The numerators
-    are summed, and each prefix then becomes one Fraction over their
-    denominator, in place.  ``workers`` must be at least 1 and selects
-    nothing; it stays for the benchmark's tracing probe and criterion 9."""
+    are summed as integers over their least common denominator L, and
+    each prefix then becomes one Fraction over den * L, in place.
+    ``workers`` must be at least 1 and selects nothing; it stays for the
+    benchmark's tracing probe and criterion 9."""
     if workers < 1:
         raise DomainError(f"workers must be at least 1, got {workers}")
     numerators, den = _integrand_numerators(f, None)
-    sums = _running_sums(numerators)
+    sums, lcd = _running_sums(numerators)
+    den *= lcd
     if den != 1:
         for i, s in enumerate(sums):
             sums[i] = Fraction(s, den)
     return sums
 
 
-def _running_sums(terms: list) -> list:
-    """Turn ``terms`` into its inclusive running sums, in place, so that
-    each term is released as its sum replaces it."""
-    acc = terms[0]
-    for i in range(1, len(terms)):
-        acc = terms[i] = acc + terms[i]
-    return terms
+def _running_sums(terms: list) -> tuple:
+    """(terms, L): ``terms`` turned into its inclusive running sums, in
+    place, so that each term is released as its sum replaces it.  The
+    terms are put over their least common denominator L (1 when all are
+    ints) and summed as integers, so each sum over L is the sum of the
+    terms, and no sum pays a gcd."""
+    lcd = lcm(*(v.denominator for v in terms))
+    acc = 0
+    for i, v in enumerate(terms):
+        acc = terms[i] = acc + v.numerator * (lcd // v.denominator)
+    return terms, lcd
 
 
 def integral(f: GridFunction, ctx: Optional[ObservationContext] = None) -> GridFunction:
@@ -437,7 +444,8 @@ def integral(f: GridFunction, ctx: Optional[ObservationContext] = None) -> GridF
     f's own value certificate becomes the quotient certificate.
     """
     numerators, den = _integrand_numerators(f, ctx)
-    return _antiderivative(f, _running_sums(numerators), den)
+    sums, lcd = _running_sums(numerators)
+    return _antiderivative(f, sums, den * lcd)
 
 
 def _integrand_numerators(f: GridFunction, ctx: Optional[ObservationContext]):
@@ -457,11 +465,10 @@ def _integrand_numerators(f: GridFunction, ctx: Optional[ObservationContext]):
 
 
 def _antiderivative(f: GridFunction, sums: list, den: int) -> GridFunction:
-    """The integral from the prefix sums of f's ``numerators`` (N, den):
-    the lane (sums[n], den * tau), since the integral at n/tau is
-    sums[n] / den * eps.  Fraction numerators, as an exp or division
-    integrand has, sum to Fraction numerators.  It inherits f's
-    certificates."""
+    """The integral from integer prefix sums of f over ``den``
+    (``_running_sums``' sums, over f's den times their L): the integer
+    lane (sums[n], den * tau), since the integral at n/tau is
+    sums[n] / den * eps.  It inherits f's certificates."""
     eps = f.spec.epsilon
     qcert = f.certificate
     cert = qcert and Certificate(qcert.bound * (1 + eps), qcert.bound, Fraction(0))
@@ -478,43 +485,57 @@ def ftc_check(
     Layer one is exact: Delta(sum f dx)/dx (u) == f(successor(u)) must
     hold with zero error at every probed u; any violation is a hard
     failure regardless of context.  It reads the integral's own lane
-    (S, D): with f = N / den, the quotient at u = n/tau is
-    (S[n+1] - S[n]) * tau / D, so the identity is compared
-    cross-multiplied, in integers when f's numerators are.  Layer two
-    reads f(successor(u)) vs f(u) at the context; max_gap reports that
-    comparison against 1/H.
+    (S, D).  With f = N / den and L the common denominator of the
+    numerators its prefix sums put them over, the quotient at u = n/tau
+    is (S[n+1] - S[n]) * tau / D, so once D is found equal to
+    den * L * tau the identity reads S[n+1] - S[n] == N[n+1] * L, in
+    integers (a lane over any other D fails every probe).  Each probed
+    point's numerator is scaled by L once.  Layer two reads
+    f(successor(u)) vs f(u) at the context from the same scaled
+    numerators; max_gap reports that comparison against 1/H.  The K test
+    reads the numerators before scaling.
     """
-    spec = f.spec
+    tau = f.spec.tau
     numerators, den = _integrand_numerators(f, ctx)
-    anti = _antiderivative(f, _running_sums(list(numerators)), den)
-    sums, anti_den = anti.numerators()
+    sums, lcd = _running_sums(list(numerators))
+    sums, anti_den = _antiderivative(f, sums, den * lcd).numerators()
+    lane_ok = anti_den == den * lcd * tau
     tol = ctx.infinitesimal_scale
     exact_violations = 0
     witness = None
     max_gap = 0
     count = 0
-    for n in plan.indices(spec.tau):
-        if n >= spec.tau:
+    prev, upper = -2, None  # the last probed index, and its successor's scaled numerator
+    for n in plan.indices(tau):
+        if n >= tau:
             continue
         count += 1
-        if (sums[n + 1] - sums[n]) * spec.tau * den != numerators[n + 1] * anti_den:
+        v = numerators[n + 1]
+        hi = v.numerator * (lcd // v.denominator)
+        if n == prev + 1:
+            lo = upper
+        else:
+            v = numerators[n]
+            lo = v.numerator * (lcd // v.denominator)
+        prev, upper = n, hi
+        if not lane_ok or sums[n + 1] - sums[n] != hi:
             exact_violations += 1
             if witness is None:
-                witness = f"u={Fraction(n, spec.tau)}"
-        gap = abs(numerators[n + 1] - numerators[n])
+                witness = f"u={Fraction(n, tau)}"
+        gap = abs(hi - lo)
         if gap > max_gap:
             max_gap = gap
-    max_gap = Fraction(max_gap, den)
+    max_gap = Fraction(max_gap, den * lcd)
     ok = exact_violations == 0 and max_gap <= tol
     return _report(
         "ftc",
-        [spec.tau],
+        [tau],
         ctx,
         count,
         max_gap,
         tol,
         ok,
-        plan.mode(spec.tau),
+        plan.mode(tau),
         witness,
         exact_violations=exact_violations,
     )

@@ -29,6 +29,7 @@ only when the divisor folds to a constant.
 
 import operator
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
@@ -228,7 +229,18 @@ def fold_constant(node: Node) -> Optional[Fraction]:
         return _ARITHMETIC[node.op](a, b)
     if isinstance(node, Pow):
         v = fold_constant(node.base)
-        return None if v is None else v ** _exponent(node)
+        if v is None:
+            return None
+        # refused before it is computed: k times the bits of v's wider term
+        # past the bits of the widest integer read from text (when limited)
+        k, width = _exponent(node), max(v.numerator.bit_length(), v.denominator.bit_length())
+        digits = sys.get_int_max_str_digits()
+        if k * width > (10**digits - 1).bit_length() > 0:
+            raise ResourceLimitError(
+                f"constant power {brief_rational(v)}^{k} exceeds the {digits}-digit"
+                " limit for reading integers"
+            )
+        return v**k
     return None
 
 

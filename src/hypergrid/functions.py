@@ -87,7 +87,9 @@ def exp_of(g: GridFunction, policy: TruncationPolicy = DEFAULT_POLICY) -> GridFu
     integer numerator over g's denominator through one reader over that
     denominator built with the node (``series._exp_reader``), a Fraction
     numerator's own numerator over its denominator times g's through the
-    kernel at each read.
+    kernel at each read.  Among the library's nodes, a Fraction numerator
+    comes only from a division or exp node in g; an integral is an
+    integer lane.
 
     A certified g with |g| <= B gives a value certificate: exp has
     Lipschitz constant e**B <= 3**ceil(B) on [-B, B], so the modulus is

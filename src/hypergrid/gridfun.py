@@ -19,7 +19,9 @@ have integer numerators; exp and division nodes are lanes over 1 whose
 numerators are their Fraction values.  The algebra combines lanes
 alongside the certificates (sums over the lcm of the denominators,
 products over their product), so a polynomial costs one Fraction per
-value and ``numerators`` keeps its prefix sums in integers.
+value.  Prefix sums put any lane's numerators over their least common
+denominator and add them as integers, so an integral is an integer lane
+whatever its integrand.
 
 Continuity here is a three-valued, auditable claim.  A function may carry
 a certificate, three rationals: an upper bound on |f| over the grid and

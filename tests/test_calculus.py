@@ -394,15 +394,38 @@ def test_workers_below_one_are_refused(workers):
         cumulative_values(square(spec), workers=workers)
 
 
+_INTS = st.integers(-(10**9), 10**9)
+_FRACTIONS = st.fractions(max_denominator=10**4)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    st.lists(st.integers(-(10**9), 10**9), min_size=1, max_size=64)
-    | st.lists(st.fractions(max_denominator=10**4), min_size=1, max_size=64),
+    st.lists(_INTS, min_size=1, max_size=64)
+    | st.lists(_FRACTIONS, min_size=1, max_size=64)
+    | st.lists(_INTS | _FRACTIONS, min_size=1, max_size=64),
 )
 def test_running_sums_accumulate_in_place(terms):
+    # integer sums over the least common denominator of the terms
     expected = list(itertools.accumulate(terms))
-    assert calculus._running_sums(terms) is terms
-    assert terms == expected
+    lcd = math.lcm(*(Fraction(t).denominator for t in terms))
+    sums, common = calculus._running_sums(terms)
+    assert sums is terms and common == lcd
+    assert all(type(s) is int for s in sums)
+    assert [Fraction(s, lcd) for s in sums] == expected
+
+
+@pytest.mark.parametrize("text", ["exp(x)", "x*exp(x)", "1/(x+1)", "exp(x)^3*x"])
+@pytest.mark.parametrize("tau", [7, 32])
+def test_integrals_are_integer_lanes_of_the_fraction_sums(text, tau):
+    spec = GridSpec(tau)
+    f = compile(parse(text), spec)
+    values = f.materialize()
+    sums = list(itertools.accumulate(values))
+    anti = integral(f)
+    numerators, den = anti.numerators()
+    assert all(type(s) is int for s in numerators) and den % (f.den * tau) == 0
+    assert anti.materialize() == [s / tau for s in sums]
+    assert cumulative_values(f) == sums
 
 
 def test_whole_grid_reads_past_2_to_the_24_points_are_refused_before_any_read():
@@ -492,24 +515,40 @@ def test_ftc_for_the_square():
     assert report.check == "ftc"
 
 
-@pytest.mark.parametrize("text", ["x^2", "exp(x)"])
+@pytest.mark.parametrize("text", ["x^2", "exp(x)", "1/(x+1)"])
 def test_ftc_exact_layer_catches_a_wrong_prefix_sum(monkeypatch, text):
-    # x^2 carries a lane, exp(x) does not; the last prefix is one unit off,
-    # so exactly one quotient, the one into the right endpoint, disagrees
+    # the sums are integers over L, 1 for x^2's lane and more for the
+    # Fraction numerators of exp(x) and 1/(x+1); the last prefix is one unit,
+    # 1/L, off, so exactly one quotient, the one into the right endpoint,
+    # disagrees
     spec = GridSpec(64)
     ctx = ObservationContext(H=4, K=10**6)
     running_sums = calculus._running_sums
 
     def off_by_one(terms):
-        sums = running_sums(terms)
+        sums, lcd = running_sums(terms)
         sums[-1] += 1
-        return sums
+        return sums, lcd
 
     monkeypatch.setattr(calculus, "_running_sums", off_by_one)
     report = ftc_check(compile(parse(text), spec), ctx, PLAN)
     assert not report
     assert report.detail == {"exact_violations": 1}
     assert report.witness == f"u={Fraction(63, 64)}"
+
+
+def test_ftc_exact_layer_fails_an_integral_over_another_den(monkeypatch):
+    # a lane over twice the den is half the integral, whose quotient misses
+    # x + 1 everywhere: the den is checked once and fails every probe
+    spec = GridSpec(64)
+    ctx = ObservationContext(H=4, K=10**6)
+    antiderivative = calculus._antiderivative
+    monkeypatch.setattr(
+        calculus, "_antiderivative", lambda f, sums, den: antiderivative(f, sums, 2 * den)
+    )
+    report = ftc_check(compile(parse("x + 1"), spec), ctx, PLAN)
+    assert report.detail == {"exact_violations": 64}
+    assert report.witness == "u=0"
 
 
 def test_ftc_flags_visible_jumps_in_the_integrand():

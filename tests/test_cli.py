@@ -1,6 +1,7 @@
 """Command-line interface: argument handling, outputs, exit codes."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -231,6 +232,18 @@ def test_wide_numbers_in_errors_are_named_by_their_size(capsys, argv, error):
     code, out, err = invoke(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith(f"error: {error}") and err.count("\n") == 1 and len(err) < 300
+
+
+def test_a_wide_constant_power_is_refused_before_it_is_computed(capsys):
+    # (3^4096)^4096 would have 26.6 million bits; its fold used to take seconds
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "eval", "x^((3^4096)^4096)", "--tau", "16")
+    assert time.perf_counter() - start < 0.5
+    assert code == 1 and out == ""
+    assert err == (
+        "error: constant power (6493-bit integer)^4096 exceeds the 4300-digit"
+        " limit for reading integers\n"
+    )
 
 
 def test_eval_log_at_zero_is_a_domain_error(capsys):

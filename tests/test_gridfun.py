@@ -118,19 +118,25 @@ def test_a_power_reads_its_base_once_per_point(monkeypatch):
 
 
 def test_exp_of_a_lane_with_fraction_numerators_sums_like_the_kernel():
-    # the integral of exp, a lane over 1 of Fractions: Fraction numerators over tau
+    # a division node is a lane over 1 of Fractions, which exp reads through
+    # the kernel; its integral is an integer lane, which exp reads through
+    # one reader over its den
     spec = GridSpec(32)
-    anti = integral(exp_fn(spec))
-    assert anti.den == 32 and type(anti.at(5)) is Fraction
+    quotient = compile(parse("1/(x+1)"), spec)
+    assert quotient.den == 1 and type(quotient.at(5)) is Fraction
+    anti = integral(quotient)
     values = anti.materialize()
-    # and its own integral sums those Fraction numerators over 32 * 32
+    assert values == [s / 32 for s in accumulate(quotient.materialize())]
+    # and its own integral sums those values over 32 again
     assert integral(anti).materialize() == [s / 32 for s in accumulate(values)]
-    for policy in (DEFAULT_POLICY, FULL_POLICY):
-        expected = [exp_approx(v, 32, policy) for v in values]
-        assert exp_of(anti, policy).materialize() == expected
-        assert exp_of(anti * 3, policy).materialize() == [
-            exp_approx(3 * v, 32, policy) for v in values
-        ]
+    for g in (quotient, anti):
+        points = g.materialize()
+        for policy in (DEFAULT_POLICY, FULL_POLICY):
+            expected = [exp_approx(v, 32, policy) for v in points]
+            assert exp_of(g, policy).materialize() == expected
+            assert exp_of(g * 3, policy).materialize() == [
+                exp_approx(3 * v, 32, policy) for v in points
+            ]
 
 
 def test_off_grid_index_reads_are_refused():

@@ -137,6 +137,9 @@ CERTIFICATE_CHECKS = (
 REDUCTIONS = (
     ["integrate", "x*exp(x)", "--tau", "16384", "--workers", "2"],
     ["check", "ftc", "x*exp(x)", "--tau", "2048", "--H", "32", "--workers", "4"],
+    # prefix sums over wide common denominators (lcm(4096..8192) for 1/(x+1))
+    ["check", "ftc", "exp(1/(x+1))", "--tau", "4096", "--H", "64"],
+    ["integrate", "1/(x+1)", "--tau", "4096", "--at", "1/3"],
 )
 
 SERIES = ("zeros", "harmonic", "inverse-squares", "geometric:1/2", "geometric:2")
@@ -185,6 +188,8 @@ ERRORS = (
     ["eval", "x^(1/(3^4096*3^4096*3^1000))", "--tau", "16"],
     ["eval", "x^(3^4096*3^4096)", "--tau", "16"],
     ["eval", "x^(1/3^4096)", "--tau", "16"],
+    # a constant power refused before its fold: (3^4096)^4096 has 26.6 Mbit
+    ["eval", "x^((3^4096)^4096)", "--tau", "16"],
     ["eval", "x", "--tau", "16", "--domain", "1", "1/" + "7" * 4000],
     ["eval", "x", "--tau", "16", "--at", "7" * 4000],
     # one point past the full policy's grid limit

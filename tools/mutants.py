@@ -286,16 +286,40 @@ MUTANTS = (
         "        return bool(terms) and abs(terms[-1] - self.declared_limit) * self.context.H < 1\n",
         ("tests/test_calculus.py::test_verify_reads_the_last_term_like_the_ladder",),
     ),
-    # one serial prefix sum
+    # one serial prefix sum, in integers over one common denominator
     Mutant(
         "running sum starts one index late",
         "src/hypergrid/calculus.py",
-        "    for i in range(1, len(terms)):\n",
-        "    for i in range(2, len(terms)):\n",
+        "    for i, v in enumerate(terms):\n",
+        "    for i, v in enumerate(terms[1:], 1):\n",
         (
             "tests/test_calculus.py::test_running_sums_accumulate_in_place",
-            "tests/test_calculus.py::test_integral_of_identity_at_one",
+            "tests/test_calculus.py::test_integral_of_a_constant_is_linear_up_to_the_left_term",
         ),
+    ),
+    Mutant(
+        "common denominator taken over all values but the last",
+        "src/hypergrid/calculus.py",
+        "    lcd = lcm(*(v.denominator for v in terms))\n",
+        "    lcd = lcm(*(v.denominator for v in terms[:-1]))\n",
+        ("tests/test_calculus.py::test_running_sums_accumulate_in_place",),
+    ),
+    Mutant(
+        "exact layer compares with the unscaled numerator",
+        "src/hypergrid/calculus.py",
+        "        if not lane_ok or sums[n + 1] - sums[n] != hi:\n",
+        "        if not lane_ok or sums[n + 1] - sums[n] != numerators[n + 1]:\n",
+        (
+            "tests/test_calculus.py::test_ftc_exact_layer_catches_a_wrong_prefix_sum",
+            "tests/test_calculus.py::test_ftc_exact_layer_is_policy_independent",
+        ),
+    ),
+    Mutant(
+        "exact layer trusts the integral's den",
+        "src/hypergrid/calculus.py",
+        "    lane_ok = anti_den == den * lcd * tau\n",
+        "    lane_ok = True\n",
+        ("tests/test_calculus.py::test_ftc_exact_layer_fails_an_integral_over_another_den",),
     ),
     # transport between grids by index
     Mutant(
