@@ -22,7 +22,7 @@ stable JSON shape for the command-line tools.
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from itertools import islice
 from math import lcm
 from typing import Callable, Optional, Sequence, Tuple
@@ -426,7 +426,7 @@ def _running_sums(terms: list) -> tuple:
     terms are put over their least common denominator L (1 when all are
     ints) and summed as integers, so each sum over L is the sum of the
     terms, and no sum pays a gcd."""
-    lcd = lcm(*(v.denominator for v in terms))
+    lcd = reduce(lcm, (v.denominator for v in terms), 1)  # no tuple of tau + 1 denominators
     acc = 0
     for i, v in enumerate(terms):
         acc = terms[i] = acc + v.numerator * (lcd // v.denominator)

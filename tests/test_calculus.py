@@ -421,9 +421,10 @@ def test_integrals_are_integer_lanes_of_the_fraction_sums(text, tau):
     f = compile(parse(text), spec)
     values = f.materialize()
     sums = list(itertools.accumulate(values))
+    lcd = math.lcm(*(Fraction(v).denominator for v in f.numerators()[0]))
     anti = integral(f)
     numerators, den = anti.numerators()
-    assert all(type(s) is int for s in numerators) and den % (f.den * tau) == 0
+    assert all(type(s) is int for s in numerators) and den == f.den * lcd * tau
     assert anti.materialize() == [s / tau for s in sums]
     assert cumulative_values(f) == sums
 

@@ -300,8 +300,8 @@ MUTANTS = (
     Mutant(
         "common denominator taken over all values but the last",
         "src/hypergrid/calculus.py",
-        "    lcd = lcm(*(v.denominator for v in terms))\n",
-        "    lcd = lcm(*(v.denominator for v in terms[:-1]))\n",
+        "    lcd = reduce(lcm, (v.denominator for v in terms), 1)",
+        "    lcd = reduce(lcm, (v.denominator for v in terms[:-1]), 1)",
         ("tests/test_calculus.py::test_running_sums_accumulate_in_place",),
     ),
     Mutant(
