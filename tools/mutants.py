@@ -565,6 +565,13 @@ MUTANTS = (
         'f"point {point} falls outside the working domain"',
         ("tests/test_cli.py::test_wide_numbers_in_errors_are_named_by_their_size",),
     ),
+    Mutant(
+        "constant power folded without its bit bound",
+        "src/hypergrid/expr.py",
+        "        if k * width > (10**digits - 1).bit_length() > 0:\n",
+        "        if False:\n",
+        ("tests/test_cli.py::test_a_wide_constant_power_is_refused_before_it_is_computed",),
+    ),
     # the full policy's Horner table is refused before it outgrows memory
     Mutant(
         "full-policy grid limit back at 2**17",
