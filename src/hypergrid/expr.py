@@ -211,6 +211,11 @@ def parse(text: str) -> Node:
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
+def _width(v: Fraction) -> int:
+    """The bits of v's wider term."""
+    return max(v.numerator.bit_length(), v.denominator.bit_length())
+
+
 def fold_constant(node: Node) -> Optional[Fraction]:
     """Value of a literal-only subtree, or None if it involves x or a
     function call (calls are excluded: their values depend on tau)."""
@@ -231,16 +236,18 @@ def fold_constant(node: Node) -> Optional[Fraction]:
         v = fold_constant(node.base)
         if v is None:
             return None
-        # refused before it is computed: k times the bits of v's wider term
-        # past the bits of the widest integer read from text (when limited)
-        k, width = _exponent(node), max(v.numerator.bit_length(), v.denominator.bit_length())
-        digits = sys.get_int_max_str_digits()
-        if k * width > (10**digits - 1).bit_length() > 0:
+        # refused when its wider term has more bits than the widest integer
+        # read from text (when limited); before it is computed when
+        # k (width - 1) + 1, a lower bound on those bits, is already past,
+        # so a power that is computed has at most limit + k bits
+        k, digits = _exponent(node), sys.get_int_max_str_digits()
+        limit = (10**digits - 1).bit_length()
+        if k * (_width(v) - 1) + 1 > limit > 0 or _width(power := v**k) > limit > 0:
             raise ResourceLimitError(
                 f"constant power {brief_rational(v)}^{k} exceeds the {digits}-digit"
                 " limit for reading integers"
             )
-        return v**k
+        return power
     return None
 
 

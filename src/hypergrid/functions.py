@@ -24,7 +24,8 @@ values.  The series reads an argument's integer numerator at n over the
 lane's denominator with no Fraction formed, through one
 ``series._exp_reader`` per node, which learns the stop segments of that
 denominator once.  A lattice-log node likewise keeps two readers over
-tau, one per truncation its search evaluates.
+tau, one per truncation its search evaluates, and the cap up to which
+its search may decide without evaluating E.
 """
 
 from fractions import Fraction
@@ -41,6 +42,7 @@ from .series import (
     _exp_kernel,
     _exp_reader,
     _log_index,
+    _stop_bound,
 )
 
 #: The largest bound B on an exp argument that earns a certificate; past it
@@ -136,13 +138,18 @@ def exp_fn(
 
 def log_of(g: GridFunction, policy: TruncationPolicy = DEFAULT_POLICY) -> GridFunction:
     """The lattice logarithm of g's values: a lane over tau whose
-    numerator at n is the integer k of ``series._log_index``, its search
-    evaluating E through two readers over tau built with the node.  A
+    numerator at n is the integer k of ``series._log_index``.  The node
+    is built with what every read shares: the cap, the largest lattice
+    index at which E's tail is proven within min(tau - 1, 64) terms
+    (``series._stop_bound``), up to which a read is decided by the
+    search's bracket alone unless a lattice boundary falls inside it, and
+    two readers over tau through which the rest evaluate E.  A
     non-positive value raises ``EvaluationError`` at its point.  No
     certificate."""
     spec = g.spec
     at, den, tau = g.at, g.den, spec.tau
     exps = (_exp_reader(tau, tau, _COARSE), _exp_reader(tau, tau, policy))
+    cap = _stop_bound(min(tau - 1, 64), tau, tau, policy)
 
     def log_at(n):
         v = at(n)
@@ -150,7 +157,7 @@ def log_of(g: GridFunction, policy: TruncationPolicy = DEFAULT_POLICY) -> GridFu
         if a <= 0:
             value = brief_rational(Fraction(a, b))
             raise EvaluationError(f"log of non-positive value {value}", point=spec.point(n))
-        return _log_index(a, b, tau, policy, exps)
+        return _log_index(a, b, tau, policy, exps, cap)
 
     return GridFunction(spec, log_at, den=tau)
 

@@ -37,11 +37,14 @@ the truncated series is provably monotone.  For x >= 0 every term is
 positive, so 1 + x <= E(x) <= e^x under either policy: a rational lower
 bound on ln q, computed in fixed-point integers, gives an admissible
 lattice point without evaluating E at all, and a rational upper bound
-gives a candidate overshoot that one evaluation confirms.  Monotonicity
-makes the largest admissible point unique, so the answer does not
-depend on how the bracket was found; only the cost does (one to three
-evaluations of E, each compared with the argument in integers).  Its
-integer entry point, ``_log_index``, takes a numerator and a
+gives a candidate overshoot.  Where E's tail is proven below the tail
+threshold, an upper bound that stays below the next lattice point by
+that threshold proves the overshoot too, so most reads evaluate E not
+at all; the rest, where a lattice boundary falls inside the bracket,
+evaluate it one to three times, each compared with the argument in
+integers.  Monotonicity makes the largest admissible point unique, so
+the answer does not depend on how it was found; only the cost does.
+Its integer entry point, ``_log_index``, takes a numerator and a
 denominator and returns the lattice index k itself.
 
 ``countable_sum`` evaluates partial sums at doubling lengths and issues
@@ -326,7 +329,9 @@ def _ln_bounds(a: int, b: int, m: int, bits: int):
     return lo, hi
 
 
-def _log_index(a: int, b: int, tau: int, policy: TruncationPolicy, exps=None) -> int:
+def _log_index(
+    a: int, b: int, tau: int, policy: TruncationPolicy, exps=None, cap=None
+) -> int:
     """The lattice logarithm of q = a/b (a, b > 0, not necessarily in
     lowest terms) as an integer: the largest k with E(k/tau) <= q, where
     E is the policy's truncated exponential, searched over |k| <= tau**2.
@@ -337,34 +342,64 @@ def _log_index(a: int, b: int, tau: int, policy: TruncationPolicy, exps=None) ->
 
     The search is bracketed without evaluating E.  For x >= 0 every
     series term is positive, so 1 + x <= E(x) <= e^x under either
-    policy.  Hence floor(tau * L) is admissible for any rational
+    policy.  Hence lo = floor(tau * L) is admissible for any rational
     L <= ln q, and e^(k/tau) > q at k = floor(tau * U) + 1 for any
     rational U >= ln q.  L and U come from fixed-point integers with
-    directed rounding, a few lattice steps apart.  One evaluation
-    confirms the upper end, galloping upward in the rare case that E
-    still lags e^x there (the full policy at tiny tau, or an argument
-    that is itself a lattice value of E); bisection closes the gap.
-    E is strictly increasing in k >= 0 under either policy, so the
-    largest admissible k is unique and any valid bracket yields it.
-    Each evaluation compares the kernel's integers with a and b, so no
-    Fraction is normalized per evaluation.  An evaluation first sums at
-    guard 6 when the policy's guard is larger: that sum stops no later,
-    so at k >= 0 it is at most E(k/tau), and when it already exceeds q
-    the overshoot is proven in about half the terms.  Otherwise, and
-    for every lattice point at or below the answer, E itself decides.
+    directed rounding, a small fraction of a lattice step apart.
+
+    Usually the bracket alone decides (Ziv's rounding test): with
+    thr = 1/(tau * 2**guard) the tail threshold, rounded up to the
+    fixed point, lo is the answer when floor(tau * (U + thr)) is lo too
+    and E's tail at lo + 1 is proven below thr.  Then (lo + 1)/tau >
+    U + thr >= ln(q + thr) for q >= 1, so E((lo + 1)/tau) >
+    e^((lo + 1)/tau) - thr > q, and E is not evaluated at all.  The tail
+    is proven when lo + 1 is at most ``cap``, the largest index whose
+    stop index is at most min(tau - 1, 64) (``_stop_bound``; -1 under the
+    full policy); without ``cap``, when ``_stop_index`` at lo + 1 is
+    below tau, for lo + 1 within the argument limit.
+
+    Otherwise, at a lattice boundary, one evaluation confirms the upper
+    end, galloping upward in the rare case that E still lags e^x there
+    (the full policy at tiny tau, or an argument that is itself a
+    lattice value of E); bisection closes the gap.  E is strictly
+    increasing in k >= 0 under either policy, so the largest admissible
+    k is unique and any valid bracket yields it.  Each evaluation
+    compares the kernel's integers with a and b, so no Fraction is
+    normalized per evaluation.  An evaluation first sums at guard 6 when
+    the policy's guard is larger: that sum stops no later, so at k >= 0
+    it is at most E(k/tau), and when it already exceeds q the overshoot
+    is proven in about half the terms.  Otherwise, and for every lattice
+    point at or below the answer, E itself decides.
 
     ``exps``, when given, is the pair of readers that evaluate E under
     ``_COARSE`` and under the policy (``_exp_reader`` over tau, as a
-    lattice-log node keeps them); without it each evaluation calls the
-    kernel.
+    lattice-log node keeps them, with its ``cap``); without it each
+    evaluation calls the kernel.
 
     SearchRangeError is raised when the answer is at least the smallest
     power of two above tau**2, where a doubling search from k = 1
     leaves the lattice.
     """
     if a < b:
-        return -_log_index(b, a, tau, policy, exps)
+        return -_log_index(b, a, tau, policy, exps, cap)
     _require_grid(tau, policy)
+    m = a.bit_length() - b.bit_length()
+    if b << m > a:
+        m -= 1
+    # 6 bits past the bracket's own need leave a boundary inside it rarely
+    bits = tau.bit_length() + m.bit_length() + 14
+    low, high = _ln_bounds(a, b, m, bits)
+    # invariant: E(lo/tau) <= q; once confirmed, q < E(hi/tau)
+    lo = (tau * low) >> bits
+    slack = -(-(1 << bits) // (tau << policy.guard))  # ceil(thr * 2**bits)
+    if (tau * (high + slack)) >> bits == lo:
+        if cap is None:
+            top = EXP_ARGUMENT_LIMIT * tau
+            proven = lo < top and _stop_index(lo + 1, tau, tau, policy) < tau
+        else:
+            proven = lo < cap
+        if proven:
+            return lo
     coarse, fine = exps or (
         lambda k: _exp_kernel(k, tau, tau, _COARSE),
         lambda k: _exp_kernel(k, tau, tau, policy),
@@ -381,13 +416,6 @@ def _log_index(a: int, b: int, tau: int, policy: TruncationPolicy, exps=None) ->
     limit = tau * tau
     # a doubling search from k = 1 gave up on reaching this power of two
     ceiling = 1 << limit.bit_length()
-    m = a.bit_length() - b.bit_length()
-    if b << m > a:
-        m -= 1
-    bits = tau.bit_length() + m.bit_length() + 8
-    low, high = _ln_bounds(a, b, m, bits)
-    # invariant: E(lo/tau) <= q; once confirmed, q < E(hi/tau)
-    lo = (tau * low) >> bits
     hi = min(((tau * high) >> bits) + 1, ceiling)
     step = 1
     while lo < ceiling and not overshoots(hi):

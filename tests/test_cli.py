@@ -246,6 +246,15 @@ def test_a_wide_constant_power_is_refused_before_it_is_computed(capsys):
     )
 
 
+def test_a_constant_power_is_refused_by_its_actual_width(capsys):
+    # 10^4096 has 13,606 bits and 15^4096 has 16,003; the limit is 14,285
+    code, out, err = invoke(capsys, "eval", "x/10^4096", "--tau", "4", "--at", "0")
+    assert (code, out, err) == (0, "0\n= 0.000000000000\n", "")
+    code, out, err = invoke(capsys, "eval", "x/15^4096", "--tau", "4", "--at", "0")
+    assert code == 1 and out == ""
+    assert err == "error: constant power 15^4096 exceeds the 4300-digit limit for reading integers\n"
+
+
 def test_eval_log_at_zero_is_a_domain_error(capsys):
     code, _, err = invoke(capsys, "eval", "log(x)", "--tau", "10")
     assert code == 1

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from hypergrid import series
+from hypergrid import functions, series
 from hypergrid import (
     DomainError,
     GridSpec,
@@ -22,6 +22,7 @@ from hypergrid import (
     log_approx,
     parse,
 )
+from hypergrid.gridfun import GridFunction, continuity_check
 from hypergrid.reals import MINUS_INFINITY, PLUS_INFINITY
 from hypergrid.series import (
     DEFAULT_POLICY,
@@ -282,7 +283,38 @@ def test_log_evaluates_the_exponential_a_few_times_per_call(monkeypatch):
     for q in args:
         calls.clear()
         log_approx(q, tau)
-        assert 1 <= len(calls) <= 6
+        assert len(calls) <= 6
+
+
+def test_a_log_node_evaluates_the_exponential_at_few_reads_of_a_continuity_plan(monkeypatch):
+    # the bracket decides a read unless a lattice boundary falls inside it
+    evaluations = []
+    reader = functions._exp_reader
+
+    def counted(*args):
+        read = reader(*args)
+
+        def counted_read(a):
+            evaluations.append(a)
+            return read(a)
+
+        return counted_read
+
+    monkeypatch.setattr(functions, "_exp_reader", counted)
+    f = compile(parse("log(1+x)"), GridSpec(2**17))
+    reads = evaluating = 0
+
+    def at(n):
+        nonlocal reads, evaluating
+        before = len(evaluations)
+        value = f.at(n)
+        reads += 1
+        evaluating += len(evaluations) > before
+        return value
+
+    report = continuity_check(GridFunction(f.spec, at, den=f.den), CTX)
+    assert report.mode == "sampled-ok" and reads > 10**5
+    assert evaluating * 50 <= reads
 
 
 def _reference_exp_loop(q: Fraction, tau: int, policy: TruncationPolicy):
@@ -502,6 +534,24 @@ def test_exp_reader_costs_no_more_than_the_kernel_when_segments_are_short(monkey
     # the lists kept hold no more bits than the denominators returned
     held = sum(size for _, _, _, coefficients, size in segments if coefficients is not None)
     assert 0 < held <= returned
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.sampled_from(["1+x", "exp(x)", "1 + x^2/3", "1/(x+1)"]),
+    TAUS,
+    POLICIES,
+    st.data(),
+)
+def test_a_log_node_reads_what_the_doubling_search_reads(text, tau, policy, data):
+    # exp(x) puts the node's argument on lattice values of E, where a
+    # lattice boundary is always inside the bracket
+    spec = GridSpec(tau)
+    arg = compile(parse(text), spec, policy)
+    node = compile(parse(f"log({text})"), spec, policy)
+    for n in data.draw(st.lists(st.integers(0, tau), min_size=1, max_size=2)):
+        x = spec.point(n)
+        assert node(x) == _doubling_log(arg(x), tau, policy)
 
 
 @settings(max_examples=100, deadline=None)

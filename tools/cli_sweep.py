@@ -142,6 +142,17 @@ REDUCTIONS = (
     ["integrate", "1/(x+1)", "--tau", "4096", "--at", "1/3"],
 )
 
+# lattice logs at lattice values of E, where a boundary lies inside the
+# search's bracket, under each policy; and a full-policy log at a grid so
+# small that E lags e^x by more than a lattice step
+LOGS = (
+    *(
+        ["eval", "log(exp(x))", "--tau", "64", "--at", "1/2", *options]
+        for options in ([], ["--exp-mode", "full"], ["--guard", "1"])
+    ),
+    ["check", "continuity", "log(1+x)", "--tau", "8", "--exp-mode", "full"],
+)
+
 SERIES = ("zeros", "harmonic", "inverse-squares", "geometric:1/2", "geometric:2")
 
 ERRORS = (
@@ -190,6 +201,8 @@ ERRORS = (
     ["eval", "x^(1/3^4096)", "--tau", "16"],
     # a constant power refused before its fold: (3^4096)^4096 has 26.6 Mbit
     ["eval", "x^((3^4096)^4096)", "--tau", "16"],
+    # and one that fits: 10^4096 has 13,606 bits, under the limit's 14,285
+    ["eval", "x/10^4096", "--tau", "4", "--at", "0"],
     ["eval", "x", "--tau", "16", "--domain", "1", "1/" + "7" * 4000],
     ["eval", "x", "--tau", "16", "--at", "7" * 4000],
     # one point past the full policy's grid limit
@@ -253,6 +266,7 @@ def invocations():
     out.extend(({}, argv) for argv in SAMPLED_CHECKS)
     out.extend(({}, argv) for argv in CERTIFICATE_CHECKS)
     out.extend(({}, argv) for argv in REDUCTIONS)
+    out.extend(({}, argv) for argv in LOGS)
     for series in SERIES:
         for H in ("10", "1000"):
             for cap in ("16", "1024"):

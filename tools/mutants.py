@@ -81,8 +81,8 @@ MUTANTS = (
     Mutant(
         "reciprocal branch without its sign",
         "src/hypergrid/series.py",
-        "        return -_log_index(b, a, tau, policy, exps)\n",
-        "        return _log_index(b, a, tau, policy, exps)\n",
+        "        return -_log_index(b, a, tau, policy, exps, cap)\n",
+        "        return _log_index(b, a, tau, policy, exps, cap)\n",
         (
             "tests/test_series.py::test_log_below_one_is_negative_and_near_inverse",
             "tests/test_series.py::test_bracketed_log_matches_the_doubling_search",
@@ -92,6 +92,23 @@ MUTANTS = (
         "coarse overshoot probe under a finer policy",
         "src/hypergrid/series.py",
         "        if policy.guard > _COARSE.guard:\n",
+        "        if True:\n",
+        ("tests/test_series.py::test_bracketed_log_matches_the_doubling_search",),
+    ),
+    Mutant(
+        "tail slack dropped from the bracket's decision",
+        "src/hypergrid/series.py",
+        "    if (tau * (high + slack)) >> bits == lo:\n",
+        "    if (tau * high) >> bits == lo:\n",
+        (
+            "tests/test_series.py::test_bracketed_log_matches_the_doubling_search",
+            "tests/test_series.py::test_a_log_node_reads_what_the_doubling_search_reads",
+        ),
+    ),
+    Mutant(
+        "tail cap ignored in the bracket's decision",
+        "src/hypergrid/series.py",
+        "        if proven:\n",
         "        if True:\n",
         ("tests/test_series.py::test_bracketed_log_matches_the_doubling_search",),
     ),
@@ -568,9 +585,23 @@ MUTANTS = (
     Mutant(
         "constant power folded without its bit bound",
         "src/hypergrid/expr.py",
-        "        if k * width > (10**digits - 1).bit_length() > 0:\n",
-        "        if False:\n",
+        "k * (_width(v) - 1) + 1 > limit > 0 or ",
+        "",
         ("tests/test_cli.py::test_a_wide_constant_power_is_refused_before_it_is_computed",),
+    ),
+    Mutant(
+        "constant power bounded by its base's full width",
+        "src/hypergrid/expr.py",
+        "k * (_width(v) - 1) + 1 > limit",
+        "k * _width(v) > limit",
+        ("tests/test_cli.py::test_a_constant_power_is_refused_by_its_actual_width",),
+    ),
+    Mutant(
+        "computed constant power not measured",
+        "src/hypergrid/expr.py",
+        "_width(power := v**k) > limit > 0:",
+        "(power := v**k) is None:",
+        ("tests/test_cli.py::test_a_constant_power_is_refused_by_its_actual_width",),
     ),
     # the full policy's Horner table is refused before it outgrows memory
     Mutant(
