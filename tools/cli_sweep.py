@@ -143,8 +143,8 @@ REDUCTIONS = (
 )
 
 # lattice logs at lattice values of E, where a boundary lies inside the
-# search's bracket, under each policy; and a full-policy log at a grid so
-# small that E lags e^x by more than a lattice step
+# search's bracket, under each policy; and the full policy on a small grid,
+# where no tail is proven and every read evaluates E
 LOGS = (
     *(
         ["eval", "log(exp(x))", "--tau", "64", "--at", "1/2", *options]

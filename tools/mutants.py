@@ -112,6 +112,13 @@ MUTANTS = (
         "        if True:\n",
         ("tests/test_series.py::test_bracketed_log_matches_the_doubling_search",),
     ),
+    Mutant(
+        "log node's cap past its proven tails",
+        "src/hypergrid/functions.py",
+        "    cap = _stop_bound(min(tau - 1, 64), tau, tau, policy)\n",
+        "    cap = 32 * tau\n",
+        ("tests/test_expr.py::test_exp_and_log_of_a_lane_equal_the_series_on_its_values",),
+    ),
     # one constructor for every node
     Mutant(
         "step threshold as a floor",
