@@ -149,6 +149,9 @@ def log_of(g: GridFunction, policy: TruncationPolicy = DEFAULT_POLICY) -> GridFu
     spec = g.spec
     at, den, tau = g.at, g.den, spec.tau
     exps = (_exp_reader(tau, tau, _COARSE), _exp_reader(tau, tau, policy))
+    # 64 terms keep _stop_bound's power tau**65 * 65! to about 1,400 bits
+    # at tau 2**17, where tau - 1 terms would take 4 megabits; at guard 64
+    # they prove tails for ln q up to about 10, and larger q take the search
     cap = _stop_bound(min(tau - 1, 64), tau, tau, policy)
 
     def log_at(n):

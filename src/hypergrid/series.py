@@ -37,15 +37,15 @@ the truncated series is provably monotone.  For x >= 0 every term is
 positive, so 1 + x <= E(x) <= e^x under either policy: a rational lower
 bound on ln q, computed in fixed-point integers, gives an admissible
 lattice point without evaluating E at all, and a rational upper bound
-gives a candidate overshoot.  Where E's tail is proven below the tail
-threshold, an upper bound that stays below the next lattice point by
-that threshold proves the overshoot too, so most reads evaluate E not
-at all; the rest, where a lattice boundary falls inside the bracket,
-evaluate it one to three times, each compared with the argument in
-integers.  Monotonicity makes the largest admissible point unique, so
-the answer does not depend on how it was found; only the cost does.
-Its integer entry point, ``_log_index``, takes a numerator and a
-denominator and returns the lattice index k itself.
+gives a candidate overshoot.  In a lattice-log node, which knows where
+E's tail is proven below the tail threshold, an upper bound that stays
+below the next lattice point by that threshold proves the overshoot
+too, so most of its reads evaluate E not at all; the rest, and every
+``log_approx`` call, evaluate it one to three times, each compared with
+the argument in integers.  Monotonicity makes the largest admissible
+point unique, so the answer does not depend on how it was found; only
+the cost does.  Its integer entry point, ``_log_index``, takes a
+numerator and a denominator and returns the lattice index k itself.
 
 ``countable_sum`` evaluates partial sums at doubling lengths and issues
 a verdict: a value once the partials settle, an infinity once they
@@ -347,16 +347,16 @@ def _log_index(
     rational U >= ln q.  L and U come from fixed-point integers with
     directed rounding, a small fraction of a lattice step apart.
 
-    Usually the bracket alone decides (Ziv's rounding test): with
-    thr = 1/(tau * 2**guard) the tail threshold, rounded up to the
-    fixed point, lo is the answer when floor(tau * (U + thr)) is lo too
-    and E's tail at lo + 1 is proven below thr.  Then (lo + 1)/tau >
+    Given a node's ``cap``, the bracket alone usually decides (Ziv's
+    rounding test): with thr = 1/(tau * 2**guard) the tail threshold,
+    rounded up to the fixed point, lo is the answer when
+    floor(tau * (U + thr)) is lo too and E's tail at lo + 1 is proven
+    below thr.  Then (lo + 1)/tau >
     U + thr >= ln(q + thr) for q >= 1, so E((lo + 1)/tau) >
     e^((lo + 1)/tau) - thr > q, and E is not evaluated at all.  The tail
     is proven when lo + 1 is at most ``cap``, the largest index whose
     stop index is at most min(tau - 1, 64) (``_stop_bound``; -1 under the
-    full policy); without ``cap``, when ``_stop_index`` at lo + 1 is
-    below tau, for lo + 1 within the argument limit.
+    full policy).  Without ``cap`` the bracket never decides alone.
 
     Otherwise, at a lattice boundary, one evaluation confirms the upper
     end, galloping upward in the rare case that E still lags e^x there
@@ -391,14 +391,9 @@ def _log_index(
     low, high = _ln_bounds(a, b, m, bits)
     # invariant: E(lo/tau) <= q; once confirmed, q < E(hi/tau)
     lo = (tau * low) >> bits
-    slack = -(-(1 << bits) // (tau << policy.guard))  # ceil(thr * 2**bits)
-    if (tau * (high + slack)) >> bits == lo:
-        if cap is None:
-            top = EXP_ARGUMENT_LIMIT * tau
-            proven = lo < top and _stop_index(lo + 1, tau, tau, policy) < tau
-        else:
-            proven = lo < cap
-        if proven:
+    if cap is not None and lo < cap:
+        slack = -(-(1 << bits) // (tau << policy.guard))  # ceil(thr * 2**bits)
+        if (tau * (high + slack)) >> bits == lo:
             return lo
     coarse, fine = exps or (
         lambda k: _exp_kernel(k, tau, tau, _COARSE),

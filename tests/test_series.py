@@ -283,7 +283,7 @@ def test_log_evaluates_the_exponential_a_few_times_per_call(monkeypatch):
     for q in args:
         calls.clear()
         log_approx(q, tau)
-        assert len(calls) <= 6
+        assert 1 <= len(calls) <= 6
 
 
 def test_a_log_node_evaluates_the_exponential_at_few_reads_of_a_continuity_plan(monkeypatch):

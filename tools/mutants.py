@@ -98,19 +98,16 @@ MUTANTS = (
     Mutant(
         "tail slack dropped from the bracket's decision",
         "src/hypergrid/series.py",
-        "    if (tau * (high + slack)) >> bits == lo:\n",
-        "    if (tau * high) >> bits == lo:\n",
-        (
-            "tests/test_series.py::test_bracketed_log_matches_the_doubling_search",
-            "tests/test_series.py::test_a_log_node_reads_what_the_doubling_search_reads",
-        ),
+        "(tau * (high + slack)) >> bits == lo:",
+        "(tau * high) >> bits == lo:",
+        ("tests/test_series.py::test_a_log_node_reads_what_the_doubling_search_reads",),
     ),
     Mutant(
         "tail cap ignored in the bracket's decision",
         "src/hypergrid/series.py",
-        "        if proven:\n",
-        "        if True:\n",
-        ("tests/test_series.py::test_bracketed_log_matches_the_doubling_search",),
+        "    if cap is not None and lo < cap:\n",
+        "    if cap is not None:\n",
+        ("tests/test_expr.py::test_exp_and_log_of_a_lane_equal_the_series_on_its_values",),
     ),
     Mutant(
         "log node's cap past its proven tails",
